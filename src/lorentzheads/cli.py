@@ -70,10 +70,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.head and args.resume:
+        raise ParameterError("--head cannot be combined with --resume: "
+                             "a resumed run keeps the checkpoint's head")
     out_dir = _ensure_dir(args.out)
     config = training.ExperimentConfig.load(args.config)
     if args.head:
         config.head_mode = args.head
+    if args.resume:
+        # training continues under the checkpoint's config, so record that one
+        config = training.load_checkpoint(args.resume)[0]
     ds = data.SyntheticDataset.load(args.dataset)
     inputs = [args.config, args.dataset] + ([args.resume] if args.resume else [])
     manifest = RunManifest(
@@ -227,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True)
     t.add_argument("--head", choices=[heads.MODE_HYPERBOLIC, heads.MODE_LINEAR,
                                       heads.MODE_COSINE])
-    t.add_argument("--resume", help="checkpoint to continue from")
+    t.add_argument("--resume", help="checkpoint to continue from, under its own config")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")

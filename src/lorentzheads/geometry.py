@@ -8,6 +8,13 @@ in Minkowski space R^{n,1} with signature (-, +, ..., +):
 where <x, y>_l = -x0*y0 + sum_i xi*yi.  Curvature is fixed at -1.  All
 operations are closed-form and run in float64; small-argument branches guard
 the removable singularities of sinh(t)/t and the log map.
+
+The point primitives (lorentz_inner, manifold_violation, assert_on_manifold,
+project_to_manifold, tangent_project, exp_map_at) take either one point
+(n+1,) or a row matrix (m, n+1) and work along the last axis, so a whole
+prototype bank is checked or updated in one call.  exp_map_origin,
+hyperbolic_distance and log_map_at stay single-point; the batch_* helpers
+below are their all-pairs and row-wise forms.
 """
 
 from __future__ import annotations
@@ -24,15 +31,29 @@ EPS_TANGENT = 1e-8
 _EPS_SMALL = 1e-6
 # Default slack when validating inputs that may carry accumulated drift.
 _CHECK_ATOL = 1e-6
+# Dimension counts accepted by the point primitives: one point or a row matrix.
+_POINTS = (1, 2)
 
 
-def _as_vector(a, name: str) -> np.ndarray:
+def _as_array(a, name: str, ndims=(1,)) -> np.ndarray:
+    """Finite float64 array with one of the allowed dimension counts."""
     v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"{name} must be a 1-D vector, got shape {v.shape}")
+    if v.ndim not in ndims:
+        kind = "a vector or a row matrix" if ndims == _POINTS else "a 1-D vector"
+        raise DimensionError(f"{name} must be {kind}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ContractError(f"{name} contains non-finite entries")
     return v
+
+
+def _spatial_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_{i>=1} xi*yi along the last axis.  The stacked matmul runs the same
+    dot kernel as x[1:] @ y[1:], so a row of a matrix gets the bits it gets alone."""
+    return (x[..., None, 1:] @ y[..., 1:, None])[..., 0, 0]
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return -x[..., 0] * y[..., 0] + _spatial_dot(x, y)
 
 
 def origin(n: int) -> np.ndarray:
@@ -42,53 +63,59 @@ def origin(n: int) -> np.ndarray:
     return o
 
 
-def lorentz_inner(x, y) -> float:
-    """Lorentzian scalar product -x0*y0 + sum_{i>=1} xi*yi."""
-    x = _as_vector(x, "x")
-    y = _as_vector(y, "y")
-    if x.shape != y.shape or x.shape[0] < 2:
+def lorentz_inner(x, y):
+    """Lorentzian scalar product -x0*y0 + sum_{i>=1} xi*yi: a float for two
+    points, the (m,) row-wise products for two (m, n+1) matrices."""
+    x = _as_array(x, "x", _POINTS)
+    y = _as_array(y, "y", _POINTS)
+    if x.shape != y.shape or x.shape[-1] < 2:
         raise DimensionError(f"incompatible shapes {x.shape} vs {y.shape}")
-    return float(-x[0] * y[0] + x[1:] @ y[1:])
+    ip = _inner(x, y)
+    return float(ip) if ip.ndim == 0 else ip
 
 
-def manifold_violation(x) -> float:
-    """|<x,x>_l + 1|, zero for exact hyperboloid points."""
+def manifold_violation(x):
+    """|<x,x>_l + 1|, zero for exact hyperboloid points; one value per row."""
     x = np.asarray(x, dtype=np.float64)
-    return abs(-x[0] * x[0] + x[1:] @ x[1:] + 1.0)
+    return np.abs(_inner(x, x) + 1.0)
 
 
 def assert_on_manifold(x, atol: float = _CHECK_ATOL) -> None:
-    x = _as_vector(x, "x")
-    if x[0] <= 0.0:
+    """Raise ContractError unless the point, or every row, lies on H^n."""
+    x = _as_array(x, "x", _POINTS)
+    x0 = x[..., 0]
+    if np.any(x0 <= 0.0):
         raise ContractError("point is not on the upper sheet (x0 <= 0)")
-    v = manifold_violation(x)
+    v = np.atleast_1d(manifold_violation(x))
     # the constraint residual scales like x0^2 * machine eps for far points
-    if v > atol * max(1.0, x[0] * x[0]):
-        raise ContractError(f"point is off the hyperboloid: |<x,x>_l + 1| = {v:.3e}")
+    bad = v > atol * np.maximum(1.0, x0 * x0)
+    if np.any(bad):
+        raise ContractError(f"point is off the hyperboloid: |<x,x>_l + 1| = {v[bad][0]:.3e}")
 
 
 def assert_tangent(x, u, atol: float = EPS_TANGENT) -> None:
-    ip = lorentz_inner(x, u)
-    if abs(ip) > atol:
-        raise ContractError(f"vector is not tangent at base point: <x,u>_l = {ip:.3e}")
+    ip = np.atleast_1d(lorentz_inner(x, u))
+    bad = np.abs(ip) > atol
+    if np.any(bad):
+        raise ContractError(f"vector is not tangent at base point: <x,u>_l = {ip[bad][0]:.3e}")
 
 
 def project_to_manifold(raw) -> np.ndarray:
-    """Repair numerical drift: keep the spatial part, recompute x0."""
-    raw = _as_vector(raw, "raw")
+    """Repair numerical drift: keep the spatial part, recompute x0 (per row)."""
+    raw = _as_array(raw, "raw", _POINTS)
     out = raw.copy()
-    out[0] = np.sqrt(1.0 + out[1:] @ out[1:])
+    out[..., 0] = np.sqrt(1.0 + _spatial_dot(out, out))
     return out
 
 
 def tangent_project(x, g) -> np.ndarray:
-    """Lorentz-orthogonal projection of an ambient vector onto T_x H^n:
-    proj_x(g) = g + <x,g>_l * x."""
-    x = _as_vector(x, "x")
-    g = _as_vector(g, "g")
+    """Lorentz-orthogonal projection of an ambient vector onto T_x H^n,
+    row by row for matrices: proj_x(g) = g + <x,g>_l * x."""
+    x = _as_array(x, "x", _POINTS)
+    g = _as_array(g, "g", _POINTS)
     if x.shape != g.shape:
         raise DimensionError(f"incompatible shapes {x.shape} vs {g.shape}")
-    return g + lorentz_inner(x, g) * x
+    return g + _inner(x, g)[..., None] * x
 
 
 def _sinh_over_t(t: np.ndarray) -> np.ndarray:
@@ -105,7 +132,7 @@ def exp_map_origin(v) -> np.ndarray:
     Spatial part sinh(||v||) * v/||v||, time coordinate cosh(||v||); the
     zero vector maps to the origin.
     """
-    v = _as_vector(v, "v")
+    v = _as_array(v, "v")
     r = np.linalg.norm(v)
     out = np.empty(v.shape[0] + 1)
     out[0] = np.cosh(r)
@@ -114,28 +141,26 @@ def exp_map_origin(v) -> np.ndarray:
 
 
 def exp_map_at(x, u, check: bool = True) -> np.ndarray:
-    """Exponential map at x applied to a tangent vector u:
-    cosh(||u||_l) x + sinh(||u||_l) u/||u||_l, re-projected to the manifold."""
-    x = _as_vector(x, "x")
-    u = _as_vector(u, "u")
+    """Exponential map at x applied to a tangent vector u, row by row for
+    matrices: cosh(||u||_l) x + sinh(||u||_l) u/||u||_l, re-projected to the
+    manifold."""
+    x = _as_array(x, "x", _POINTS)
+    u = _as_array(u, "u", _POINTS)
     if check:
         assert_on_manifold(x)
         assert_tangent(x, u)
-    sq = lorentz_inner(u, u)
-    nrm = np.sqrt(max(sq, 0.0))
-    if nrm < _EPS_SMALL:
-        # series: cosh ~ 1 + t^2/2, sinh(t)/t ~ 1 + t^2/6
-        out = (1.0 + sq / 2.0) * x + (1.0 + sq / 6.0) * u
-    else:
-        out = np.cosh(nrm) * x + (np.sinh(nrm) / nrm) * u
-    return project_to_manifold(out)
+    sq = _inner(u, u)
+    nrm = np.sqrt(np.maximum(sq, 0.0))
+    # series below _EPS_SMALL: cosh(t) ~ 1 + t^2/2; _sinh_over_t has its own
+    cosh = np.where(nrm < _EPS_SMALL, 1.0 + sq / 2.0, np.cosh(nrm))
+    return project_to_manifold(cosh[..., None] * x + _sinh_over_t(nrm)[..., None] * u)
 
 
 def hyperbolic_distance(x, y, check: bool = True) -> float:
     """Geodesic distance arccosh(-<x,y>_l); the argument is clamped to >= 1
     so coincident points round to exactly zero."""
-    x = _as_vector(x, "x")
-    y = _as_vector(y, "y")
+    x = _as_array(x, "x")
+    y = _as_array(y, "y")
     if check:
         assert_on_manifold(x)
         assert_on_manifold(y)
@@ -148,8 +173,8 @@ def hyperbolic_distance(x, y, check: bool = True) -> float:
 def log_map_at(x, y, check: bool = True) -> np.ndarray:
     """Inverse of exp_map_at: the tangent vector at x pointing to y with
     Lorentz norm d(x, y).  Returns the zero vector for y = x."""
-    x = _as_vector(x, "x")
-    y = _as_vector(y, "y")
+    x = _as_array(x, "x")
+    y = _as_array(y, "y")
     if check:
         assert_on_manifold(x)
         assert_on_manifold(y)

@@ -9,7 +9,8 @@ prototypes, and converts distances to logits via
 so that s = delta at distance zero and sigmoid(s) = 0.5 exactly at
 d = d_min.  Training uses a sigmoid focal loss.  A matched Euclidean head
 (plain linear logits W^T v, or temperature-scaled cosine similarities)
-serves as the baseline for controlled comparisons.
+serves as the baseline for controlled comparisons.  Every forward and loss
+path takes an (m, n) feature matrix; classify wraps one feature as m = 1.
 """
 
 from __future__ import annotations
@@ -98,8 +99,7 @@ class PrototypeBank:
         if not np.all(np.isfinite(self.prototypes)):
             raise ContractError("prototypes contain non-finite entries")
         if self.mode == MODE_HYPERBOLIC:
-            for row in self.prototypes:
-                geometry.assert_on_manifold(row)
+            geometry.assert_on_manifold(self.prototypes)
 
     def min_pairwise_distance(self) -> float:
         """Brute-force minimum inter-class prototype distance."""
@@ -116,12 +116,6 @@ class PrototypeBank:
         if positive.size == 0:
             raise ParameterError("all prototypes coincide; d_min undefined")
         return float(positive.min())
-
-    def renormalize(self) -> None:
-        """Re-project hyperbolic prototypes onto the manifold (drift repair)."""
-        if self.mode == MODE_HYPERBOLIC:
-            for c in range(self.num_classes):
-                self.prototypes[c] = geometry.project_to_manifold(self.prototypes[c])
 
     # -- serialization ------------------------------------------------------
 
@@ -181,14 +175,6 @@ def random_euclidean_bank(mode, num_classes, dim, class_names, rng,
 # ---------------------------------------------------------------------------
 
 
-def distances_to_prototypes(feature, bank: PrototypeBank) -> np.ndarray:
-    """Geodesic distance from exp0(feature) to every class prototype."""
-    if bank.mode != MODE_HYPERBOLIC:
-        raise ContractError("distances_to_prototypes requires a hyperbolic bank")
-    x = geometry.exp_map_origin(feature)
-    return geometry.batch_distance(x[None, :], bank.prototypes)[0]
-
-
 def shift_logits(distances, delta: float, d_min: float) -> np.ndarray:
     """s_c = delta - (delta / d_min) * d_c."""
     if d_min <= 0:
@@ -199,27 +185,6 @@ def shift_logits(distances, delta: float, d_min: float) -> np.ndarray:
     # algebraically delta - (delta/d_min) d; this form is exactly delta at
     # d = 0 and exactly 0 at d = d_min regardless of rounding
     return delta * (1.0 - d / d_min)
-
-
-def baseline_logits(feature, bank: PrototypeBank, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Euclidean baseline logits: W^T v (linear) or cosine similarity / tau."""
-    if bank.mode not in (MODE_LINEAR, MODE_COSINE):
-        raise ContractError("baseline_logits requires a euclidean bank")
-    v = np.asarray(feature, dtype=np.float64)
-    if bank.mode == MODE_LINEAR:
-        return bank.prototypes @ v
-    vn = np.linalg.norm(v)
-    pn = np.linalg.norm(bank.prototypes, axis=1)
-    if vn == 0.0 or np.any(pn == 0.0):
-        raise ContractError("cosine mode requires nonzero vectors")
-    return (bank.prototypes @ v) / (vn * pn) / tau
-
-
-def bank_logits(feature, bank: PrototypeBank, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Mode-dispatching logits for a single feature vector."""
-    if bank.mode == MODE_HYPERBOLIC:
-        return shift_logits(distances_to_prototypes(feature, bank), bank.delta, bank.d_min)
-    return baseline_logits(feature, bank, tau=tau)
 
 
 def batch_bank_logits(features: np.ndarray, bank: PrototypeBank,
@@ -250,7 +215,10 @@ def classify(feature, bank: PrototypeBank, k: int | None = None, tau: float = DE
         k = min(3, bank.num_classes)
     if k > bank.num_classes:
         raise ParameterError(f"k={k} exceeds number of classes {bank.num_classes}")
-    scores = bank_logits(feature, bank, tau=tau)
+    f = np.asarray(feature, dtype=np.float64)
+    if f.ndim != 1 or not np.all(np.isfinite(f)):
+        raise ContractError("feature must be a finite 1-D vector")
+    scores = batch_bank_logits(f[None], bank, tau=tau)[0]
     conf = sigmoid(scores)
     pred = int(np.argmax(scores))  # first max == lowest index on ties
     order = np.argsort(-conf, kind="stable")[:k]
@@ -277,20 +245,6 @@ def _focal_terms(logits: np.ndarray, targets_onehot: np.ndarray, cfg: FocalLossC
     loss = -a_t * w * log_q
     grad = sign * (a_t * cfg.gamma * q * w * log_q - a_t * one_m_q ** (cfg.gamma + 1.0))
     return loss, grad
-
-
-def focal_loss(logits, target, cfg: FocalLossConfig = FocalLossConfig()):
-    """Sigmoid focal loss for one logit vector, summed over classes.
-
-    target is a class index, or BACKGROUND for all-negative targets.
-    Returns (loss, gradient w.r.t. logits).
-    """
-    s = np.asarray(logits, dtype=np.float64)
-    onehot = np.zeros_like(s)
-    if target != BACKGROUND:
-        onehot[int(target)] = 1.0
-    loss, grad = _focal_terms(s, onehot, cfg)
-    return float(loss.sum()), grad
 
 
 def batch_focal_loss(logits: np.ndarray, targets: np.ndarray, cfg: FocalLossConfig):

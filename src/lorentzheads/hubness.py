@@ -44,8 +44,7 @@ def pairwise_distances(points, kind: str) -> np.ndarray:
     if P.ndim != 2 or P.shape[0] < 2:
         raise ParameterError("need at least 2 points")
     if kind == KIND_HYPERBOLIC:
-        for row in P:
-            geometry.assert_on_manifold(row)
+        geometry.assert_on_manifold(P)
         D = geometry.batch_distance(P, P)
     elif kind == KIND_COSINE:
         norms = np.linalg.norm(P, axis=1)
@@ -94,11 +93,9 @@ def k_occurrence(dist: np.ndarray, k: int) -> KOccurrence:
         raise ParameterError(f"k={k} must be < number of points {N}")
     D = D.copy()
     np.fill_diagonal(D, np.inf)
-    counts = np.zeros(N, dtype=np.int64)
-    idx = np.arange(N)
-    for i in range(N):
-        order = np.lexsort((idx, D[i]))
-        counts[order[:k]] += 1
+    # a stable sort keeps equal distances in index order
+    neighbors = np.argsort(D, axis=1, kind="stable")[:, :k]
+    counts = np.bincount(neighbors.ravel(), minlength=N)
     return KOccurrence(k=k, counts=counts, skewness=sample_skewness(counts))
 
 

@@ -3,9 +3,10 @@
 Hyperbolic prototypes follow Riemannian SGD: the ambient Euclidean gradient
 is metric-scaled (inverse metric negates the time component), projected onto
 the tangent space, and the step is retracted with the exponential map plus a
-final manifold projection.  Euclidean parameters use Adam with decoupled
-weight decay.  Gradient clipping scales the whole gradient collection by a
-single global-norm factor.
+final manifold projection.  One call updates a single point or the whole
+(C, n+1) prototype matrix, row by row.  Euclidean parameters use Adam with
+decoupled weight decay.  Gradient clipping scales the whole gradient
+collection by a single global-norm factor.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ from .errors import DimensionError, ParameterError
 
 
 def riemannian_step(x, ambient_grad, lr: float) -> np.ndarray:
-    """One RSGD step on the hyperboloid from point x.
+    """One RSGD step on the hyperboloid from point x, or from every row of a
+    (C, n+1) point matrix at once.
 
     ambient_grad is the plain Euclidean gradient dL/dx in ambient
-    coordinates.  The result satisfies the manifold constraint.
+    coordinates, shaped like x.  The result satisfies the manifold constraint.
     """
     x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(ambient_grad, dtype=np.float64).copy()
-    g[0] = -g[0]                       # inverse-metric scaling g_l^{-1} grad
+    g = np.array(ambient_grad, dtype=np.float64)
+    g[..., 0] = -g[..., 0]             # inverse-metric scaling g_l^{-1} grad
     u = geometry.tangent_project(x, g)
     return geometry.exp_map_at(x, -lr * u, check=False)
 
@@ -48,11 +50,9 @@ class OptimizerState:
 
     learning_rate: float
     weight_decay: float = 0.0
-    grad_clip_norm: float | None = None
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    step_count: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
     param_steps: dict = field(default_factory=dict)
@@ -62,18 +62,14 @@ class OptimizerState:
             raise ParameterError("learning_rate must be > 0")
         if self.weight_decay < 0:
             raise ParameterError("weight_decay must be >= 0")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ParameterError("grad_clip_norm must be > 0")
 
     def to_dict(self) -> dict:
         return {
             "learning_rate": self.learning_rate,
             "weight_decay": self.weight_decay,
-            "grad_clip_norm": self.grad_clip_norm,
             "beta1": self.beta1,
             "beta2": self.beta2,
             "eps": self.eps,
-            "step_count": self.step_count,
             "first_moment": {k: v.tolist() for k, v in self.first_moment.items()},
             "second_moment": {k: v.tolist() for k, v in self.second_moment.items()},
             "param_steps": dict(self.param_steps),
@@ -84,11 +80,9 @@ class OptimizerState:
         st = cls(
             learning_rate=d["learning_rate"],
             weight_decay=d["weight_decay"],
-            grad_clip_norm=d["grad_clip_norm"],
             beta1=d["beta1"],
             beta2=d["beta2"],
             eps=d["eps"],
-            step_count=d["step_count"],
         )
         st.first_moment = {k: np.asarray(v, dtype=np.float64) for k, v in d["first_moment"].items()}
         st.second_moment = {k: np.asarray(v, dtype=np.float64) for k, v in d["second_moment"].items()}
@@ -108,7 +102,6 @@ def euclidean_step(param, grad, state: OptimizerState, name: str = "param") -> n
         state.second_moment[name] = np.zeros_like(p)
         state.param_steps[name] = 0
     state.param_steps[name] += 1
-    state.step_count += 1
     t = state.param_steps[name]
     m = state.first_moment[name]
     v = state.second_moment[name]

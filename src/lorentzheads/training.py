@@ -27,10 +27,12 @@ from .heads import BACKGROUND, FocalLossConfig, PrototypeBank
 
 @dataclass
 class ExperimentConfig:
-    dataset: str | None = None
+    """Training settings; every field is read.  eval_every sets only the
+    checkpoint cadence: validation metrics are computed once, after the last
+    epoch."""
+
     head_mode: str = heads.MODE_HYPERBOLIC
     delta: float = heads.DEFAULT_DELTA
-    d_min_policy: str = "constant"          # "constant" (=1) or "min-inter-class"
     focal_gamma: float = 2.0
     focal_alpha: float = 0.25
     learning_rate: float = 1e-2
@@ -46,24 +48,26 @@ class ExperimentConfig:
     embed_dim: int = 16
     cosine_tau: float = heads.DEFAULT_TAU
     unseen_classes: list = field(default_factory=list)
-    imbalance_exponent: float | None = None
-    prototypes_path: str | None = None
 
     def __post_init__(self):
         if self.head_mode not in (heads.MODE_HYPERBOLIC, heads.MODE_LINEAR, heads.MODE_COSINE):
             raise ParameterError(f"unknown head mode {self.head_mode!r}")
-        if self.d_min_policy not in ("constant", "min-inter-class"):
-            raise ParameterError(f"unknown d_min policy {self.d_min_policy!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ParameterError("epochs, batch_size, eval_every must be >= 1")
         if self.learning_rate <= 0:
             raise ParameterError("learning_rate must be > 0")
+        if self.prototype_learning_rate is not None and self.prototype_learning_rate <= 0:
+            raise ParameterError("prototype_learning_rate must be None or > 0")
+        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
+            raise ParameterError("grad_clip_norm must be None or > 0")
         if self.delta <= 0:
             raise ParameterError("delta must be > 0")
 
     @property
     def proto_lr(self) -> float:
-        return self.prototype_learning_rate or self.learning_rate
+        if self.prototype_learning_rate is None:
+            return self.learning_rate
+        return self.prototype_learning_rate
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -342,9 +346,7 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
         if bank is None:
             bank = _init_bank(config, list(dataset.tree.leaf_classes), rng)
         opt = optim.OptimizerState(
-            learning_rate=config.learning_rate,
-            weight_decay=config.weight_decay,
-            grad_clip_norm=config.grad_clip_norm,
+            learning_rate=config.learning_rate, weight_decay=config.weight_decay
         )
         start_epoch, loss_hist = 0, []
 
@@ -364,15 +366,7 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
                 emb, cache = encoder.forward(X)
             else:
                 emb = X
-            try:
-                loss, grad_emb, grad_proto = _loss_and_grads(config, bank, y, emb)
-            except ContractError as e:
-                # inputs were validated before the loop; a contract violation
-                # here means the iterates overflowed
-                raise NumericalError(
-                    f"numerical breakdown at epoch {epoch}: {e}; "
-                    f"{_nan_diagnostics(batch, encoder, bank)}"
-                ) from e
+            loss, grad_emb, grad_proto = _loss_and_grads(config, bank, y, emb)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}: "
@@ -391,11 +385,12 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
             if train_prototypes:
                 if bank.mode == heads.MODE_HYPERBOLIC:
                     try:
-                        for c in range(bank.num_classes):
-                            bank.prototypes[c] = optim.riemannian_step(
-                                bank.prototypes[c], grads["prototypes"][c], config.proto_lr
-                            )
+                        bank.prototypes = optim.riemannian_step(
+                            bank.prototypes, grads["prototypes"], config.proto_lr
+                        )
                     except ContractError as e:
+                        # inputs were validated before the loop; a contract
+                        # violation here means the iterates overflowed
                         raise NumericalError(
                             f"numerical breakdown at epoch {epoch}: {e}; "
                             f"{_nan_diagnostics(batch, encoder, bank)}"

@@ -106,7 +106,8 @@ class TestAcceptance:
                     H.MODE_HYPERBOLIC, G.batch_exp_map_origin(W),
                     [f"c{i}" for i in range(C)],
                 )
-                if H.distances_to_prototypes(f, bank).min() < 1e-3:
+                if G.batch_distance(G.batch_exp_map_origin(f[None, :]),
+                                    bank.prototypes).min() < 1e-3:
                     continue
 
                 def loss(f=f, W=W):

@@ -92,6 +92,14 @@ class TestTrain:
         assert main(["train", "--config", str(bad), "--dataset", str(ds_path),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key", ["dataset", "d_min_policy", "imbalance_exponent",
+                                     "prototypes_path"])
+    def test_deleted_config_key_exit_2(self, trained, tmp_path, key):
+        _, ds_path, _, _ = trained
+        cfg = write_config(tmp_path / "old.json", **{key: None})
+        assert main(["train", "--config", cfg, "--dataset", str(ds_path),
+                     "--out", str(tmp_path / "o")]) == 2
+
     def test_missing_dataset_exit_2(self, trained, tmp_path):
         _, _, cfg_path, _ = trained
         assert main(["train", "--config", cfg_path, "--dataset",
@@ -115,6 +123,17 @@ class TestTrain:
                      "--dataset", str(ds_path), "--out", str(out2),
                      "--resume", str(ck)]) == 0
         assert json.loads((out2 / "checkpoint.json").read_text())["epoch"] == 4
+        # the manifest records the config the run continued under
+        manifest = json.loads((out2 / "manifest.json").read_text())
+        assert manifest["config"] == payload["config"]
+
+    def test_resume_rejects_head(self, trained, tmp_path):
+        root, ds_path, _, out = trained
+        assert main(["train", "--config", str(root / "config.json"),
+                     "--dataset", str(ds_path), "--out", str(tmp_path / "o"),
+                     "--resume", str(out / "checkpoint.json"),
+                     "--head", "euclidean-linear"]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestEval:

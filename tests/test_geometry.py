@@ -140,6 +140,23 @@ class TestDistance:
         assert d > 2.0 + 7.9  # far beyond any cosine-distance value
 
 
+class TestAssertOnManifold:
+    def test_single_bad_row_in_matrix_rejected(self, rng):
+        X = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (6, 3)))
+        G.assert_on_manifold(X)
+        off = X.copy()
+        off[4, 1] += 1e-3
+        with pytest.raises(ContractError, match="off the hyperboloid"):
+            G.assert_on_manifold(off)
+        lower = X.copy()
+        lower[2] = -lower[2]            # on the lower sheet: x0 < 0
+        with pytest.raises(ContractError, match="upper sheet"):
+            G.assert_on_manifold(lower)
+        lower[2, 0] = 0.0
+        with pytest.raises(ContractError, match="upper sheet"):
+            G.assert_on_manifold(lower)
+
+
 class TestProjection:
     def test_zero_spatial(self):
         np.testing.assert_array_equal(G.project_to_manifold([0.9, 0.0, 0.0]), [1.0, 0.0, 0.0])
@@ -200,6 +217,28 @@ def test_batch_matches_scalar_ops(rng):
     X = G.batch_exp_map_origin(V)
     for i in range(10):
         np.testing.assert_allclose(X[i], G.exp_map_origin(V[i]), rtol=1e-15)
+    # the point primitives on a row matrix equal their single-point results
+    U = G.tangent_project(X, rng.normal(0.0, 1.0, X.shape))
+    U[3] *= 1e-9                          # one row through the series branch
+    Y = X + rng.normal(0.0, 1e-3, X.shape)
+    batched = {
+        "lorentz_inner": G.lorentz_inner(X, U),
+        "manifold_violation": G.manifold_violation(Y),
+        "project_to_manifold": G.project_to_manifold(Y),
+        "tangent_project": G.tangent_project(X, Y),
+        "exp_map_at": G.exp_map_at(X, U),
+    }
+    for i in range(10):
+        single = {
+            "lorentz_inner": G.lorentz_inner(X[i], U[i]),
+            "manifold_violation": G.manifold_violation(Y[i]),
+            "project_to_manifold": G.project_to_manifold(Y[i]),
+            "tangent_project": G.tangent_project(X[i], Y[i]),
+            "exp_map_at": G.exp_map_at(X[i], U[i]),
+        }
+        for name, value in single.items():
+            np.testing.assert_allclose(batched[name][i], value, rtol=0.0, atol=1e-12,
+                                       err_msg=name)
     D = G.batch_distance(X, X)
     for i in range(10):
         for j in range(10):

@@ -21,6 +21,18 @@ def make_hyperbolic_bank(spatial_rows, delta=1.4, frozen=False):
     )
 
 
+def distances(feature, bank):
+    """Geodesic distances from exp0(feature) to every prototype of the bank."""
+    f = np.asarray(feature, dtype=np.float64)
+    return G.batch_distance(G.batch_exp_map_origin(f[None]), bank.prototypes)[0]
+
+
+def focal_loss(logits, target, cfg=H.FocalLossConfig()):
+    """batch_focal_loss for a single row (m = 1): (loss, gradient row)."""
+    loss, grad = H.batch_focal_loss(np.asarray(logits)[None], np.array([target]), cfg)
+    return loss, grad[0]
+
+
 class TestPrototypeBank:
     def test_frozen_recomputes_d_min(self):
         bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0], [0.0, 3.0]], frozen=True)
@@ -60,25 +72,26 @@ class TestPrototypeBank:
 class TestDistances:
     def test_coincident_prototype(self):
         bank = make_hyperbolic_bank([[0.7, -0.4], [2.0, 1.0]])
-        d = H.distances_to_prototypes([0.7, -0.4], bank)
+        d = distances([0.7, -0.4], bank)
         assert d[0] == pytest.approx(0.0, abs=1e-7)
 
     def test_symmetric_pair(self):
         bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
         np.testing.assert_allclose(
-            H.distances_to_prototypes([0.0, 0.0], bank), [1.0, 1.0], atol=1e-12
+            distances([0.0, 0.0], bank), [1.0, 1.0], atol=1e-12
         )
 
     def test_collinear_geodesic(self):
         bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
         np.testing.assert_allclose(
-            H.distances_to_prototypes([1.0, 0.0], bank), [0.0, 2.0], atol=1e-7
+            distances([1.0, 0.0], bank), [0.0, 2.0], atol=1e-7
         )
 
     def test_mode_mismatch(self):
         bank = H.PrototypeBank(H.MODE_LINEAR, np.eye(2), ["a", "b"])
         with pytest.raises(ContractError):
-            H.distances_to_prototypes([1.0, 0.0], bank)
+            H.hyperbolic_loss_and_grads(np.array([[1.0, 0.0]]), bank, np.array([0]),
+                                        H.FocalLossConfig())
 
 
 class TestShiftLogits:
@@ -109,36 +122,38 @@ class TestShiftLogits:
 class TestBaselineLogits:
     def test_cosine_self_similarity(self):
         bank = H.PrototypeBank(H.MODE_COSINE, np.array([[2.0, 0.0], [0.0, 1.0]]), ["a", "b"])
-        s = H.baseline_logits([4.0, 0.0], bank, tau=1.0)
+        s = H.batch_bank_logits(np.array([[4.0, 0.0]]), bank, tau=1.0)[0]
         assert s[0] == pytest.approx(1.0)
         assert s[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_unit_projection(self):
         bank = H.PrototypeBank(H.MODE_LINEAR, np.eye(2), ["a", "b"])
-        np.testing.assert_allclose(H.baseline_logits([1.0, 0.0], bank), [1.0, 0.0])
+        np.testing.assert_allclose(H.batch_bank_logits(np.array([[1.0, 0.0]]), bank)[0],
+                                   [1.0, 0.0])
 
     def test_linear_parity_with_matrix_product(self, rng):
         W = rng.normal(size=(5, 3))
         bank = H.PrototypeBank(H.MODE_LINEAR, W, [f"c{i}" for i in range(5)])
         v = rng.normal(size=3)
-        np.testing.assert_array_equal(H.baseline_logits(v, bank), W @ v)
+        np.testing.assert_array_equal(H.batch_bank_logits(v[None], bank)[0], W @ v)
 
     def test_mode_mismatch(self):
         bank = make_hyperbolic_bank([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ContractError):
-            H.baseline_logits([1.0, 0.0], bank)
+            H.euclidean_loss_and_grads(np.array([[1.0, 0.0]]), bank, np.array([0]),
+                                       H.FocalLossConfig())
 
 
 class TestFocalLoss:
     def test_saturated_correct_prediction(self):
         logits = np.array([50.0, -50.0, -50.0])
-        loss, _ = H.focal_loss(logits, 0)
+        loss, _ = focal_loss(logits, 0)
         assert loss < 1e-10
 
     def test_reduces_to_bce_at_gamma_zero(self, rng):
         cfg = H.FocalLossConfig(gamma=0.0, alpha=0.5)
         s = rng.normal(size=6)
-        loss, _ = H.focal_loss(s, 2, cfg)
+        loss, _ = focal_loss(s, 2, cfg)
         p = H.sigmoid(s)
         t = np.zeros(6)
         t[2] = 1.0
@@ -147,21 +162,21 @@ class TestFocalLoss:
 
     def test_hand_value(self):
         cfg = H.FocalLossConfig(gamma=2.0, alpha=0.25)
-        loss, _ = H.focal_loss(np.array([0.0]), 0, cfg)
+        loss, _ = focal_loss(np.array([0.0]), 0, cfg)
         assert loss == pytest.approx(0.25 * 0.25 * np.log(2.0))
 
     def test_background_all_negative(self, rng):
         s = rng.normal(size=4)
-        loss_bg, grad_bg = H.focal_loss(s, H.BACKGROUND)
+        loss_bg, grad_bg = focal_loss(s, H.BACKGROUND)
         # equals the sum of per-class negative terms
-        ref = sum(H.focal_loss(np.array([si]), H.BACKGROUND)[0] for si in s)
+        ref = sum(focal_loss(np.array([si]), H.BACKGROUND)[0] for si in s)
         assert loss_bg == pytest.approx(ref)
         assert np.all(grad_bg > 0.0)  # pushing any logit up increases the loss
 
     def test_nonnegative_and_zero_only_at_saturation(self, rng):
         for _ in range(50):
             s = rng.normal(0.0, 3.0, 5)
-            loss, _ = H.focal_loss(s, int(rng.integers(0, 5)))
+            loss, _ = focal_loss(s, int(rng.integers(0, 5)))
             assert loss > 0.0
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -170,12 +185,12 @@ class TestFocalLoss:
         for _ in range(20):
             s = rng.normal(0.0, 2.0, 4)
             target = int(rng.integers(-1, 4))
-            _, grad = H.focal_loss(s, target, cfg)
+            _, grad = focal_loss(s, target, cfg)
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = h
-                fd = (H.focal_loss(s + e, target, cfg)[0]
-                      - H.focal_loss(s - e, target, cfg)[0]) / (2 * h)
+                fd = (focal_loss(s + e, target, cfg)[0]
+                      - focal_loss(s - e, target, cfg)[0]) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
@@ -223,7 +238,7 @@ class TestHeadGradients:
             W = rng.normal(0.0, 1.5, (C, n))
             targets = np.array([int(rng.integers(-1, C))])
             bank = make_hyperbolic_bank(W)
-            d = H.distances_to_prototypes(f, bank)
+            d = distances(f, bank)
             if d.min() < 1e-3:
                 continue
             loss, gF, gT = self._loss(f, W, targets, cfg)

@@ -69,11 +69,22 @@ class TestRiemannianStep:
         for _ in range(50):
             loss, _, gT = H.hyperbolic_loss_and_grads(feats, bank, targets, cfg)
             losses.append(loss)
-            for c in range(2):
-                bank.prototypes[c] = optim.riemannian_step(bank.prototypes[c], gT[c], 1e-2)
+            bank.prototypes = optim.riemannian_step(bank.prototypes, gT, 1e-2)
         smoothed = np.convolve(losses, np.ones(5) / 5, mode="valid")
         assert smoothed[-1] < smoothed[0]
         assert losses[-1] < losses[0]
+
+    def test_batched_matches_row_by_row(self, rng):
+        # one call over a (16, 17) bank equals sixteen single-row steps
+        P = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (16, 16)))
+        grads = rng.normal(0.0, 1.0, (16, 17))
+        grads[3] = 0.0                                  # a zero-gradient row
+        grads[7] *= 1e-9                                # the series branch
+        batched = optim.riemannian_step(P, grads, 0.05)
+        rows = np.stack([optim.riemannian_step(p, g, 0.05) for p, g in zip(P, grads)])
+        np.testing.assert_allclose(batched, rows, rtol=0.0, atol=1e-12)
+        assert np.all(G.manifold_violation(batched) < 1e-9)
+        G.assert_on_manifold(batched)
 
 
 class TestEuclideanStep:

@@ -39,6 +39,28 @@ class TestConfig:
         cfg = quick_config(learning_rate=0.5, unseen_classes=[1])
         assert T.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("key, value", [
+        ("dataset", "ds.json"), ("d_min_policy", "constant"),
+        ("imbalance_exponent", 0.5), ("prototypes_path", "bank.json"),
+    ])
+    def test_deleted_key_rejected(self, key, value):
+        with pytest.raises(ParameterError, match=key):
+            T.ExperimentConfig.from_dict({"epochs": 3, key: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_grad_clip_norm_must_be_positive(self, value):
+        with pytest.raises(ParameterError, match="grad_clip_norm"):
+            quick_config(grad_clip_norm=value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1])
+    def test_prototype_learning_rate_must_be_positive(self, value):
+        with pytest.raises(ParameterError, match="prototype_learning_rate"):
+            quick_config(prototype_learning_rate=value)
+
+    def test_proto_lr_falls_back_only_when_unset(self):
+        assert quick_config(learning_rate=0.5).proto_lr == 0.5
+        assert quick_config(learning_rate=0.5, prototype_learning_rate=1e-3).proto_lr == 1e-3
+
 
 class TestEvaluate:
     def tree(self):
