@@ -168,8 +168,11 @@ def _parse_embedding_file(path):
                 raise ParameterError(f"ragged row at line {lineno}")
             if not vals:
                 raise ParameterError(f"empty vector at line {lineno}")
+            try:
+                rows.append([float(v) for v in vals])
+            except ValueError as e:
+                raise ParameterError(f"bad number at line {lineno}: {e}") from None
             names.append(name)
-            rows.append([float(v) for v in vals])
     if len(names) < 2:
         raise ParameterError("need at least 2 classes")
     return names, np.asarray(rows, dtype=np.float64)

@@ -10,6 +10,7 @@ and the seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -75,18 +76,17 @@ class SyntheticDataset:
         tr, va = set(self.train_idx.tolist()), set(self.val_idx.tolist())
         if tr & va:
             raise ContractError("train/val split must be disjoint")
-        # holdout/imbalance datasets deliberately drop train rows
-        subsampled = bool(self.unseen_classes) or "power_law_exponent" in self.params
-        if not subsampled and len(tr) + len(va) != N:
+        # holdout/imbalance datasets deliberately drop train rows, and a
+        # power-law profile keeps its rare classes below the usual 10-row floor
+        power_law = "power_law_exponent" in self.params
+        if not (self.unseen_classes or power_law) and len(tr) + len(va) != N:
             raise ContractError("train/val split must cover the dataset")
-        counts = np.bincount(
-            self.labels[self.train_idx][self.labels[self.train_idx] != BACKGROUND],
-            minlength=self.num_classes,
-        )
+        floor = 1 if power_law else 10
+        counts = self.class_counts("train")
         active = [c for c in range(self.num_classes) if c not in self.unseen_classes]
-        low = [c for c in active if counts[c] < 10]
+        low = [c for c in active if counts[c] < floor]
         if low:
-            raise ContractError(f"classes with fewer than 10 train samples: {low}")
+            raise ContractError(f"classes with fewer than {floor} train samples: {low}")
 
     def class_counts(self, split: str = "train") -> np.ndarray:
         idx = self.train_idx if split == "train" else self.val_idx
@@ -263,18 +263,11 @@ def imbalance_profile(dataset: SyntheticDataset, power_law_exponent: float) -> S
         name = dataset.tree.leaf_classes[int(c)]
         buckets[name] = "frequent" if pos < cut1 else ("common" if pos < cut2 else "rare")
 
-    out = SyntheticDataset(
-        features=dataset.features,
-        labels=dataset.labels,
-        train_idx=new_train,
-        val_idx=dataset.val_idx,
-        tree=dataset.tree,
-        seed=dataset.seed,
+    out = dataclasses.replace(
+        dataset, train_idx=new_train, buckets=buckets,
         params={**dataset.params, "power_law_exponent": power_law_exponent},
-        buckets=buckets,
-        unseen_classes=list(dataset.unseen_classes),
     )
-    # subsampled datasets may legitimately have rare classes with < 10 samples
+    out.validate()
     return out
 
 
@@ -304,16 +297,7 @@ def holdout_unseen(dataset: SyntheticDataset, unseen_classes) -> tuple[Synthetic
 
     train_labels = dataset.labels[dataset.train_idx]
     keep = ~np.isin(train_labels, resolved)
-    out = SyntheticDataset(
-        features=dataset.features,
-        labels=dataset.labels,
-        train_idx=dataset.train_idx[keep],
-        val_idx=dataset.val_idx,
-        tree=dataset.tree,
-        seed=dataset.seed,
-        params=dict(dataset.params),
-        buckets=dict(dataset.buckets),
-        unseen_classes=resolved,
-    )
+    out = dataclasses.replace(dataset, train_idx=dataset.train_idx[keep],
+                              unseen_classes=resolved)
     out.validate()
     return out, mask

@@ -47,7 +47,6 @@ def sigmoid(x):
 class FocalLossConfig:
     gamma: float = 2.0
     alpha: float = 0.25
-    background_as_all_negative: bool = True
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -82,6 +81,11 @@ class PrototypeBank:
     @property
     def num_classes(self) -> int:
         return self.prototypes.shape[0]
+
+    @property
+    def feature_dim(self) -> int:
+        """Width of the features this bank scores (hyperbolic rows carry x0)."""
+        return self.prototypes.shape[1] - (self.mode == MODE_HYPERBOLIC)
 
     def validate(self) -> None:
         if self.mode not in _MODES:
@@ -151,22 +155,13 @@ class PrototypeBank:
             return cls.from_dict(json.load(f))
 
 
-def random_hyperbolic_bank(num_classes, dim, class_names, rng, delta=DEFAULT_DELTA,
-                           init_scale=0.01) -> PrototypeBank:
-    """Learnable bank initialized near the origin: spatial tangent coordinates
-    uniform in [-init_scale, init_scale]^n, then exp0-mapped."""
-    W = rng.uniform(-init_scale, init_scale, size=(num_classes, dim))
-    return PrototypeBank(
-        mode=MODE_HYPERBOLIC,
-        prototypes=geometry.batch_exp_map_origin(W),
-        class_names=class_names,
-        delta=delta,
-    )
-
-
-def random_euclidean_bank(mode, num_classes, dim, class_names, rng,
-                          delta=DEFAULT_DELTA, init_scale=0.01) -> PrototypeBank:
-    W = rng.uniform(-init_scale, init_scale, size=(num_classes, dim))
+def random_bank(mode, class_names, dim, rng, delta=DEFAULT_DELTA,
+                init_scale=0.01) -> PrototypeBank:
+    """Learnable bank initialized near the origin: one row per class, uniform
+    in [-init_scale, init_scale]^dim, exp0-mapped for the hyperbolic head."""
+    W = rng.uniform(-init_scale, init_scale, size=(len(class_names), dim))
+    if mode == MODE_HYPERBOLIC:
+        W = geometry.batch_exp_map_origin(W)
     return PrototypeBank(mode=mode, prototypes=W, class_names=class_names, delta=delta)
 
 
@@ -294,6 +289,15 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
     grad_T[:, 0] = -grad_T[:, 0]
     grad_F = geometry.grad_exp_map_origin(F, grad_X)
     return loss, grad_F, grad_T
+
+
+def loss_and_grads(features: np.ndarray, bank: PrototypeBank, targets: np.ndarray,
+                   cfg: FocalLossConfig, tau: float = DEFAULT_TAU):
+    """Mode-dispatching training loss: (loss, grad_features (m, n),
+    grad_prototypes shaped like bank.prototypes)."""
+    if bank.mode == MODE_HYPERBOLIC:
+        return hyperbolic_loss_and_grads(features, bank, targets, cfg)
+    return euclidean_loss_and_grads(features, bank, targets, cfg, tau=tau)
 
 
 def euclidean_loss_and_grads(features: np.ndarray, bank: PrototypeBank,

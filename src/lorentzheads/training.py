@@ -24,6 +24,10 @@ from .data import ClassTree, SyntheticDataset
 from .errors import ContractError, NumericalError, ParameterError
 from .heads import BACKGROUND, FocalLossConfig, PrototypeBank
 
+# field annotation -> accepted JSON value types
+_JSON_TYPES = {"str": str, "float": (int, float), "int": int, "bool": bool, "list": list,
+               "None": type(None)}
+
 
 @dataclass
 class ExperimentConfig:
@@ -74,10 +78,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
+        if not isinstance(d, dict):
+            raise ParameterError(f"config must be a JSON object, not {type(d).__name__}")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        extra = set(d) - set(types)
         if extra:
             raise ParameterError(f"unknown config keys: {sorted(extra)}")
+        for key, value in d.items():
+            allowed = tuple(_JSON_TYPES[t] for t in types[key].split(" | "))
+            # JSON true/false must not pass as a number
+            if not isinstance(value, allowed) or (
+                    isinstance(value, bool) and bool not in allowed):
+                raise ParameterError(f"config key {key!r} must be {types[key]}, "
+                                     f"not {type(value).__name__}")
         return cls(**d)
 
     @classmethod
@@ -209,16 +222,17 @@ def evaluate(bank: PrototypeBank, encoder: Encoder | None, features: np.ndarray,
         fg, parents[pred] == parents[np.where(fg, labels, 0)], max_conf <= 0.5
     )
 
-    per_class = {}
-    for c, name in enumerate(tree.leaf_classes):
-        tp = int(np.sum((gated == c) & (labels == c)))
-        fp = int(np.sum((gated == c) & (labels != c)))
-        fn = int(np.sum((gated != c) & (labels == c)))
-        per_class[name] = {
-            "precision": tp / (tp + fp) if tp + fp else 0.0,
-            "recall": tp / (tp + fn) if tp + fn else 0.0,
-            "support": int(np.sum(labels == c)),
-        }
+    C = len(tree.leaf_classes)
+    support = np.bincount(labels[fg], minlength=C)
+    predicted = np.bincount(gated[gated != BACKGROUND], minlength=C)
+    hits = np.bincount(labels[fg & (gated == labels)], minlength=C)
+    precision = hits / np.maximum(predicted, 1)
+    recall = hits / np.maximum(support, 1)
+    per_class = {
+        name: {"precision": float(precision[c]), "recall": float(recall[c]),
+               "support": int(support[c])}
+        for c, name in enumerate(tree.leaf_classes)
+    }
 
     report = MetricsReport(
         val_accuracy=float(correct.mean()),
@@ -295,28 +309,8 @@ def load_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 
-def _init_bank(config: ExperimentConfig, class_names, rng) -> PrototypeBank:
-    if config.head_mode == heads.MODE_HYPERBOLIC:
-        return heads.random_hyperbolic_bank(
-            len(class_names), config.embed_dim, class_names, rng, delta=config.delta
-        )
-    return heads.random_euclidean_bank(
-        config.head_mode, len(class_names), config.embed_dim, class_names, rng,
-        delta=config.delta,
-    )
-
-
-def _loss_and_grads(config, bank, targets, emb):
-    cfg = FocalLossConfig(gamma=config.focal_gamma, alpha=config.focal_alpha)
-    if bank.mode == heads.MODE_HYPERBOLIC:
-        return heads.hyperbolic_loss_and_grads(emb, bank, targets, cfg)
-    return heads.euclidean_loss_and_grads(emb, bank, targets, cfg, tau=config.cosine_tau)
-
-
-def _nan_diagnostics(batch_idx, encoder, bank):
-    norms = {"prototypes": float(np.linalg.norm(bank.prototypes))}
-    if encoder is not None:
-        norms.update({k: float(np.linalg.norm(v)) for k, v in encoder.params().items()})
+def _nan_diagnostics(batch_idx, params: dict):
+    norms = {k: float(np.linalg.norm(v)) for k, v in params.items()}
     return {"last_batch": [int(i) for i in batch_idx], "param_norms": norms}
 
 
@@ -344,7 +338,8 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
             if config.encoder else None
         )
         if bank is None:
-            bank = _init_bank(config, list(dataset.tree.leaf_classes), rng)
+            bank = heads.random_bank(config.head_mode, list(dataset.tree.leaf_classes),
+                                     config.embed_dim, rng, delta=config.delta)
         opt = optim.OptimizerState(
             learning_rate=config.learning_rate, weight_decay=config.weight_decay
         )
@@ -352,7 +347,13 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
 
     if bank.num_classes != dataset.num_classes:
         raise ParameterError("bank class count does not match dataset")
-    train_prototypes = not bank.frozen
+    if bank.feature_dim != config.embed_dim:
+        raise ParameterError(f"{bank.mode} prototypes of width {bank.prototypes.shape[1]} "
+                             f"do not fit embed_dim {config.embed_dim}")
+    if config.unseen_classes and not bank.frozen:
+        raise ParameterError("unseen_classes needs a frozen prototype bank (zeroshot); "
+                             "train would fit every class")
+    focal = FocalLossConfig(gamma=config.focal_gamma, alpha=config.focal_alpha)
     checkpoints = []
 
     for epoch in range(start_epoch, config.epochs):
@@ -362,50 +363,48 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
             batch = perm[lo:lo + config.batch_size]
             X = dataset.features[batch]
             y = dataset.labels[batch]
+            # every trainable tensor by name; a frozen bank is not one of them
+            params = encoder.params() if encoder is not None else {}
+            if not bank.frozen:
+                params["prototypes"] = bank.prototypes
             if encoder is not None:
                 emb, cache = encoder.forward(X)
             else:
                 emb = X
-            loss, grad_emb, grad_proto = _loss_and_grads(config, bank, y, emb)
+            loss, grad_emb, grad_proto = heads.loss_and_grads(emb, bank, y, focal,
+                                                              tau=config.cosine_tau)
             if not np.isfinite(loss):
                 raise NumericalError(
-                    f"non-finite loss at epoch {epoch}: "
-                    f"{_nan_diagnostics(batch, encoder, bank)}"
+                    f"non-finite loss at epoch {epoch}: {_nan_diagnostics(batch, params)}"
                 )
-            grads = {}
-            if encoder is not None:
-                grads.update(encoder.backward(cache, grad_emb))
-            if train_prototypes:
+            grads = encoder.backward(cache, grad_emb) if encoder is not None else {}
+            if not bank.frozen:
                 grads["prototypes"] = grad_proto
             if config.grad_clip_norm is not None:
                 grads = optim.clip_gradients(grads, config.grad_clip_norm)
-            if encoder is not None:
-                for name, p in encoder.params().items():
-                    encoder.set_param(name, optim.euclidean_step(p, grads[name], opt, name))
-            if train_prototypes:
-                if bank.mode == heads.MODE_HYPERBOLIC:
-                    try:
-                        bank.prototypes = optim.riemannian_step(
-                            bank.prototypes, grads["prototypes"], config.proto_lr
-                        )
-                    except ContractError as e:
-                        # inputs were validated before the loop; a contract
-                        # violation here means the iterates overflowed
-                        raise NumericalError(
-                            f"numerical breakdown at epoch {epoch}: {e}; "
-                            f"{_nan_diagnostics(batch, encoder, bank)}"
-                        ) from e
+            try:
+                params = {
+                    name: optim.riemannian_step(p, grads[name], config.proto_lr)
+                    if name == "prototypes" and bank.mode == heads.MODE_HYPERBOLIC
+                    else optim.euclidean_step(p, grads[name], opt, name)
+                    for name, p in params.items()
+                }
+            except ContractError as e:
+                # inputs were validated before the loop; a contract violation
+                # here means the iterates overflowed
+                raise NumericalError(
+                    f"numerical breakdown at epoch {epoch}: {e}; "
+                    f"{_nan_diagnostics(batch, params)}"
+                ) from e
+            for name, p in params.items():
+                if name == "prototypes":
+                    bank.prototypes = p
                 else:
-                    bank.prototypes = optim.euclidean_step(
-                        bank.prototypes, grads["prototypes"], opt, "prototypes"
-                    )
-            if not np.all(np.isfinite(bank.prototypes)) or (
-                encoder is not None
-                and any(not np.all(np.isfinite(p)) for p in encoder.params().values())
-            ):
+                    encoder.set_param(name, p)
+            if not all(np.all(np.isfinite(p)) for p in params.values()):
                 raise NumericalError(
                     f"non-finite parameters after update at epoch {epoch}: "
-                    f"{_nan_diagnostics(batch, encoder, bank)}"
+                    f"{_nan_diagnostics(batch, params)}"
                 )
             total += loss * len(batch)
             seen += len(batch)
@@ -435,9 +434,5 @@ def zero_shot_eval(config: ExperimentConfig, dataset: SyntheticDataset,
         raise ParameterError("zero-shot evaluation requires a frozen bank")
     if bank.num_classes != dataset.num_classes:
         raise ParameterError("prototype file must contain every class (seen + unseen)")
-    if not config.unseen_classes:
-        held, _ = dataset, None
-    else:
-        held, _ = holdout_unseen(dataset, config.unseen_classes)
-    bank, encoder, report, ckpts = train(config, held, bank=bank, out_dir=out_dir)
-    return bank, encoder, report, ckpts
+    held, _ = holdout_unseen(dataset, config.unseen_classes)
+    return train(config, held, bank=bank, out_dir=out_dir)

@@ -64,6 +64,16 @@ class TestGenerate:
         assert main(["generate", "--out", str(tmp_path / "x.json"),
                      "--super", "8", "--classes", "4"]) == 2
 
+    def test_power_law_dataset_trains(self, tmp_path):
+        # rare classes keep fewer than 10 train rows; train must accept the file
+        ds_path = tmp_path / "ds.json"
+        assert main(["generate", "--out", str(ds_path), "--samples", "2000",
+                     "--imbalance-exponent", "1.0"]) == 0
+        assert data.SyntheticDataset.load(ds_path).class_counts("train").min() < 10
+        cfg = write_config(tmp_path / "cfg.json", epochs=1)
+        assert main(["train", "--config", cfg, "--dataset", str(ds_path),
+                     "--out", str(tmp_path / "run")]) == 0
+
 
 class TestTrain:
     def test_outputs_and_manifest(self, trained, tmp_path):
@@ -99,6 +109,22 @@ class TestTrain:
         cfg = write_config(tmp_path / "old.json", **{key: None})
         assert main(["train", "--config", cfg, "--dataset", str(ds_path),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("text", ["[]", '{"epochs": "1"}'])
+    def test_config_type_error_exit_2(self, trained, tmp_path, capsys, text):
+        _, ds_path, _, _ = trained
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["train", "--config", str(bad), "--dataset", str(ds_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_unseen_classes_exit_2(self, trained, tmp_path):
+        _, ds_path, _, _ = trained
+        cfg = write_config(tmp_path / "unseen.json", unseen_classes=[3])
+        assert main(["train", "--config", cfg, "--dataset", str(ds_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
 
     def test_missing_dataset_exit_2(self, trained, tmp_path):
         _, _, cfg_path, _ = trained
@@ -212,6 +238,7 @@ class TestImportPrototypes:
             "single.txt": "only 1 0\n",
             "dup.txt": "a 1 0\na 0 1\n",
             "ragged.txt": "a 1 0\nb 1\n",
+            "token.txt": "a 1 0\nb 1 x\n",
         }
         for fname, text in cases.items():
             p = tmp_path / fname
@@ -228,6 +255,20 @@ class TestImportPrototypes:
 
 
 class TestZeroShot:
+    def test_prototype_width_mismatch_exit_2(self, tmp_path, capsys):
+        ds_path = tmp_path / "ds.json"
+        assert main(["generate", "--out", str(ds_path), "--unseen", "leaf_3"]
+                    + GEN_ARGS) == 0
+        emb = tmp_path / "emb.txt"
+        emb.write_text("".join(f"leaf_{c} {np.cos(c)} {np.sin(c)}\n" for c in range(4)))
+        bank_path = tmp_path / "bank.json"
+        assert main(["import-prototypes", "--embeddings", str(emb),
+                     "--out", str(bank_path)]) == 0
+        cfg = write_config(tmp_path / "cfg.json", embed_dim=16)
+        assert main(["zeroshot", "--config", cfg, "--dataset", str(ds_path),
+                     "--prototypes", str(bank_path), "--out", str(tmp_path / "zs")]) == 2
+        assert "embed_dim 16" in capsys.readouterr().err
+
     def test_end_to_end(self, tmp_path, capsys):
         ds_path = tmp_path / "ds.json"
         assert main(["generate", "--out", str(ds_path), "--unseen", "leaf_3"]

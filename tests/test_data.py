@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lorentzheads import data
-from lorentzheads.errors import ParameterError
+from lorentzheads.errors import ContractError, ParameterError
 from lorentzheads.heads import BACKGROUND
 
 
@@ -88,6 +88,20 @@ class TestImbalanceProfile:
         ds = data.generate(num_samples=200, num_classes=8, num_super=4, seed=0)
         with pytest.raises(ParameterError):
             data.imbalance_profile(ds, 10.0)
+
+    def test_rare_classes_below_ten_rows_validate(self, tmp_path):
+        out = data.imbalance_profile(data.generate(num_samples=2000, seed=0), 1.0)
+        assert out.class_counts("train").min() < 10
+        out.save(tmp_path / "ds.json")
+        again = data.SyntheticDataset.load(tmp_path / "ds.json")
+        np.testing.assert_array_equal(again.train_idx, out.train_idx)
+
+    def test_validate_keeps_one_row_floor(self):
+        out = data.imbalance_profile(data.generate(num_samples=2000, seed=0), 1.0)
+        last = out.num_classes - 1
+        out.train_idx = out.train_idx[out.labels[out.train_idx] != last]
+        with pytest.raises(ContractError, match="fewer than 1 train"):
+            out.validate()
 
     def test_invalid_exponent(self):
         ds = data.generate(num_samples=500, seed=0)

@@ -69,6 +69,18 @@ class TestPrototypeBank:
         assert bank.d_min == pytest.approx(ref)
 
 
+class TestRandomBank:
+    @pytest.mark.parametrize("mode", [H.MODE_HYPERBOLIC, H.MODE_LINEAR, H.MODE_COSINE])
+    def test_same_draw_for_every_mode(self, mode):
+        names = [f"c{i}" for i in range(5)]
+        bank = H.random_bank(mode, names, 3, np.random.default_rng(7), delta=2.0)
+        W = np.random.default_rng(7).uniform(-0.01, 0.01, size=(5, 3))
+        expected = G.batch_exp_map_origin(W) if mode == H.MODE_HYPERBOLIC else W
+        np.testing.assert_array_equal(bank.prototypes, expected)
+        assert bank.mode == mode and bank.delta == 2.0 and not bank.frozen
+        assert bank.feature_dim == 3
+
+
 class TestDistances:
     def test_coincident_prototype(self):
         bank = make_hyperbolic_bank([[0.7, -0.4], [2.0, 1.0]])
@@ -218,6 +230,23 @@ class TestClassify:
         bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(ParameterError):
             H.classify([0.0, 0.0], bank, k=3)
+
+
+class TestLossDispatch:
+    @pytest.mark.parametrize("mode", [H.MODE_HYPERBOLIC, H.MODE_LINEAR, H.MODE_COSINE])
+    def test_matches_mode_function(self, mode, rng):
+        bank = H.random_bank(mode, ["a", "b", "c"], 4, rng)
+        F = rng.normal(0.0, 1.0, (6, 4))
+        targets = rng.integers(-1, 3, 6)
+        cfg = H.FocalLossConfig()
+        got = H.loss_and_grads(F, bank, targets, cfg, tau=0.5)
+        if mode == H.MODE_HYPERBOLIC:
+            want = H.hyperbolic_loss_and_grads(F, bank, targets, cfg)
+        else:
+            want = H.euclidean_loss_and_grads(F, bank, targets, cfg, tau=0.5)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestHeadGradients:

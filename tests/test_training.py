@@ -57,6 +57,25 @@ class TestConfig:
         with pytest.raises(ParameterError, match="prototype_learning_rate"):
             quick_config(prototype_learning_rate=value)
 
+    @pytest.mark.parametrize("payload", [[], "epochs", None])
+    def test_non_object_rejected(self, payload):
+        with pytest.raises(ParameterError, match="JSON object"):
+            T.ExperimentConfig.from_dict(payload)
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", "1"), ("epochs", 1.5), ("epochs", True), ("learning_rate", "0.1"),
+        ("seed", None), ("encoder", 1), ("grad_clip_norm", "1"), ("unseen_classes", 3),
+        ("head_mode", 1),
+    ])
+    def test_wrong_type_rejected(self, key, value):
+        with pytest.raises(ParameterError, match=key):
+            T.ExperimentConfig.from_dict({key: value})
+
+    def test_json_number_types_accepted(self):
+        cfg = T.ExperimentConfig.from_dict(
+            {"learning_rate": 1, "grad_clip_norm": None, "prototype_learning_rate": 0.5})
+        assert cfg.learning_rate == 1 and cfg.grad_clip_norm is None
+
     def test_proto_lr_falls_back_only_when_unset(self):
         assert quick_config(learning_rate=0.5).proto_lr == 0.5
         assert quick_config(learning_rate=0.5, prototype_learning_rate=1e-3).proto_lr == 1e-3
@@ -122,6 +141,24 @@ class TestEvaluate:
         assert rep.harmonic_mean == 1.0
         rep2 = T.evaluate(self.bank(), None, feats, np.arange(4), self.tree())
         assert rep2.harmonic_mean is None
+
+    def test_per_class_matches_loop(self, rng):
+        m = 500
+        feats = rng.normal(0.0, 2.5, (m, 4))
+        labels = rng.integers(-1, 4, m)
+        rep = T.evaluate(self.bank(), None, feats, labels, self.tree())
+        S = H.batch_bank_logits(feats, self.bank())
+        pred = np.argmax(S, axis=1)
+        gated = np.where(H.sigmoid(S.max(axis=1)) > 0.5, pred, BACKGROUND)
+        for c, name in enumerate(self.tree().leaf_classes):
+            tp = int(np.sum((gated == c) & (labels == c)))
+            fp = int(np.sum((gated == c) & (labels != c)))
+            fn = int(np.sum((gated != c) & (labels == c)))
+            assert rep.per_class[name] == {
+                "precision": tp / (tp + fp) if tp + fp else 0.0,
+                "recall": tp / (tp + fn) if tp + fn else 0.0,
+                "support": int(np.sum(labels == c)),
+            }
 
     def test_harmonic_mean_values(self):
         assert T.harmonic_mean(0.5, 1.0) == pytest.approx(2.0 / 3.0)
@@ -189,6 +226,21 @@ class TestTrain:
         cfg = quick_config(embed_dim=4)
         bank, _, _, _ = T.train(cfg, ds, bank=bank)
         np.testing.assert_array_equal(bank.prototypes, before)
+
+    def test_unseen_classes_need_frozen_bank(self):
+        with pytest.raises(ParameterError, match="unseen_classes"):
+            T.train(quick_config(embed_dim=8, unseen_classes=[3]), tiny_dataset())
+
+    @pytest.mark.parametrize("mode, width", [(H.MODE_HYPERBOLIC, 8), (H.MODE_HYPERBOLIC, 3),
+                                             (H.MODE_LINEAR, 5)])
+    def test_prototype_width_must_fit_embed_dim(self, mode, width):
+        ds = tiny_dataset()
+        P = np.random.default_rng(0).normal(0.0, 1.0, (4, width - (mode == H.MODE_HYPERBOLIC)))
+        if mode == H.MODE_HYPERBOLIC:
+            P = G.batch_exp_map_origin(P)
+        bank = H.PrototypeBank(mode, P, list(ds.tree.leaf_classes), frozen=True)
+        with pytest.raises(ParameterError, match="embed_dim 4"):
+            T.train(quick_config(embed_dim=4), ds, bank=bank)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_aborts_with_diagnostics(self):
