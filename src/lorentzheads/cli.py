@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import data, geometry, heads, hubness, training
+from . import data, geometry, heads, hubness, jsonio, training
 from .errors import ContractError, NumericalError, ParameterError
 from .manifest import RunManifest
 
@@ -77,18 +77,17 @@ def cmd_train(args) -> int:
     config = training.ExperimentConfig.load(args.config)
     if args.head:
         config.head_mode = args.head
-    if args.resume:
+    resume = training.load_checkpoint(args.resume) if args.resume else None
+    if resume:
         # training continues under the checkpoint's config, so record that one
-        config = training.load_checkpoint(args.resume)[0]
+        config = resume[0]
     ds = data.SyntheticDataset.load(args.dataset)
     inputs = [args.config, args.dataset] + ([args.resume] if args.resume else [])
     manifest = RunManifest(
         os.path.join(out_dir, "manifest.json"),
         command="train", config=config.to_dict(), seed=config.seed, input_paths=inputs,
     )
-    bank, encoder, report, ckpts = training.train(
-        config, ds, out_dir=out_dir, resume=args.resume
-    )
+    bank, encoder, report, ckpts = training.train(config, ds, out_dir=out_dir, resume=resume)
     outputs = list(ckpts) + [os.path.join(out_dir, "metrics.json"),
                              os.path.join(out_dir, "metrics.csv")]
     manifest.finalize(outputs)
@@ -105,7 +104,7 @@ def cmd_eval(args) -> int:
     if args.out:
         _ensure_dir(os.path.dirname(os.path.abspath(args.out)) or ".")
         report.save(args.out)
-    print(json.dumps({k: v for k, v in report.to_dict().items() if k != "per_class"},
+    print(json.dumps({k: v for k, v in vars(report).items() if k != "per_class"},
                      sort_keys=True))
     return EXIT_OK
 
@@ -145,7 +144,7 @@ def cmd_hubness(args) -> int:
         stem = os.path.splitext(os.path.basename(ckpt))[0]
         path = os.path.join(out_dir, f"hubness_{stem}_{report.kind}.json")
         report.save(path)
-        outputs += [path, path[:-5] + ".csv"]
+        outputs += [path, jsonio.csv_path(path)]
         rows.append((ckpt, report.kind, report.k_occurrence.skewness))
     manifest.finalize(outputs)
     print(f"{'checkpoint':<40} {'distance':<12} k_skewness")
@@ -276,8 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, ContractError, FileNotFoundError, json.JSONDecodeError,
-            KeyError) as e:
+    except (ParameterError, ContractError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as e:

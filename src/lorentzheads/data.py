@@ -11,11 +11,11 @@ and the seed.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import ContractError, ParameterError
 from .heads import BACKGROUND
 
@@ -36,13 +36,6 @@ class ClassTree:
             raise ParameterError("need at least as many leaf classes as supercategories")
         if len(self.parents) != C or any(not (0 <= p < S) for p in self.parents):
             raise ParameterError("invalid parent assignment")
-
-    def to_dict(self) -> dict:
-        return {
-            "supercategories": list(self.supercategories),
-            "leaf_classes": list(self.leaf_classes),
-            "parents": list(self.parents),
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassTree":
@@ -73,6 +66,13 @@ class SyntheticDataset:
         N = self.features.shape[0]
         if not np.all(np.isfinite(self.features)):
             raise ContractError("features contain non-finite entries")
+        if self.features.ndim != 2 or self.labels.shape != (N,):
+            raise ContractError("need an (N, n) feature matrix with one label per row")
+        if np.any((self.labels < BACKGROUND) | (self.labels >= self.num_classes)):
+            raise ContractError(f"labels must lie in [{BACKGROUND}, {self.num_classes})")
+        for idx in (self.train_idx, self.val_idx):
+            if np.any((idx < 0) | (idx >= N)):
+                raise ContractError(f"split indices must lie in [0, {N})")
         tr, va = set(self.train_idx.tolist()), set(self.val_idx.tolist())
         if tr & va:
             raise ContractError("train/val split must be disjoint")
@@ -95,22 +95,17 @@ class SyntheticDataset:
 
     # -- serialization ------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "tree": self.tree.to_dict(),
-            "seed": self.seed,
-            "features": self.features.tolist(),
-            "labels": self.labels.tolist(),
-            "splits": {"train": self.train_idx.tolist(), "val": self.val_idx.tolist()},
-            "buckets": self.buckets,
-            "unseen_classes": list(self.unseen_classes),
-        }
-
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, sort_keys=True)
-            f.write("\n")
+        jsonio.write(path, {
+            "params": self.params,
+            "tree": self.tree,
+            "seed": self.seed,
+            "features": self.features,
+            "labels": self.labels,
+            "splits": {"train": self.train_idx, "val": self.val_idx},
+            "buckets": self.buckets,
+            "unseen_classes": self.unseen_classes,
+        })
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticDataset":
@@ -130,8 +125,7 @@ class SyntheticDataset:
 
     @classmethod
     def load(cls, path) -> "SyntheticDataset":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return jsonio.read(path, cls.from_dict)
 
 
 def generate(

@@ -15,12 +15,11 @@ path takes an (m, n) feature matrix; classify wraps one feature as m = 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import geometry, jsonio
 from .errors import ContractError, ParameterError
 
 # Label used for proposals that belong to no class (all-negative targets).
@@ -124,14 +123,7 @@ class PrototypeBank:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "class_names": list(self.class_names),
-            "delta": self.delta,
-            "d_min": self.d_min,
-            "frozen": self.frozen,
-            "prototypes": self.prototypes.tolist(),
-        }
+        return jsonio.plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrototypeBank":
@@ -145,14 +137,11 @@ class PrototypeBank:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, sort_keys=True)
-            f.write("\n")
+        jsonio.write(path, self)
 
     @classmethod
     def load(cls, path) -> "PrototypeBank":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return jsonio.read(path, cls.from_dict)
 
 
 def random_bank(mode, class_names, dim, rng, delta=DEFAULT_DELTA,

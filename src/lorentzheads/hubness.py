@@ -11,12 +11,11 @@ geodesic (hyperboloid) or cosine distances.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import geometry, jsonio
 from .errors import ContractError, ParameterError
 from .heads import MODE_HYPERBOLIC, PrototypeBank
 
@@ -65,18 +64,12 @@ class KOccurrence:
     counts: np.ndarray
     skewness: float
 
-    def to_dict(self) -> dict:
-        return {"k": self.k, "counts": self.counts.tolist(), "skewness": self.skewness}
-
 
 @dataclass
 class DistanceHistogram:
     kind: str
     edges: np.ndarray
     counts: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "edges": self.edges.tolist(), "counts": self.counts.tolist()}
 
 
 def k_occurrence(dist: np.ndarray, k: int) -> KOccurrence:
@@ -115,25 +108,18 @@ class HubnessReport:
     histogram: DistanceHistogram
     k_occurrence: KOccurrence
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "histogram": self.histogram.to_dict(),
-            "k_occurrence": self.k_occurrence.counts.tolist(),
-            "skewness": self.k_occurrence.skewness,
-        }
-
     def save(self, json_path) -> None:
         """Write the JSON report plus a plot-ready CSV of histogram bins."""
-        json_path = str(json_path)
-        with open(json_path, "w") as f:
-            json.dump(self.to_dict(), f, sort_keys=True)
-            f.write("\n")
-        csv_path = json_path[:-5] + ".csv" if json_path.endswith(".json") else json_path + ".csv"
+        jsonio.write(json_path, {
+            "kind": self.kind,
+            "k": self.k,
+            "histogram": self.histogram,
+            "k_occurrence": self.k_occurrence.counts,
+            "skewness": self.k_occurrence.skewness,
+        })
         edges = self.histogram.edges
         centers = 0.5 * (edges[:-1] + edges[1:])
-        with open(csv_path, "w", newline="") as f:
+        with open(jsonio.csv_path(json_path), "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["bin_center", "count"])
             for c, n in zip(centers, self.histogram.counts):

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import datetime
 import hashlib
-import json
 import os
+
+from . import jsonio
 
 
 def sha256_file(path) -> str:
@@ -38,9 +39,7 @@ class RunManifest:
         self._write()
 
     def _write(self) -> None:
-        with open(self.path, "w") as f:
-            json.dump(self.record, f, sort_keys=True, indent=2)
-            f.write("\n")
+        jsonio.write(self.path, self.record, indent=2)
 
     def finalize(self, output_paths=()) -> None:
         self.record["outputs"] = {

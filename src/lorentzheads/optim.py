@@ -63,18 +63,6 @@ class OptimizerState:
         if self.weight_decay < 0:
             raise ParameterError("weight_decay must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "first_moment": {k: v.tolist() for k, v in self.first_moment.items()},
-            "second_moment": {k: v.tolist() for k, v in self.second_moment.items()},
-            "param_steps": dict(self.param_steps),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerState":
         st = cls(

@@ -7,6 +7,8 @@ from importlib.resources import files
 
 import jsonschema
 
+from .. import jsonio
+
 _SCHEMA_NAMES = (
     "prototype_bank",
     "dataset",
@@ -26,6 +28,4 @@ def load_schema(name: str) -> dict:
 
 def validate_file(path, schema_name: str) -> None:
     """Raise jsonschema.ValidationError if the file does not match."""
-    with open(path) as f:
-        doc = json.load(f)
-    jsonschema.validate(doc, load_schema(schema_name))
+    jsonschema.validate(jsonio.read(path, lambda doc: doc), load_schema(schema_name))

@@ -13,13 +13,12 @@ config and seed; checkpoints round-trip bit-exactly.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, heads, optim
+from . import geometry, heads, jsonio, optim
 from .data import ClassTree, SyntheticDataset
 from .errors import ContractError, NumericalError, ParameterError
 from .heads import BACKGROUND, FocalLossConfig, PrototypeBank
@@ -95,8 +94,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return jsonio.read(path, cls.from_dict)
 
 
 @dataclass
@@ -139,9 +137,6 @@ class Encoder:
     def set_param(self, name: str, value: np.ndarray) -> None:
         setattr(self, name.split(".", 1)[1], value)
 
-    def to_dict(self) -> dict:
-        return {k.split(".", 1)[1]: v.tolist() for k, v in self.params().items()}
-
     @classmethod
     def from_dict(cls, d: dict) -> "Encoder":
         return cls(**{k: np.asarray(v, dtype=np.float64) for k, v in d.items()})
@@ -171,15 +166,8 @@ class MetricsReport:
     bucket_accuracy: dict | None = None
     wall_clock_sec: float = 0.0
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def save(self, json_path) -> None:
-        json_path = str(json_path)
-        with open(json_path, "w") as f:
-            json.dump(self.to_dict(), f, sort_keys=True)
-            f.write("\n")
-        csv_path = json_path[:-5] + ".csv" if json_path.endswith(".json") else json_path + ".csv"
+        jsonio.write(json_path, self)
         rows = []
         for i, v in enumerate(self.train_loss):
             rows.append((i, "train_loss", v))
@@ -189,7 +177,7 @@ class MetricsReport:
             v = getattr(self, key)
             if v is not None:
                 rows.append((last, key, v))
-        with open(csv_path, "w") as f:
+        with open(jsonio.csv_path(json_path), "w") as f:
             f.write("epoch,metric,value\n")
             for e, m, v in rows:
                 f.write(f"{e},{m},{v!r}\n")
@@ -278,23 +266,18 @@ def evaluate_split(bank, encoder, dataset: SyntheticDataset, split: str = "val",
 def save_checkpoint(path, config: ExperimentConfig, epoch: int, encoder: Encoder | None,
                     bank: PrototypeBank, opt: optim.OptimizerState, rng: np.random.Generator,
                     train_loss: list) -> None:
-    payload = {
-        "config": config.to_dict(),
+    jsonio.write(path, {
+        "config": config,
         "epoch": epoch,
-        "encoder": encoder.to_dict() if encoder is not None else None,
-        "bank": bank.to_dict(),
-        "optimizer": opt.to_dict(),
+        "encoder": encoder,
+        "bank": bank,
+        "optimizer": opt,
         "rng_state": rng.bit_generator.state,
         "train_loss": train_loss,
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+    })
 
 
-def load_checkpoint(path):
-    with open(path) as f:
-        payload = json.load(f)
+def _decode_checkpoint(payload: dict):
     config = ExperimentConfig.from_dict(payload["config"])
     encoder = Encoder.from_dict(payload["encoder"]) if payload["encoder"] else None
     bank = PrototypeBank.from_dict(payload["bank"])
@@ -302,6 +285,11 @@ def load_checkpoint(path):
     rng = np.random.default_rng(0)
     rng.bit_generator.state = payload["rng_state"]
     return config, payload["epoch"], encoder, bank, opt, rng, payload.get("train_loss", [])
+
+
+def load_checkpoint(path):
+    """The save_checkpoint arguments after `path`, read back from it."""
+    return jsonio.read(path, _decode_checkpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +307,9 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
     """Run the full training loop.
 
     If `bank` is a frozen prototype bank its prototypes stay fixed (zero-shot
-    setting) and only the encoder trains.  Returns (bank, encoder, report,
-    checkpoint_paths).
+    setting) and only the encoder trains.  `resume`, a load_checkpoint result,
+    replaces `config` and `bank` and is advanced in place.  Returns (bank,
+    encoder, report, checkpoint_paths).
     """
     import os
 
@@ -330,7 +319,9 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
         raise ParameterError("without an encoder, embed_dim must equal the feature dim")
 
     if resume is not None:
-        config, start_epoch, encoder, bank, opt, rng, loss_hist = load_checkpoint(resume)
+        if bank is not None:
+            raise ParameterError("a resumed run trains the checkpoint's bank, not another")
+        config, start_epoch, encoder, bank, opt, rng, loss_hist = resume
     else:
         rng = np.random.default_rng(config.seed)
         encoder = (
@@ -353,6 +344,10 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
     if config.unseen_classes and not bank.frozen:
         raise ParameterError("unseen_classes needs a frozen prototype bank (zeroshot); "
                              "train would fit every class")
+    rsgd = not bank.frozen and bank.mode == heads.MODE_HYPERBOLIC
+    if config.prototype_learning_rate is not None and not rsgd:
+        raise ParameterError("prototype_learning_rate is read only by the RSGD step "
+                             "of a learnable hyperbolic bank")
     focal = FocalLossConfig(gamma=config.focal_gamma, alpha=config.focal_alpha)
     checkpoints = []
 
@@ -385,7 +380,7 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
             try:
                 params = {
                     name: optim.riemannian_step(p, grads[name], config.proto_lr)
-                    if name == "prototypes" and bank.mode == heads.MODE_HYPERBOLIC
+                    if name == "prototypes" and rsgd
                     else optim.euclidean_step(p, grads[name], opt, name)
                     for name, p in params.items()
                 }

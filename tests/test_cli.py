@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lorentzheads import data, heads as H
+from lorentzheads import data, heads as H, training
 from lorentzheads.cli import main
 from lorentzheads.manifest import sha256_file
 from lorentzheads.schemas import validate_file
@@ -153,6 +153,23 @@ class TestTrain:
         manifest = json.loads((out2 / "manifest.json").read_text())
         assert manifest["config"] == payload["config"]
 
+    def test_resume_reads_checkpoint_once(self, trained, tmp_path, monkeypatch):
+        root, ds_path, _, out = trained
+        calls = []
+        load = training.load_checkpoint
+        monkeypatch.setattr(training, "load_checkpoint", lambda p: calls.append(p) or load(p))
+        assert main(["train", "--config", str(root / "config.json"),
+                     "--dataset", str(ds_path), "--out", str(tmp_path / "o"),
+                     "--resume", str(out / "checkpoint.json")]) == 0
+        assert len(calls) == 1
+
+    def test_unread_prototype_learning_rate_exit_2(self, trained, tmp_path, capsys):
+        _, ds_path, _, _ = trained
+        cfg = write_config(tmp_path / "lr.json", prototype_learning_rate=5.0)
+        assert main(["train", "--config", cfg, "--dataset", str(ds_path),
+                     "--out", str(tmp_path / "o"), "--head", "euclidean-linear"]) == 2
+        assert "prototype_learning_rate" in capsys.readouterr().err
+
     def test_resume_rejects_head(self, trained, tmp_path):
         root, ds_path, _, out = trained
         assert main(["train", "--config", str(root / "config.json"),
@@ -293,3 +310,53 @@ class TestZeroShot:
         assert metrics["unseen_accuracy"] is not None
         assert metrics["harmonic_mean"] is not None
         validate_file(out / "metrics.json", "metrics")
+
+
+def _first_row(rows, value):
+    """rows with the first entry of the first row replaced by value"""
+    return [[value] + rows[0][1:]] + rows[1:]
+
+
+MALFORMED = {
+    "feature-token": ("dataset", lambda d: {**d, "features": _first_row(d["features"], "x")}),
+    "splits-list": ("dataset", lambda d: {**d, "splits": list(d["splits"].values())}),
+    "ragged-row": ("dataset", lambda d: {**d, "features": [d["features"][0][:-1]]
+                                         + d["features"][1:]}),
+    "missing-labels": ("dataset", lambda d: {k: v for k, v in d.items() if k != "labels"}),
+    "label-99": ("dataset", lambda d: {**d, "labels": [
+        99 if i == d["splits"]["train"][0] else lab for i, lab in enumerate(d["labels"])]}),
+    "labels-short": ("dataset", lambda d: {**d, "labels": d["labels"][:-5]}),
+    "split-index": ("dataset", lambda d: {**d, "splits": {
+        **d["splits"], "val": d["splits"]["val"] + [len(d["labels"])]}}),
+    "checkpoint-param-steps": ("checkpoint", lambda d: {**d, "optimizer": {
+        k: v for k, v in d["optimizer"].items() if k != "param_steps"}}),
+    "bank-token": ("bank", lambda d: {**d["bank"], "frozen": True,
+                                      "prototypes": _first_row(d["bank"]["prototypes"], "x")}),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_2_names_the_file(self, trained, tmp_path, capsys, case):
+        _, ds_path, cfg_path, out = trained
+        kind, corrupt = MALFORMED[case]
+        source = ds_path if kind == "dataset" else out / "checkpoint.json"
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps(corrupt(json.loads(source.read_text()))))
+        argv = {
+            "dataset": ["train", "--config", cfg_path, "--dataset", str(bad),
+                        "--out", str(tmp_path / "o")],
+            "checkpoint": ["eval", "--checkpoint", str(bad), "--dataset", str(ds_path)],
+            "bank": ["zeroshot", "--config", cfg_path, "--dataset", str(ds_path),
+                     "--prototypes", str(bad), "--out", str(tmp_path / "o")],
+        }[kind]
+        assert main(argv) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_internal_key_error_is_not_an_input_error(self, tmp_path, monkeypatch):
+        def broken(**kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(data, "generate", broken)
+        with pytest.raises(KeyError):
+            main(["generate", "--out", str(tmp_path / "ds.json")] + GEN_ARGS)

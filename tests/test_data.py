@@ -38,6 +38,20 @@ class TestGenerate:
         ds.validate()
         assert len(set(ds.train_idx) | set(ds.val_idx)) == 1000
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("labels", lambda ds: ds.labels[:-5], "one label per row"),
+        ("features", lambda ds: ds.features[:, 0], "one label per row"),
+        ("labels", lambda ds: np.where(ds.labels == 0, 99, ds.labels), "labels must lie"),
+        ("labels", lambda ds: np.where(ds.labels == 0, -2, ds.labels), "labels must lie"),
+        ("train_idx", lambda ds: np.append(ds.train_idx, 1000), "split indices"),
+        ("val_idx", lambda ds: np.append(ds.val_idx, -1), "split indices"),
+    ])
+    def test_out_of_range_rejected(self, field, value, match):
+        ds = data.generate(num_samples=1000, seed=3)
+        setattr(ds, field, value(ds))
+        with pytest.raises(ContractError, match=match):
+            ds.validate()
+
     def test_hierarchical_signal_in_means(self):
         # with sigma_leaf << sigma_super, sibling leaf means are closer than
         # cross-supercategory pairs for nearly all pairs
@@ -61,7 +75,7 @@ class TestGenerate:
         again = data.SyntheticDataset.load(path)
         np.testing.assert_array_equal(again.features, ds.features)
         np.testing.assert_array_equal(again.labels, ds.labels)
-        assert again.tree.to_dict() == ds.tree.to_dict()
+        assert again.tree == ds.tree
 
 
 class TestImbalanceProfile:

@@ -3,7 +3,7 @@ import pytest
 
 from lorentzheads import geometry as G
 from lorentzheads import heads as H
-from lorentzheads import optim
+from lorentzheads import jsonio, optim
 from lorentzheads.errors import DimensionError, ParameterError
 
 from conftest import random_manifold_point
@@ -121,7 +121,7 @@ class TestEuclideanStep:
         p = rng.normal(size=4)
         for _ in range(3):
             p = optim.euclidean_step(p, rng.normal(size=4), st, "w")
-        st2 = optim.OptimizerState.from_dict(st.to_dict())
+        st2 = optim.OptimizerState.from_dict(jsonio.plain(st))
         g = rng.normal(size=4)
         np.testing.assert_array_equal(
             optim.euclidean_step(p, g, st, "w"), optim.euclidean_step(p, g, st2, "w")

@@ -242,6 +242,19 @@ class TestTrain:
         with pytest.raises(ParameterError, match="embed_dim 4"):
             T.train(quick_config(embed_dim=4), ds, bank=bank)
 
+    @pytest.mark.parametrize("mode, frozen", [(H.MODE_LINEAR, False), (H.MODE_COSINE, False),
+                                              (H.MODE_HYPERBOLIC, True)])
+    def test_prototype_learning_rate_needs_rsgd(self, mode, frozen):
+        # only RSGD on a learnable hyperbolic bank reads the key
+        ds = tiny_dataset()
+        cfg = quick_config(embed_dim=8, head_mode=mode, prototype_learning_rate=5.0)
+        bank = None
+        if frozen:
+            P = G.batch_exp_map_origin(np.random.default_rng(0).normal(0.0, 1.0, (4, 8)))
+            bank = H.PrototypeBank(mode, P, list(ds.tree.leaf_classes), frozen=True)
+        with pytest.raises(ParameterError, match="prototype_learning_rate"):
+            T.train(cfg, ds, bank=bank)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_aborts_with_diagnostics(self):
         ds = tiny_dataset()
@@ -277,12 +290,19 @@ class TestCheckpoints:
         assert payload["epoch"] == 3
         payload["config"]["epochs"] = 6  # extend the run, then resume
         ck.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        T.train(cfg, ds, out_dir=part_dir, resume=ck)
+        T.train(cfg, ds, out_dir=part_dir, resume=T.load_checkpoint(ck))
 
         assert ck.read_bytes() == (full_dir / "checkpoint.json").read_bytes()
         mf = strip_wall_clock(json.loads((full_dir / "metrics.json").read_text()))
         mp = strip_wall_clock(json.loads((part_dir / "metrics.json").read_text()))
         assert mf == mp
+
+    def test_resume_rejects_another_bank(self, tmp_path):
+        ds = tiny_dataset()
+        cfg = quick_config(embed_dim=8)
+        bank, _, _, _ = T.train(cfg, ds, out_dir=tmp_path)
+        with pytest.raises(ParameterError, match="resumed"):
+            T.train(cfg, ds, bank=bank, resume=T.load_checkpoint(tmp_path / "checkpoint.json"))
 
 
 class TestZeroShot:
