@@ -1,9 +1,13 @@
 """Command-line surface.
 
 Subcommands: generate, train, eval, zeroshot, hubness, import-prototypes.
-Every run writes a manifest (resolved config, input/output digests, seed,
-timestamps) into its output directory.  Exit codes: 0 ok, 2 config/input
-error, 3 numerical failure.
+Every command but eval writes a manifest (resolved config, input/output
+digests, seed, timestamps) into its output directory.  Each reads every
+input before the manifest creates that directory, so a run refused for a
+missing, unreadable or malformed input, or a bad flag, writes nothing.
+Checks that training makes once it starts come after the manifest.
+Exit codes: 0 ok, 2 config/input error (an unreadable path included),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,13 +28,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_generate(args) -> int:
-    out_dir = _ensure_dir(os.path.dirname(os.path.abspath(args.out)) or ".")
     params = {
         "num_features": args.n_features,
         "num_super": args.super,
@@ -44,17 +42,16 @@ def cmd_generate(args) -> int:
         "seed": args.seed,
     }
     unseen = [u for u in (args.unseen or "").split(",") if u]
-    manifest = RunManifest(
-        os.path.join(out_dir, "manifest.json"),
-        command="generate",
-        config={**params, "unseen": unseen, "imbalance_exponent": args.imbalance_exponent},
-        seed=args.seed,
-    )
     ds = data.generate(**params)
     if args.imbalance_exponent is not None:
         ds = data.imbalance_profile(ds, args.imbalance_exponent)
     if unseen:
         ds, _ = data.holdout_unseen(ds, unseen)
+    manifest = RunManifest(
+        os.path.dirname(os.path.abspath(args.out)), command="generate",
+        config={**params, "unseen": unseen, "imbalance_exponent": args.imbalance_exponent},
+        seed=args.seed,
+    )
     ds.save(args.out)
     manifest.finalize([args.out])
 
@@ -73,23 +70,19 @@ def cmd_train(args) -> int:
     if args.head and args.resume:
         raise ParameterError("--head cannot be combined with --resume: "
                              "a resumed run keeps the checkpoint's head")
-    out_dir = _ensure_dir(args.out)
-    config = training.ExperimentConfig.load(args.config)
+    # a resumed run continues under the checkpoint's config
+    resume = training.load_checkpoint(args.resume) if args.resume else None
+    config = resume[0] if resume else training.ExperimentConfig.load(args.config)
     if args.head:
         config.head_mode = args.head
-    resume = training.load_checkpoint(args.resume) if args.resume else None
-    if resume:
-        # training continues under the checkpoint's config, so record that one
-        config = resume[0]
     ds = data.SyntheticDataset.load(args.dataset)
-    inputs = [args.config, args.dataset] + ([args.resume] if args.resume else [])
     manifest = RunManifest(
-        os.path.join(out_dir, "manifest.json"),
-        command="train", config=config.to_dict(), seed=config.seed, input_paths=inputs,
+        args.out, command="train", config=config.to_dict(), seed=config.seed,
+        input_paths=[args.resume or args.config, args.dataset],
     )
-    bank, encoder, report, ckpts = training.train(config, ds, out_dir=out_dir, resume=resume)
-    outputs = list(ckpts) + [os.path.join(out_dir, "metrics.json"),
-                             os.path.join(out_dir, "metrics.csv")]
+    bank, encoder, report, ckpts = training.train(config, ds, out_dir=args.out, resume=resume)
+    outputs = list(ckpts) + [os.path.join(args.out, "metrics.json"),
+                             os.path.join(args.out, "metrics.csv")]
     manifest.finalize(outputs)
     print(f"final train loss {report.train_loss[-1]:.6f}")
     print(f"val accuracy {report.val_accuracy:.4f}  "
@@ -102,7 +95,7 @@ def cmd_eval(args) -> int:
     ds = data.SyntheticDataset.load(args.dataset)
     report = training.evaluate_split(bank, encoder, ds, args.split, tau=config.cosine_tau)
     if args.out:
-        _ensure_dir(os.path.dirname(os.path.abspath(args.out)) or ".")
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         report.save(args.out)
     print(json.dumps({k: v for k, v in vars(report).items() if k != "per_class"},
                      sort_keys=True))
@@ -110,46 +103,40 @@ def cmd_eval(args) -> int:
 
 
 def cmd_zeroshot(args) -> int:
-    out_dir = _ensure_dir(args.out)
     config = training.ExperimentConfig.load(args.config)
     ds = data.SyntheticDataset.load(args.dataset)
     bank = heads.PrototypeBank.load(args.prototypes)
     if not config.unseen_classes and ds.unseen_classes:
         config.unseen_classes = list(ds.unseen_classes)
     manifest = RunManifest(
-        os.path.join(out_dir, "manifest.json"),
-        command="zeroshot", config=config.to_dict(), seed=config.seed,
+        args.out, command="zeroshot", config=config.to_dict(), seed=config.seed,
         input_paths=[args.config, args.dataset, args.prototypes],
     )
-    _, _, report, ckpts = training.zero_shot_eval(config, ds, bank, out_dir=out_dir)
-    manifest.finalize(list(ckpts) + [os.path.join(out_dir, "metrics.json"),
-                                     os.path.join(out_dir, "metrics.csv")])
+    _, _, report, ckpts = training.zero_shot_eval(config, ds, bank, out_dir=args.out)
+    manifest.finalize(list(ckpts) + [os.path.join(args.out, "metrics.json"),
+                                     os.path.join(args.out, "metrics.csv")])
     print(f"seen accuracy {report.seen_accuracy}  unseen accuracy {report.unseen_accuracy}  "
           f"HM {report.harmonic_mean}")
     return EXIT_OK
 
 
 def cmd_hubness(args) -> int:
-    out_dir = _ensure_dir(args.out)
-    rows = []
-    outputs = []
+    reports = [hubness.hubness_report(training.load_checkpoint(ckpt)[3], k=args.k)
+               for ckpt in args.checkpoints]
     manifest = RunManifest(
-        os.path.join(out_dir, "manifest.json"),
-        command="hubness", config={"k": args.k, "checkpoints": args.checkpoints},
+        args.out, command="hubness", config={"k": args.k, "checkpoints": args.checkpoints},
         seed=None, input_paths=args.checkpoints,
     )
-    for ckpt in args.checkpoints:
-        _, _, _, bank, _, _, _ = training.load_checkpoint(ckpt)
-        report = hubness.hubness_report(bank, k=args.k)
+    outputs = []
+    for ckpt, report in zip(args.checkpoints, reports):
         stem = os.path.splitext(os.path.basename(ckpt))[0]
-        path = os.path.join(out_dir, f"hubness_{stem}_{report.kind}.json")
+        path = os.path.join(args.out, f"hubness_{stem}_{report.kind}.json")
         report.save(path)
         outputs += [path, jsonio.csv_path(path)]
-        rows.append((ckpt, report.kind, report.k_occurrence.skewness))
     manifest.finalize(outputs)
     print(f"{'checkpoint':<40} {'distance':<12} k_skewness")
-    for ckpt, kind, skew in rows:
-        print(f"{ckpt:<40} {kind:<12} {skew:+.4f}")
+    for ckpt, report in zip(args.checkpoints, reports):
+        print(f"{ckpt:<40} {report.kind:<12} {report.k_occurrence.skewness:+.4f}")
     return EXIT_OK
 
 
@@ -178,14 +165,6 @@ def _parse_embedding_file(path):
 
 
 def cmd_import_prototypes(args) -> int:
-    out_dir = _ensure_dir(os.path.dirname(os.path.abspath(args.out)) or ".")
-    manifest = RunManifest(
-        os.path.join(out_dir, "manifest.json"),
-        command="import-prototypes",
-        config={"embeddings": args.embeddings, "mode": args.mode, "delta": args.delta,
-                "already_hyperbolic": args.already_hyperbolic},
-        seed=None, input_paths=[args.embeddings],
-    )
     names, vectors = _parse_embedding_file(args.embeddings)
     if args.mode == heads.MODE_HYPERBOLIC:
         if args.already_hyperbolic:
@@ -199,6 +178,12 @@ def cmd_import_prototypes(args) -> int:
     bank = heads.PrototypeBank(
         mode=args.mode, prototypes=protos, class_names=names,
         delta=args.delta, frozen=True,
+    )
+    manifest = RunManifest(
+        os.path.dirname(os.path.abspath(args.out)), command="import-prototypes",
+        config={"embeddings": args.embeddings, "mode": args.mode, "delta": args.delta,
+                "already_hyperbolic": args.already_hyperbolic},
+        seed=None, input_paths=[args.embeddings],
     )
     bank.save(args.out)
     manifest.finalize([args.out])
@@ -230,12 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_generate)
 
     t = sub.add_parser("train", help="train a classification head")
-    t.add_argument("--config", required=True)
+    source = t.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config")
+    source.add_argument("--resume", help="checkpoint to continue from, under its own config")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--head", choices=[heads.MODE_HYPERBOLIC, heads.MODE_LINEAR,
                                       heads.MODE_COSINE])
-    t.add_argument("--resume", help="checkpoint to continue from, under its own config")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -275,7 +261,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, ContractError, FileNotFoundError) as e:
+    except (ParameterError, ContractError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as e:

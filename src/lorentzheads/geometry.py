@@ -156,28 +156,26 @@ def exp_map_at(x, u, check: bool = True) -> np.ndarray:
     return project_to_manifold(cosh[..., None] * x + _sinh_over_t(nrm)[..., None] * u)
 
 
-def hyperbolic_distance(x, y, check: bool = True) -> float:
+def hyperbolic_distance(x, y) -> float:
     """Geodesic distance arccosh(-<x,y>_l); the argument is clamped to >= 1
     so coincident points round to exactly zero."""
     x = _as_array(x, "x")
     y = _as_array(y, "y")
-    if check:
-        assert_on_manifold(x)
-        assert_on_manifold(y)
+    assert_on_manifold(x)
+    assert_on_manifold(y)
     if x.shape != y.shape:
         raise DimensionError(f"incompatible shapes {x.shape} vs {y.shape}")
     arg = max(-lorentz_inner(x, y), 1.0)
     return float(np.arccosh(arg))
 
 
-def log_map_at(x, y, check: bool = True) -> np.ndarray:
+def log_map_at(x, y) -> np.ndarray:
     """Inverse of exp_map_at: the tangent vector at x pointing to y with
     Lorentz norm d(x, y).  Returns the zero vector for y = x."""
     x = _as_array(x, "x")
     y = _as_array(y, "y")
-    if check:
-        assert_on_manifold(x)
-        assert_on_manifold(y)
+    assert_on_manifold(x)
+    assert_on_manifold(y)
     if np.array_equal(x, y):
         return np.zeros_like(x)
     alpha = max(-lorentz_inner(x, y), 1.0)

@@ -144,11 +144,10 @@ class PrototypeBank:
         return jsonio.read(path, cls.from_dict)
 
 
-def random_bank(mode, class_names, dim, rng, delta=DEFAULT_DELTA,
-                init_scale=0.01) -> PrototypeBank:
+def random_bank(mode, class_names, dim, rng, delta=DEFAULT_DELTA) -> PrototypeBank:
     """Learnable bank initialized near the origin: one row per class, uniform
-    in [-init_scale, init_scale]^dim, exp0-mapped for the hyperbolic head."""
-    W = rng.uniform(-init_scale, init_scale, size=(len(class_names), dim))
+    in [-0.01, 0.01]^dim, exp0-mapped for the hyperbolic head."""
+    W = rng.uniform(-0.01, 0.01, size=(len(class_names), dim))
     if mode == MODE_HYPERBOLIC:
         W = geometry.batch_exp_map_origin(W)
     return PrototypeBank(mode=mode, prototypes=W, class_names=class_names, delta=delta)
@@ -171,6 +170,15 @@ def shift_logits(distances, delta: float, d_min: float) -> np.ndarray:
     return delta * (1.0 - d / d_min)
 
 
+def _unit_rows(A: np.ndarray):
+    """(A with each row scaled to unit norm, the (m, 1) row norms); the
+    cosine head is undefined on a zero row."""
+    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ContractError("cosine mode requires nonzero vectors")
+    return A / norms, norms
+
+
 def batch_bank_logits(features: np.ndarray, bank: PrototypeBank,
                       tau: float = DEFAULT_TAU) -> np.ndarray:
     """Mode-dispatching logits for an (m, n) feature matrix; returns (m, C)."""
@@ -181,11 +189,9 @@ def batch_bank_logits(features: np.ndarray, bank: PrototypeBank,
         return shift_logits(D, bank.delta, bank.d_min)
     if bank.mode == MODE_LINEAR:
         return F @ bank.prototypes.T
-    fn = np.linalg.norm(F, axis=1, keepdims=True)
-    pn = np.linalg.norm(bank.prototypes, axis=1, keepdims=True)
-    if np.any(fn == 0.0) or np.any(pn == 0.0):
-        raise ContractError("cosine mode requires nonzero vectors")
-    return ((F / fn) @ (bank.prototypes / pn).T) / tau
+    U, _ = _unit_rows(F)
+    Q, _ = _unit_rows(bank.prototypes)
+    return (U @ Q.T) / tau
 
 
 def classify(feature, bank: PrototypeBank, k: int | None = None, tau: float = DEFAULT_TAU):
@@ -302,10 +308,8 @@ def euclidean_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
         return loss, G_S @ P, G_S.T @ F
     if bank.mode != MODE_COSINE:
         raise ContractError("euclidean head required")
-    fn = np.linalg.norm(F, axis=1, keepdims=True)
-    pn = np.linalg.norm(P, axis=1, keepdims=True)
-    U = F / fn
-    Q = P / pn
+    U, fn = _unit_rows(F)
+    Q, pn = _unit_rows(P)
     S = (U @ Q.T) / tau
     loss, G_S = batch_focal_loss(S, targets, cfg)
     G_U = (G_S @ Q) / tau

@@ -92,12 +92,12 @@ def k_occurrence(dist: np.ndarray, k: int) -> KOccurrence:
     return KOccurrence(k=k, counts=counts, skewness=sample_skewness(counts))
 
 
-def distance_histogram(dist: np.ndarray, kind: str, bins: int = DEFAULT_BINS) -> DistanceHistogram:
+def distance_histogram(dist: np.ndarray, kind: str) -> DistanceHistogram:
     """Histogram over the N(N-1)/2 unordered pairwise distances."""
     D = np.asarray(dist, dtype=np.float64)
     iu = np.triu_indices(D.shape[0], k=1)
     vals = D[iu]
-    counts, edges = np.histogram(vals, bins=bins)
+    counts, edges = np.histogram(vals, bins=DEFAULT_BINS)
     return DistanceHistogram(kind=kind, edges=edges, counts=counts)
 
 
@@ -126,18 +126,18 @@ class HubnessReport:
                 w.writerow([repr(float(c)), int(n)])
 
 
-def analyze_points(points, kind: str, k: int = DEFAULT_K, bins: int = DEFAULT_BINS) -> HubnessReport:
+def analyze_points(points, kind: str, k: int = DEFAULT_K) -> HubnessReport:
     D = pairwise_distances(points, kind)
     return HubnessReport(
         kind=kind,
         k=k,
-        histogram=distance_histogram(D, kind, bins=bins),
+        histogram=distance_histogram(D, kind),
         k_occurrence=k_occurrence(D, k),
     )
 
 
-def hubness_report(bank: PrototypeBank, k: int = DEFAULT_K, bins: int = DEFAULT_BINS) -> HubnessReport:
+def hubness_report(bank: PrototypeBank, k: int = DEFAULT_K) -> HubnessReport:
     """Analyze a trained bank's prototypes with its native distance kind:
     geodesic for hyperbolic banks, cosine otherwise."""
     kind = KIND_HYPERBOLIC if bank.mode == MODE_HYPERBOLIC else KIND_COSINE
-    return analyze_points(bank.prototypes, kind, k=k, bins=bins)
+    return analyze_points(bank.prototypes, kind, k=k)

@@ -22,10 +22,12 @@ def _now() -> str:
 
 
 class RunManifest:
-    """Written before a run starts and finalized after it ends."""
+    """`out_dir/manifest.json`: created, with `out_dir`, once a command has
+    read its inputs, and finalized after the run ends."""
 
-    def __init__(self, path, command: str, config: dict, seed, input_paths=()):
-        self.path = str(path)
+    def __init__(self, out_dir, command: str, config: dict, seed, input_paths=()):
+        os.makedirs(out_dir, exist_ok=True)
+        self.path = os.path.join(out_dir, "manifest.json")
         self.record = {
             "command": command,
             "config": config,

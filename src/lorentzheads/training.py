@@ -303,7 +303,7 @@ def _nan_diagnostics(batch_idx, params: dict):
 
 
 def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBank | None = None,
-          out_dir=None, resume=None, checkpoint_name: str = "checkpoint.json"):
+          out_dir=None, resume=None):
     """Run the full training loop.
 
     If `bank` is a frozen prototype bank its prototypes stay fixed (zero-shot
@@ -407,7 +407,7 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
 
         last = epoch == config.epochs - 1
         if out_dir is not None and ((epoch + 1) % config.eval_every == 0 or last):
-            path = os.path.join(out_dir, checkpoint_name)
+            path = os.path.join(out_dir, "checkpoint.json")
             save_checkpoint(path, config, epoch + 1, encoder, bank, opt, rng, loss_hist)
             checkpoints.append(path)
 

@@ -139,14 +139,13 @@ class TestTrain:
                      "--out", str(tmp_path / "o")]) == 3
 
     def test_resume_flag(self, trained, tmp_path):
-        root, ds_path, _, out = trained
+        _, ds_path, _, out = trained
         ck = tmp_path / "ck.json"
         payload = json.loads((out / "checkpoint.json").read_text())
         payload["config"]["epochs"] = 4
         ck.write_text(json.dumps(payload, sort_keys=True) + "\n")
         out2 = tmp_path / "resumed"
-        assert main(["train", "--config", str(root / "config.json"),
-                     "--dataset", str(ds_path), "--out", str(out2),
+        assert main(["train", "--dataset", str(ds_path), "--out", str(out2),
                      "--resume", str(ck)]) == 0
         assert json.loads((out2 / "checkpoint.json").read_text())["epoch"] == 4
         # the manifest records the config the run continued under
@@ -154,12 +153,11 @@ class TestTrain:
         assert manifest["config"] == payload["config"]
 
     def test_resume_reads_checkpoint_once(self, trained, tmp_path, monkeypatch):
-        root, ds_path, _, out = trained
+        _, ds_path, _, out = trained
         calls = []
         load = training.load_checkpoint
         monkeypatch.setattr(training, "load_checkpoint", lambda p: calls.append(p) or load(p))
-        assert main(["train", "--config", str(root / "config.json"),
-                     "--dataset", str(ds_path), "--out", str(tmp_path / "o"),
+        assert main(["train", "--dataset", str(ds_path), "--out", str(tmp_path / "o"),
                      "--resume", str(out / "checkpoint.json")]) == 0
         assert len(calls) == 1
 
@@ -171,11 +169,25 @@ class TestTrain:
         assert "prototype_learning_rate" in capsys.readouterr().err
 
     def test_resume_rejects_head(self, trained, tmp_path):
-        root, ds_path, _, out = trained
-        assert main(["train", "--config", str(root / "config.json"),
-                     "--dataset", str(ds_path), "--out", str(tmp_path / "o"),
+        _, ds_path, _, out = trained
+        assert main(["train", "--dataset", str(ds_path), "--out", str(tmp_path / "o"),
                      "--resume", str(out / "checkpoint.json"),
                      "--head", "euclidean-linear"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_dataset_directory_exit_2(self, trained, tmp_path, capsys):
+        _, _, cfg_path, _ = trained
+        assert main(["train", "--config", cfg_path, "--dataset", str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_and_resume_exclusive(self, trained, tmp_path):
+        _, ds_path, cfg_path, out = trained
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", cfg_path, "--dataset", str(ds_path),
+                  "--out", str(tmp_path / "o"), "--resume", str(out / "checkpoint.json")])
+        assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
 
@@ -360,3 +372,33 @@ class TestMalformedFiles:
         monkeypatch.setattr(data, "generate", broken)
         with pytest.raises(KeyError):
             main(["generate", "--out", str(tmp_path / "ds.json")] + GEN_ARGS)
+
+
+def _refused_argv(kind, tmp_path, trained):
+    """argv of a `kind` run whose input is bad; every output goes under tmp_path/o"""
+    _, ds_path, cfg_path, run = trained
+    out = tmp_path / "o"
+    if kind == "generate":
+        return ["generate", "--out", str(out / "ds.json"), "--classes", "2", "--super", "4"]
+    if kind == "train":
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"epochs": 2, "momentum": 0.9}))
+        return ["train", "--config", str(bad), "--dataset", str(ds_path), "--out", str(out)]
+    if kind == "zeroshot":
+        bank = tmp_path / "bank.json"
+        bank.write_text(json.dumps({"mode": "hyperbolic", "frozen": True}))
+        return ["zeroshot", "--config", cfg_path, "--dataset", str(ds_path),
+                "--prototypes", str(bank), "--out", str(out)]
+    if kind == "hubness":
+        return ["hubness", str(run / "metrics.json"), "--out", str(out)]
+    emb = tmp_path / "emb.txt"
+    emb.write_text("a 1 0\nb 1\n")
+    return ["import-prototypes", "--embeddings", str(emb), "--out", str(out / "bank.json")]
+
+
+@pytest.mark.parametrize("kind", ["generate", "train", "zeroshot", "hubness",
+                                  "import-prototypes"])
+def test_refused_run_writes_nothing(trained, tmp_path, kind):
+    assert main(_refused_argv(kind, tmp_path, trained)) == 2
+    assert not (tmp_path / "o").exists()
+    assert not list(tmp_path.rglob("manifest.json"))

@@ -149,6 +149,24 @@ class TestBaselineLogits:
         v = rng.normal(size=3)
         np.testing.assert_array_equal(H.batch_bank_logits(v[None], bank)[0], W @ v)
 
+    def test_cosine_is_product_of_unit_rows(self, rng):
+        F, P = rng.normal(size=(7, 3)), rng.normal(size=(4, 3))
+        bank = H.PrototypeBank(H.MODE_COSINE, P, [f"c{i}" for i in range(4)])
+        U = F / np.linalg.norm(F, axis=1, keepdims=True)
+        Q = P / np.linalg.norm(P, axis=1, keepdims=True)
+        np.testing.assert_array_equal(H.batch_bank_logits(F, bank, tau=0.5), (U @ Q.T) / 0.5)
+
+    @pytest.mark.parametrize("zero", ["feature", "prototype"])
+    def test_cosine_zero_row_rejected_by_logits_and_loss(self, zero):
+        F = np.array([[1.0, 1.0], [2.0, 0.0]])
+        P = np.array([[1.0, 0.0], [0.0, 1.0]])
+        (F if zero == "feature" else P)[1] = 0.0
+        bank = H.PrototypeBank(H.MODE_COSINE, P, ["a", "b"])
+        with pytest.raises(ContractError, match="nonzero"):
+            H.batch_bank_logits(F, bank)
+        with pytest.raises(ContractError, match="nonzero"):
+            H.loss_and_grads(F, bank, np.array([0, 1]), H.FocalLossConfig())
+
     def test_mode_mismatch(self):
         bank = make_hyperbolic_bank([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ContractError):
