@@ -4,8 +4,8 @@ Subcommands: generate, train, eval, zeroshot, hubness, import-prototypes.
 Every command but eval writes a manifest (resolved config, input/output
 digests, seed, timestamps) into its output directory.  Each reads every
 input before the manifest creates that directory, so a run refused for a
-missing, unreadable or malformed input, or a bad flag, writes nothing.
-Checks that training makes once it starts come after the manifest.
+missing, unreadable or malformed input, a bad flag, or a run state that
+cannot train on its dataset, writes nothing.
 Exit codes: 0 ok, 2 config/input error (an unreadable path included),
 3 numerical failure.
 """
@@ -45,8 +45,7 @@ def cmd_generate(args) -> int:
     ds = data.generate(**params)
     if args.imbalance_exponent is not None:
         ds = data.imbalance_profile(ds, args.imbalance_exponent)
-    if unseen:
-        ds, _ = data.holdout_unseen(ds, unseen)
+    ds = data.holdout_unseen(ds, unseen)
     manifest = RunManifest(
         os.path.dirname(os.path.abspath(args.out)), command="generate",
         config={**params, "unseen": unseen, "imbalance_exponent": args.imbalance_exponent},
@@ -66,24 +65,29 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _train_run(args, state, ds, input_paths):
+    """Train `state` on `ds` into `args.out`, making the manifest once `prepare` passes."""
+    training.prepare(state, ds)
+    manifest = RunManifest(args.out, command=args.cmd, config=state.config.to_dict(),
+                           seed=state.config.seed, input_paths=input_paths)
+    _, _, report, ckpts = training.train(state.config, ds, args.out, state=state)
+    manifest.finalize(list(ckpts) + [os.path.join(args.out, "metrics.json"),
+                                     os.path.join(args.out, "metrics.csv")])
+    return report
+
+
 def cmd_train(args) -> int:
     if args.head and args.resume:
         raise ParameterError("--head cannot be combined with --resume: "
                              "a resumed run keeps the checkpoint's head")
     # a resumed run continues under the checkpoint's config
-    resume = training.load_checkpoint(args.resume) if args.resume else None
-    config = resume[0] if resume else training.ExperimentConfig.load(args.config)
+    state = training.load_checkpoint(args.resume) if args.resume else None
+    config = state.config if state else training.ExperimentConfig.load(args.config)
     if args.head:
         config.head_mode = args.head
     ds = data.SyntheticDataset.load(args.dataset)
-    manifest = RunManifest(
-        args.out, command="train", config=config.to_dict(), seed=config.seed,
-        input_paths=[args.resume or args.config, args.dataset],
-    )
-    bank, encoder, report, ckpts = training.train(config, ds, out_dir=args.out, resume=resume)
-    outputs = list(ckpts) + [os.path.join(args.out, "metrics.json"),
-                             os.path.join(args.out, "metrics.csv")]
-    manifest.finalize(outputs)
+    report = _train_run(args, state or training.start(config, ds), ds,
+                        [args.resume or args.config, args.dataset])
     print(f"final train loss {report.train_loss[-1]:.6f}")
     print(f"val accuracy {report.val_accuracy:.4f}  "
           f"supercategory accuracy {report.supercategory_accuracy:.4f}")
@@ -91,9 +95,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config, _, encoder, bank, _, _, _ = training.load_checkpoint(args.checkpoint)
-    ds = data.SyntheticDataset.load(args.dataset)
-    report = training.evaluate_split(bank, encoder, ds, args.split, tau=config.cosine_tau)
+    state = training.load_checkpoint(args.checkpoint)
+    # score the split the run saw: its unseen classes out of train, as in training
+    ds = data.holdout_unseen(data.SyntheticDataset.load(args.dataset),
+                             state.config.unseen_classes)
+    report = training.evaluate_split(state.bank, state.encoder, ds, args.split,
+                                     tau=state.config.cosine_tau)
     if args.out:
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         report.save(args.out)
@@ -108,29 +115,25 @@ def cmd_zeroshot(args) -> int:
     bank = heads.PrototypeBank.load(args.prototypes)
     if not config.unseen_classes and ds.unseen_classes:
         config.unseen_classes = list(ds.unseen_classes)
-    manifest = RunManifest(
-        args.out, command="zeroshot", config=config.to_dict(), seed=config.seed,
-        input_paths=[args.config, args.dataset, args.prototypes],
-    )
-    _, _, report, ckpts = training.zero_shot_eval(config, ds, bank, out_dir=args.out)
-    manifest.finalize(list(ckpts) + [os.path.join(args.out, "metrics.json"),
-                                     os.path.join(args.out, "metrics.csv")])
+    report = _train_run(args, training.start(config, ds, bank), ds,
+                        [args.config, args.dataset, args.prototypes])
     print(f"seen accuracy {report.seen_accuracy}  unseen accuracy {report.unseen_accuracy}  "
           f"HM {report.harmonic_mean}")
     return EXIT_OK
 
 
 def cmd_hubness(args) -> int:
-    reports = [hubness.hubness_report(training.load_checkpoint(ckpt)[3], k=args.k)
+    reports = [hubness.hubness_report(training.load_checkpoint(ckpt).bank, k=args.k)
                for ckpt in args.checkpoints]
     manifest = RunManifest(
         args.out, command="hubness", config={"k": args.k, "checkpoints": args.checkpoints},
         seed=None, input_paths=args.checkpoints,
     )
     outputs = []
-    for ckpt, report in zip(args.checkpoints, reports):
+    # the argument position keeps two same-named checkpoints of one kind apart
+    for i, (ckpt, report) in enumerate(zip(args.checkpoints, reports)):
         stem = os.path.splitext(os.path.basename(ckpt))[0]
-        path = os.path.join(args.out, f"hubness_{stem}_{report.kind}.json")
+        path = os.path.join(args.out, f"hubness_{i}_{stem}_{report.kind}.json")
         report.save(path)
         outputs += [path, jsonio.csv_path(path)]
     manifest.finalize(outputs)
@@ -220,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--resume", help="checkpoint to continue from, under its own config")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--head", choices=[heads.MODE_HYPERBOLIC, heads.MODE_LINEAR,
-                                      heads.MODE_COSINE])
+    t.add_argument("--head", choices=heads.MODES)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -247,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("import-prototypes", help="build a frozen bank from semantic embeddings")
     i.add_argument("--embeddings", required=True,
                    help="text file, one line per class: name v1 v2 ... vn")
-    i.add_argument("--mode", choices=[heads.MODE_HYPERBOLIC, heads.MODE_LINEAR,
-                                      heads.MODE_COSINE], default=heads.MODE_HYPERBOLIC)
+    i.add_argument("--mode", choices=heads.MODES, default=heads.MODE_HYPERBOLIC)
     i.add_argument("--delta", type=float, default=heads.DEFAULT_DELTA)
     i.add_argument("--already-hyperbolic", action="store_true",
                    help="embedding rows are (n+1)-coordinate hyperboloid points")

@@ -265,11 +265,11 @@ def imbalance_profile(dataset: SyntheticDataset, power_law_exponent: float) -> S
     return out
 
 
-def holdout_unseen(dataset: SyntheticDataset, unseen_classes) -> tuple[SyntheticDataset, np.ndarray]:
+def holdout_unseen(dataset: SyntheticDataset, unseen_classes) -> SyntheticDataset:
     """Remove the listed classes from the train split; the val split keeps them.
 
-    Returns the filtered dataset and a boolean mask over classes (True =
-    unseen).  Class entries may be indices or leaf names.
+    Class entries may be indices or leaf names; the result's `unseen_classes`
+    lists their indices.  An empty list returns `dataset` itself.
     """
     resolved = []
     for u in unseen_classes:
@@ -284,14 +284,12 @@ def holdout_unseen(dataset: SyntheticDataset, unseen_classes) -> tuple[Synthetic
     resolved = sorted(set(resolved))
     if len(resolved) >= dataset.num_classes:
         raise ParameterError("cannot hold out every class")
-    mask = np.zeros(dataset.num_classes, dtype=bool)
-    mask[resolved] = True
     if not resolved:
-        return dataset, mask
+        return dataset
 
     train_labels = dataset.labels[dataset.train_idx]
     keep = ~np.isin(train_labels, resolved)
     out = dataclasses.replace(dataset, train_idx=dataset.train_idx[keep],
                               unseen_classes=resolved)
     out.validate()
-    return out, mask
+    return out

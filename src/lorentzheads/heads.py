@@ -28,7 +28,7 @@ BACKGROUND = -1
 MODE_HYPERBOLIC = "hyperbolic"
 MODE_LINEAR = "euclidean-linear"
 MODE_COSINE = "euclidean-cosine"
-_MODES = (MODE_HYPERBOLIC, MODE_LINEAR, MODE_COSINE)
+MODES = (MODE_HYPERBOLIC, MODE_LINEAR, MODE_COSINE)
 
 DEFAULT_DELTA = 1.4
 DEFAULT_TAU = 0.07
@@ -87,7 +87,7 @@ class PrototypeBank:
         return self.prototypes.shape[1] - (self.mode == MODE_HYPERBOLIC)
 
     def validate(self) -> None:
-        if self.mode not in _MODES:
+        if self.mode not in MODES:
             raise ParameterError(f"unknown mode {self.mode!r}")
         if self.prototypes.ndim != 2 or self.prototypes.shape[0] < 2:
             raise ParameterError("need at least 2 prototype rows")

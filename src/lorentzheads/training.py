@@ -8,18 +8,25 @@ hyperbolic prototypes.  Evaluation reports accuracy, supercategory accuracy
 per-class precision/recall, seen/unseen splits with their harmonic mean, and
 per-bucket accuracy for imbalanced runs.  Runs are deterministic given the
 config and seed; checkpoints round-trip bit-exactly.
+
+Every run trains a `RunState`, the seven fields of a checkpoint: `start`
+builds a fresh one and `load_checkpoint` reads a saved one.  `prepare` makes
+every check a state must pass on a dataset, so a caller can refuse a run
+before writing anything, and holds the config's unseen classes out of train.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry, heads, jsonio, optim
-from .data import ClassTree, SyntheticDataset
+from .data import ClassTree, SyntheticDataset, holdout_unseen
 from .errors import ContractError, NumericalError, ParameterError
 from .heads import BACKGROUND, FocalLossConfig, PrototypeBank
 
@@ -53,7 +60,7 @@ class ExperimentConfig:
     unseen_classes: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.head_mode not in (heads.MODE_HYPERBOLIC, heads.MODE_LINEAR, heads.MODE_COSINE):
+        if self.head_mode not in heads.MODES:
             raise ParameterError(f"unknown head mode {self.head_mode!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ParameterError("epochs, batch_size, eval_every must be >= 1")
@@ -263,6 +270,18 @@ def evaluate_split(bank, encoder, dataset: SyntheticDataset, split: str = "val",
 # ---------------------------------------------------------------------------
 
 
+class RunState(NamedTuple):
+    """A run between epochs: save_checkpoint's arguments after `path`."""
+
+    config: ExperimentConfig
+    epoch: int
+    encoder: Encoder | None
+    bank: PrototypeBank
+    opt: optim.OptimizerState
+    rng: np.random.Generator
+    train_loss: list
+
+
 def save_checkpoint(path, config: ExperimentConfig, epoch: int, encoder: Encoder | None,
                     bank: PrototypeBank, opt: optim.OptimizerState, rng: np.random.Generator,
                     train_loss: list) -> None:
@@ -277,17 +296,18 @@ def save_checkpoint(path, config: ExperimentConfig, epoch: int, encoder: Encoder
     })
 
 
-def _decode_checkpoint(payload: dict):
+def _decode_checkpoint(payload: dict) -> RunState:
     config = ExperimentConfig.from_dict(payload["config"])
     encoder = Encoder.from_dict(payload["encoder"]) if payload["encoder"] else None
     bank = PrototypeBank.from_dict(payload["bank"])
     opt = optim.OptimizerState.from_dict(payload["optimizer"])
     rng = np.random.default_rng(0)
     rng.bit_generator.state = payload["rng_state"]
-    return config, payload["epoch"], encoder, bank, opt, rng, payload.get("train_loss", [])
+    return RunState(config, payload["epoch"], encoder, bank, opt, rng,
+                    payload.get("train_loss", []))
 
 
-def load_checkpoint(path):
+def load_checkpoint(path) -> RunState:
     """The save_checkpoint arguments after `path`, read back from it."""
     return jsonio.read(path, _decode_checkpoint)
 
@@ -297,45 +317,36 @@ def load_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 
-def _nan_diagnostics(batch_idx, params: dict):
+def _numerical_error(what: str, epoch: int, batch_idx, params: dict) -> NumericalError:
     norms = {k: float(np.linalg.norm(v)) for k, v in params.items()}
-    return {"last_batch": [int(i) for i in batch_idx], "param_norms": norms}
+    diagnostics = {"last_batch": [int(i) for i in batch_idx], "param_norms": norms}
+    return NumericalError(f"{what} at epoch {epoch}: {diagnostics}")
 
 
-def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBank | None = None,
-          out_dir=None, resume=None):
-    """Run the full training loop.
+def start(config: ExperimentConfig, dataset: SyntheticDataset,
+          bank: PrototypeBank | None = None) -> RunState:
+    """A fresh run at epoch 0; a given bank must be frozen (zero-shot)."""
+    if bank is not None and not bank.frozen:
+        raise ParameterError("zero-shot evaluation requires a frozen bank")
+    rng = np.random.default_rng(config.seed)
+    encoder = (
+        Encoder.init(rng, dataset.num_features, config.encoder_hidden, config.embed_dim)
+        if config.encoder else None
+    )
+    if bank is None:
+        bank = heads.random_bank(config.head_mode, list(dataset.tree.leaf_classes),
+                                 config.embed_dim, rng, delta=config.delta)
+    opt = optim.OptimizerState(learning_rate=config.learning_rate,
+                               weight_decay=config.weight_decay)
+    return RunState(config, 0, encoder, bank, opt, rng, [])
 
-    If `bank` is a frozen prototype bank its prototypes stay fixed (zero-shot
-    setting) and only the encoder trains.  `resume`, a load_checkpoint result,
-    replaces `config` and `bank` and is advanced in place.  Returns (bank,
-    encoder, report, checkpoint_paths).
-    """
-    import os
 
-    t0 = time.perf_counter()
-    n_in = dataset.num_features
-    if not config.encoder and config.embed_dim != n_in:
+def prepare(state: RunState, dataset: SyntheticDataset) -> SyntheticDataset:
+    """Refuse a state that cannot train on `dataset`; otherwise return the
+    dataset with `state.config.unseen_classes` held out of its train split."""
+    config, bank = state.config, state.bank
+    if not config.encoder and config.embed_dim != dataset.num_features:
         raise ParameterError("without an encoder, embed_dim must equal the feature dim")
-
-    if resume is not None:
-        if bank is not None:
-            raise ParameterError("a resumed run trains the checkpoint's bank, not another")
-        config, start_epoch, encoder, bank, opt, rng, loss_hist = resume
-    else:
-        rng = np.random.default_rng(config.seed)
-        encoder = (
-            Encoder.init(rng, n_in, config.encoder_hidden, config.embed_dim)
-            if config.encoder else None
-        )
-        if bank is None:
-            bank = heads.random_bank(config.head_mode, list(dataset.tree.leaf_classes),
-                                     config.embed_dim, rng, delta=config.delta)
-        opt = optim.OptimizerState(
-            learning_rate=config.learning_rate, weight_decay=config.weight_decay
-        )
-        start_epoch, loss_hist = 0, []
-
     if bank.num_classes != dataset.num_classes:
         raise ParameterError("bank class count does not match dataset")
     if bank.feature_dim != config.embed_dim:
@@ -348,6 +359,22 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
     if config.prototype_learning_rate is not None and not rsgd:
         raise ParameterError("prototype_learning_rate is read only by the RSGD step "
                              "of a learnable hyperbolic bank")
+    return holdout_unseen(dataset, config.unseen_classes)
+
+
+def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
+          state: RunState | None = None):
+    """Train `state` (by default `start(config, dataset)`; for a resumed run,
+    the load_checkpoint result) to `config.epochs`, advancing its encoder,
+    bank, optimizer, RNG and loss history in place.  Returns (bank, encoder,
+    report, checkpoint_paths)."""
+    t0 = time.perf_counter()
+    if state is None:
+        state = start(config, dataset)
+    elif state.config != config:
+        raise ParameterError("the run state holds another config than the one given")
+    dataset = prepare(state, dataset)
+    _, start_epoch, encoder, bank, opt, rng, loss_hist = state
     focal = FocalLossConfig(gamma=config.focal_gamma, alpha=config.focal_alpha)
     checkpoints = []
 
@@ -369,9 +396,7 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
             loss, grad_emb, grad_proto = heads.loss_and_grads(emb, bank, y, focal,
                                                               tau=config.cosine_tau)
             if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}: {_nan_diagnostics(batch, params)}"
-                )
+                raise _numerical_error("non-finite loss", epoch, batch, params)
             grads = encoder.backward(cache, grad_emb) if encoder is not None else {}
             if not bank.frozen:
                 grads["prototypes"] = grad_proto
@@ -380,27 +405,22 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, bank: PrototypeBa
             try:
                 params = {
                     name: optim.riemannian_step(p, grads[name], config.proto_lr)
-                    if name == "prototypes" and rsgd
+                    if name == "prototypes" and bank.mode == heads.MODE_HYPERBOLIC
                     else optim.euclidean_step(p, grads[name], opt, name)
                     for name, p in params.items()
                 }
             except ContractError as e:
                 # inputs were validated before the loop; a contract violation
                 # here means the iterates overflowed
-                raise NumericalError(
-                    f"numerical breakdown at epoch {epoch}: {e}; "
-                    f"{_nan_diagnostics(batch, params)}"
-                ) from e
+                raise _numerical_error(f"numerical breakdown ({e})", epoch, batch, params) from e
             for name, p in params.items():
                 if name == "prototypes":
                     bank.prototypes = p
                 else:
                     encoder.set_param(name, p)
             if not all(np.all(np.isfinite(p)) for p in params.values()):
-                raise NumericalError(
-                    f"non-finite parameters after update at epoch {epoch}: "
-                    f"{_nan_diagnostics(batch, params)}"
-                )
+                raise _numerical_error("non-finite parameters after update", epoch, batch,
+                                       params)
             total += loss * len(batch)
             seen += len(batch)
         loss_hist.append(total / seen)
@@ -423,11 +443,4 @@ def zero_shot_eval(config: ExperimentConfig, dataset: SyntheticDataset,
                    bank: PrototypeBank, out_dir=None):
     """Train the encoder against a frozen prototype bank with unseen classes
     held out of the train split, then evaluate seen/unseen accuracy and HM."""
-    from .data import holdout_unseen
-
-    if not bank.frozen:
-        raise ParameterError("zero-shot evaluation requires a frozen bank")
-    if bank.num_classes != dataset.num_classes:
-        raise ParameterError("prototype file must contain every class (seen + unseen)")
-    held, _ = holdout_unseen(dataset, config.unseen_classes)
-    return train(config, held, bank=bank, out_dir=out_dir)
+    return train(config, dataset, out_dir, state=start(config, dataset, bank))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lorentzheads import data, heads as H, training
+from lorentzheads import data, geometry as G, heads as H, training
 from lorentzheads.cli import main
 from lorentzheads.manifest import sha256_file
 from lorentzheads.schemas import validate_file
@@ -30,6 +30,28 @@ def trained(tmp_path_factory):
     assert main(["train", "--config", cfg_path, "--dataset", str(ds_path),
                  "--out", str(out)]) == 0
     return root, ds_path, cfg_path, out
+
+
+def write_bank(path, rows, frozen=True):
+    """A bank over leaf_0..leaf_{C-1} at the exp0 image of the (C, n) rows."""
+    H.PrototypeBank(H.MODE_HYPERBOLIC, G.batch_exp_map_origin(np.asarray(rows)),
+                    [f"leaf_{c}" for c in range(len(rows))], frozen=frozen).save(path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def zero_shot(trained):
+    """A 4-epoch zero-shot run holding leaf_3 out of the plain dataset, its
+    frozen bank at the class means, and the files it was made from."""
+    root, ds_path, _, _ = trained
+    ds = data.SyntheticDataset.load(ds_path)
+    bank = write_bank(root / "means_bank.json",
+                      [ds.features[ds.labels == c].mean(axis=0) for c in range(4)])
+    cfg = write_config(root / "zs_config.json", epochs=4, unseen_classes=[3])
+    out = root / "zs"
+    assert main(["zeroshot", "--config", cfg, "--dataset", str(ds_path),
+                 "--prototypes", bank, "--out", str(out)]) == 0
+    return bank, out
 
 
 class TestGenerate:
@@ -168,6 +190,28 @@ class TestTrain:
                      "--out", str(tmp_path / "o"), "--head", "euclidean-linear"]) == 2
         assert "prototype_learning_rate" in capsys.readouterr().err
 
+    def test_resumed_zero_shot_matches_uninterrupted_run(self, trained, zero_shot, tmp_path):
+        _, ds_path, _, _ = trained
+        bank, full = zero_shot
+        cfg = write_config(tmp_path / "cfg.json", epochs=2, unseen_classes=[3])
+        part = tmp_path / "part"
+        assert main(["zeroshot", "--config", cfg, "--dataset", str(ds_path),
+                     "--prototypes", bank, "--out", str(part)]) == 0
+        ck = tmp_path / "ck.json"
+        payload = json.loads((part / "checkpoint.json").read_text())
+        payload["config"]["epochs"] = 4
+        ck.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        resumed = tmp_path / "resumed"
+        assert main(["train", "--dataset", str(ds_path), "--out", str(resumed),
+                     "--resume", str(ck)]) == 0
+        # leaf_3 stays out of train after the resume, as in the uninterrupted run
+        assert (resumed / "checkpoint.json").read_bytes() == (full / "checkpoint.json").read_bytes()
+        metrics = [json.loads((d / "metrics.json").read_text()) for d in (full, resumed)]
+        for m in metrics:
+            m.pop("wall_clock_sec")
+        assert metrics[0] == metrics[1]
+        assert metrics[1]["harmonic_mean"] is not None
+
     def test_resume_rejects_head(self, trained, tmp_path):
         _, ds_path, _, out = trained
         assert main(["train", "--dataset", str(ds_path), "--out", str(tmp_path / "o"),
@@ -201,6 +245,18 @@ class TestEval:
         assert "val_accuracy" in printed
         validate_file(metrics_out, "metrics")
 
+    def test_zero_shot_checkpoint_matches_run_metrics(self, trained, zero_shot, capsys):
+        # eval holds the checkpoint's unseen classes out as its training did
+        _, ds_path, _, _ = trained
+        _, run = zero_shot
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                     "--dataset", str(ds_path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        metrics = json.loads((run / "metrics.json").read_text())
+        for key in ("val_accuracy", "seen_accuracy", "unseen_accuracy", "harmonic_mean"):
+            assert printed[key] == metrics[key], key
+        assert printed["harmonic_mean"] is not None
+
     def test_train_split(self, trained, capsys):
         _, ds_path, _, out = trained
         assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
@@ -226,6 +282,18 @@ class TestHubness:
             validate_file(r, "hubness_report")
             assert r.with_suffix(".csv").exists()
         validate_file(hub_out / "manifest.json", "manifest")
+
+    def test_same_named_checkpoints_keep_their_reports(self, trained, zero_shot, tmp_path):
+        # two hyperbolic runs, both named checkpoint.json
+        _, _, _, out = trained
+        _, zs = zero_shot
+        hub_out = tmp_path / "hub"
+        assert main(["hubness", str(out / "checkpoint.json"), str(zs / "checkpoint.json"),
+                     "--k", "2", "--out", str(hub_out)]) == 0
+        assert len(list(hub_out.glob("hubness_*.json"))) == 2
+        assert len(list(hub_out.glob("hubness_*.csv"))) == 2
+        manifest = json.loads((hub_out / "manifest.json").read_text())
+        assert len(manifest["outputs"]) == 4
 
     def test_bad_k_exit_2(self, trained, tmp_path):
         _, _, _, out = trained
@@ -380,14 +448,32 @@ def _refused_argv(kind, tmp_path, trained):
     out = tmp_path / "o"
     if kind == "generate":
         return ["generate", "--out", str(out / "ds.json"), "--classes", "2", "--super", "4"]
-    if kind == "train":
+    if kind.startswith("train"):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"epochs": 2, "momentum": 0.9}))
-        return ["train", "--config", str(bad), "--dataset", str(ds_path), "--out", str(out)]
-    if kind == "zeroshot":
-        bank = tmp_path / "bank.json"
-        bank.write_text(json.dumps({"mode": "hyperbolic", "frozen": True}))
-        return ["zeroshot", "--config", cfg_path, "--dataset", str(ds_path),
+        argv = ["--config", str(bad)]
+        if kind == "train-unseen":
+            argv = ["--config", write_config(tmp_path / "c.json", unseen_classes=[3])]
+        elif kind == "train-prototype-lr":
+            argv = ["--config", write_config(tmp_path / "c.json", prototype_learning_rate=5.0),
+                    "--head", "euclidean-linear"]
+        elif kind == "train-resume-class-count":
+            argv = ["--resume", str(run / "checkpoint.json")]
+            ds_path = tmp_path / "ds6.json"
+            data.generate(num_features=8, num_super=2, num_classes=6, num_samples=600,
+                          seed=0).save(ds_path)
+        return ["train", "--dataset", str(ds_path), "--out", str(out)] + argv
+    if kind.startswith("zeroshot"):
+        rows = np.random.default_rng(0).normal(0.0, 1.0, (4, 8))   # fits embed_dim 8
+        cfg, bank = cfg_path, tmp_path / "bank.json"
+        if kind == "zeroshot":
+            bank.write_text(json.dumps({"mode": "hyperbolic", "frozen": True}))
+        else:
+            write_bank(bank, rows[:, :2] if kind == "zeroshot-width" else rows,
+                       frozen=kind != "zeroshot-learnable-bank")
+        if kind == "zeroshot-unseen-index":
+            cfg = write_config(tmp_path / "c.json", unseen_classes=[9])
+        return ["zeroshot", "--config", cfg, "--dataset", str(ds_path),
                 "--prototypes", str(bank), "--out", str(out)]
     if kind == "hubness":
         return ["hubness", str(run / "metrics.json"), "--out", str(out)]
@@ -397,7 +483,9 @@ def _refused_argv(kind, tmp_path, trained):
 
 
 @pytest.mark.parametrize("kind", ["generate", "train", "zeroshot", "hubness",
-                                  "import-prototypes"])
+                                  "import-prototypes", "train-unseen", "train-prototype-lr",
+                                  "train-resume-class-count", "zeroshot-unseen-index",
+                                  "zeroshot-learnable-bank", "zeroshot-width"])
 def test_refused_run_writes_nothing(trained, tmp_path, kind):
     assert main(_refused_argv(kind, tmp_path, trained)) == 2
     assert not (tmp_path / "o").exists()

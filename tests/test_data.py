@@ -126,22 +126,22 @@ class TestImbalanceProfile:
 class TestHoldoutUnseen:
     def test_empty_list_is_identity(self):
         ds = data.generate(num_samples=500, seed=0)
-        out, mask = data.holdout_unseen(ds, [])
+        out = data.holdout_unseen(ds, [])
         assert out is ds
-        assert not mask.any()
+        assert not out.unseen_classes
 
     def test_unseen_removed_from_train(self):
         ds = data.generate(num_samples=1000, seed=0)
-        out, mask = data.holdout_unseen(ds, [3, "leaf_5"])
+        out = data.holdout_unseen(ds, [3, "leaf_5"])
         train_labels = out.labels[out.train_idx]
         assert np.sum(train_labels == 3) == 0
         assert np.sum(train_labels == 5) == 0
-        assert mask[3] and mask[5]
+        assert 3 in out.unseen_classes and 5 in out.unseen_classes
         assert out.unseen_classes == [3, 5]
 
     def test_val_split_untouched(self):
         ds = data.generate(num_samples=1000, seed=0)
-        out, _ = data.holdout_unseen(ds, [0])
+        out = data.holdout_unseen(ds, [0])
         np.testing.assert_array_equal(out.val_idx, ds.val_idx)
         seen = np.sum(~np.isin(ds.labels[ds.val_idx], [0]))
         unseen = np.sum(np.isin(ds.labels[ds.val_idx], [0]))

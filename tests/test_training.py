@@ -224,7 +224,7 @@ class TestTrain:
         )
         before = bank.prototypes.copy()
         cfg = quick_config(embed_dim=4)
-        bank, _, _, _ = T.train(cfg, ds, bank=bank)
+        bank, _, _, _ = T.train(cfg, ds, state=T.start(cfg, ds, bank))
         np.testing.assert_array_equal(bank.prototypes, before)
 
     def test_unseen_classes_need_frozen_bank(self):
@@ -239,8 +239,9 @@ class TestTrain:
         if mode == H.MODE_HYPERBOLIC:
             P = G.batch_exp_map_origin(P)
         bank = H.PrototypeBank(mode, P, list(ds.tree.leaf_classes), frozen=True)
+        cfg = quick_config(embed_dim=4)
         with pytest.raises(ParameterError, match="embed_dim 4"):
-            T.train(quick_config(embed_dim=4), ds, bank=bank)
+            T.train(cfg, ds, state=T.start(cfg, ds, bank))
 
     @pytest.mark.parametrize("mode, frozen", [(H.MODE_LINEAR, False), (H.MODE_COSINE, False),
                                               (H.MODE_HYPERBOLIC, True)])
@@ -253,7 +254,7 @@ class TestTrain:
             P = G.batch_exp_map_origin(np.random.default_rng(0).normal(0.0, 1.0, (4, 8)))
             bank = H.PrototypeBank(mode, P, list(ds.tree.leaf_classes), frozen=True)
         with pytest.raises(ParameterError, match="prototype_learning_rate"):
-            T.train(cfg, ds, bank=bank)
+            T.train(cfg, ds, state=T.start(cfg, ds, bank))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_aborts_with_diagnostics(self):
@@ -290,7 +291,7 @@ class TestCheckpoints:
         assert payload["epoch"] == 3
         payload["config"]["epochs"] = 6  # extend the run, then resume
         ck.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        T.train(cfg, ds, out_dir=part_dir, resume=T.load_checkpoint(ck))
+        T.train(cfg, ds, out_dir=part_dir, state=T.load_checkpoint(ck))
 
         assert ck.read_bytes() == (full_dir / "checkpoint.json").read_bytes()
         mf = strip_wall_clock(json.loads((full_dir / "metrics.json").read_text()))
@@ -298,11 +299,14 @@ class TestCheckpoints:
         assert mf == mp
 
     def test_resume_rejects_another_bank(self, tmp_path):
+        # a resumed run trains its checkpoint's bank under the checkpoint's
+        # config; a config asking for another head is refused, not obeyed
         ds = tiny_dataset()
         cfg = quick_config(embed_dim=8)
-        bank, _, _, _ = T.train(cfg, ds, out_dir=tmp_path)
-        with pytest.raises(ParameterError, match="resumed"):
-            T.train(cfg, ds, bank=bank, resume=T.load_checkpoint(tmp_path / "checkpoint.json"))
+        T.train(cfg, ds, out_dir=tmp_path)
+        state = T.load_checkpoint(tmp_path / "checkpoint.json")
+        with pytest.raises(ParameterError, match="another config"):
+            T.train(quick_config(embed_dim=8, head_mode=H.MODE_LINEAR), ds, state=state)
 
 
 class TestZeroShot:
