@@ -1,17 +1,27 @@
-"""The on-disk JSON format of every artifact: one writer, one reader."""
+"""The on-disk JSON format of every artifact: one writer, one reader.
+
+`write` produces the bytes of `json.dumps(plain(doc), sort_keys=True)` plus a
+newline, but encodes them in pieces with the C encoder (`json.dump` always
+runs the pure-Python one), one matrix row at a time, so no string ever holds
+a whole matrix.
+"""
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 
 from .errors import ContractError, ParameterError
 
+# json.dumps' own encoder: with indent=None it runs the C implementation
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 def plain(obj):
     """The JSON value `obj` is written as: numpy values become lists and
-    numbers, a dataclass a dict of its fields.  Converting up front keeps
-    json.dump ~10% faster than a `default` hook."""
+    numbers, a dataclass a dict of its fields.  Converting up front gives
+    `write` plain lists it can split into rows."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -23,11 +33,45 @@ def plain(obj):
     return obj
 
 
+def _pieces(value):
+    """The JSON text of `value` in pieces: a dict key by key in sorted order,
+    a list whose first item is a list item by item, anything else whole."""
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(sorted(value.items())):
+            # the key as json turns it into a string: '{"9": 0}'[1:-4] == '"9"'
+            yield (", " if i else "") + _encode({key: 0})[1:-4] + ": "
+            yield from _pieces(item)
+        yield "}"
+    elif isinstance(value, list) and value and isinstance(value[0], list):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _pieces(item)
+        yield "]"
+    else:
+        yield _encode(value)
+
+
 def write(path, doc, indent=None) -> None:
-    """Stream `doc` to `path` with sorted keys and a trailing newline."""
-    with open(path, "w") as f:
-        json.dump(plain(doc), f, sort_keys=True, indent=indent)
-        f.write("\n")
+    """Write `doc` to `path` with sorted keys and a trailing newline.  The
+    file is written beside `path` and then moved onto it, so a failed write
+    leaves the old file as it was.  Only the manifest is indented; it is a
+    few kB and goes through `json.dump`."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            if indent is None:
+                f.writelines(_pieces(plain(doc)))
+            else:
+                json.dump(plain(doc), f, sort_keys=True, indent=indent)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read(path, decode):

@@ -352,6 +352,9 @@ def prepare(state: RunState, dataset: SyntheticDataset) -> SyntheticDataset:
     if bank.feature_dim != config.embed_dim:
         raise ParameterError(f"{bank.mode} prototypes of width {bank.prototypes.shape[1]} "
                              f"do not fit embed_dim {config.embed_dim}")
+    if bank.mode != config.head_mode:
+        raise ParameterError(f"a {bank.mode} prototype bank cannot train with "
+                             f"head_mode {config.head_mode!r}")
     if config.unseen_classes and not bank.frozen:
         raise ParameterError("unseen_classes needs a frozen prototype bank (zeroshot); "
                              "train would fit every class")
@@ -367,7 +370,8 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
     """Train `state` (by default `start(config, dataset)`; for a resumed run,
     the load_checkpoint result) to `config.epochs`, advancing its encoder,
     bank, optimizer, RNG and loss history in place.  Returns (bank, encoder,
-    report, checkpoint_paths)."""
+    report, checkpoint_paths); every save overwrites `out_dir/checkpoint.json`,
+    so checkpoint_paths names it once, or is empty when nothing was saved."""
     t0 = time.perf_counter()
     if state is None:
         state = start(config, dataset)
@@ -429,7 +433,7 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
         if out_dir is not None and ((epoch + 1) % config.eval_every == 0 or last):
             path = os.path.join(out_dir, "checkpoint.json")
             save_checkpoint(path, config, epoch + 1, encoder, bank, opt, rng, loss_hist)
-            checkpoints.append(path)
+            checkpoints = [path]
 
     report = evaluate_split(bank, encoder, dataset, "val", tau=config.cosine_tau)
     report.train_loss = list(loss_hist)

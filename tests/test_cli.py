@@ -468,6 +468,10 @@ def _refused_argv(kind, tmp_path, trained):
         cfg, bank = cfg_path, tmp_path / "bank.json"
         if kind == "zeroshot":
             bank.write_text(json.dumps({"mode": "hyperbolic", "frozen": True}))
+        elif kind == "zeroshot-head-mode":
+            H.PrototypeBank(H.MODE_LINEAR, rows, [f"leaf_{c}" for c in range(4)],
+                            frozen=True).save(bank)
+            cfg = write_config(tmp_path / "c.json", head_mode=H.MODE_COSINE)
         else:
             write_bank(bank, rows[:, :2] if kind == "zeroshot-width" else rows,
                        frozen=kind != "zeroshot-learnable-bank")
@@ -485,7 +489,8 @@ def _refused_argv(kind, tmp_path, trained):
 @pytest.mark.parametrize("kind", ["generate", "train", "zeroshot", "hubness",
                                   "import-prototypes", "train-unseen", "train-prototype-lr",
                                   "train-resume-class-count", "zeroshot-unseen-index",
-                                  "zeroshot-learnable-bank", "zeroshot-width"])
+                                  "zeroshot-learnable-bank", "zeroshot-width",
+                                  "zeroshot-head-mode"])
 def test_refused_run_writes_nothing(trained, tmp_path, kind):
     assert main(_refused_argv(kind, tmp_path, trained)) == 2
     assert not (tmp_path / "o").exists()

@@ -256,6 +256,14 @@ class TestTrain:
         with pytest.raises(ParameterError, match="prototype_learning_rate"):
             T.train(cfg, ds, state=T.start(cfg, ds, bank))
 
+    def test_bank_mode_must_match_head_mode(self):
+        ds = tiny_dataset()
+        P = np.random.default_rng(0).normal(0.0, 1.0, (4, 8))
+        bank = H.PrototypeBank(H.MODE_LINEAR, P, list(ds.tree.leaf_classes), frozen=True)
+        cfg = quick_config(embed_dim=8, head_mode=H.MODE_COSINE)
+        with pytest.raises(ParameterError, match="head_mode 'euclidean-cosine'"):
+            T.train(cfg, ds, state=T.start(cfg, ds, bank))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_aborts_with_diagnostics(self):
         ds = tiny_dataset()
@@ -275,6 +283,12 @@ class TestCheckpoints:
         T.save_checkpoint(resaved, loaded[0], loaded[1], loaded[2], loaded[3],
                           loaded[4], loaded[5], loaded[6])
         assert path.read_bytes() == resaved.read_bytes()
+
+    def test_checkpoint_path_listed_once(self, tmp_path):
+        # epochs 2 and 4 both save, to the same file
+        _, _, _, paths = T.train(quick_config(epochs=4, eval_every=2, embed_dim=8),
+                                 tiny_dataset(), out_dir=tmp_path)
+        assert paths == [str(tmp_path / "checkpoint.json")]
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         ds = tiny_dataset()
