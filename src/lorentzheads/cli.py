@@ -99,6 +99,7 @@ def cmd_eval(args) -> int:
     # score the split the run saw: its unseen classes out of train, as in training
     ds = data.holdout_unseen(data.SyntheticDataset.load(args.dataset),
                              state.config.unseen_classes)
+    training.check_fit(state, ds)
     report = training.evaluate_split(state.bank, state.encoder, ds, args.split,
                                      tau=state.config.cosine_tau)
     if args.out:

@@ -170,12 +170,12 @@ def shift_logits(distances, delta: float, d_min: float) -> np.ndarray:
     return delta * (1.0 - d / d_min)
 
 
-def _unit_rows(A: np.ndarray):
-    """(A with each row scaled to unit norm, the (m, 1) row norms); the
-    cosine head is undefined on a zero row."""
+def unit_rows(A: np.ndarray):
+    """(A with each row scaled to unit norm, the (m, 1) row norms); cosine
+    similarity is undefined on a zero row."""
     norms = np.linalg.norm(A, axis=1, keepdims=True)
     if np.any(norms == 0.0):
-        raise ContractError("cosine mode requires nonzero vectors")
+        raise ContractError("cosine similarity requires nonzero vectors")
     return A / norms, norms
 
 
@@ -189,8 +189,8 @@ def batch_bank_logits(features: np.ndarray, bank: PrototypeBank,
         return shift_logits(D, bank.delta, bank.d_min)
     if bank.mode == MODE_LINEAR:
         return F @ bank.prototypes.T
-    U, _ = _unit_rows(F)
-    Q, _ = _unit_rows(bank.prototypes)
+    U, _ = unit_rows(F)
+    Q, _ = unit_rows(bank.prototypes)
     return (U @ Q.T) / tau
 
 
@@ -308,8 +308,8 @@ def euclidean_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
         return loss, G_S @ P, G_S.T @ F
     if bank.mode != MODE_COSINE:
         raise ContractError("euclidean head required")
-    U, fn = _unit_rows(F)
-    Q, pn = _unit_rows(P)
+    U, fn = unit_rows(F)
+    Q, pn = unit_rows(P)
     S = (U @ Q.T) / tau
     loss, G_S = batch_focal_loss(S, targets, cfg)
     G_U = (G_S @ Q) / tau

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry, jsonio
 from .errors import ContractError, ParameterError
-from .heads import MODE_HYPERBOLIC, PrototypeBank
+from .heads import MODE_HYPERBOLIC, PrototypeBank, unit_rows
 
 KIND_HYPERBOLIC = "hyperbolic"
 KIND_COSINE = "cosine"
@@ -46,10 +46,7 @@ def pairwise_distances(points, kind: str) -> np.ndarray:
         geometry.assert_on_manifold(P)
         D = geometry.batch_distance(P, P)
     elif kind == KIND_COSINE:
-        norms = np.linalg.norm(P, axis=1)
-        if np.any(norms == 0.0):
-            raise ContractError("cosine distance requires nonzero vectors")
-        U = P / norms[:, None]
+        U, _ = unit_rows(P)
         D = 1.0 - U @ U.T
     else:
         raise ContractError(f"unknown distance kind {kind!r}")

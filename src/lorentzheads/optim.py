@@ -6,7 +6,8 @@ the tangent space, and the step is retracted with the exponential map plus a
 final manifold projection.  One call updates a single point or the whole
 (C, n+1) prototype matrix, row by row.  Euclidean parameters use Adam with
 decoupled weight decay.  Gradient clipping scales the whole gradient
-collection by a single global-norm factor.
+collection by a single global-norm factor.  Both steps take their rates as
+arguments; `OptimizerState` holds only what Adam accumulates.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ import numpy as np
 
 from . import geometry
 from .errors import DimensionError, ParameterError
+
+# Adam's decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 def riemannian_step(x, ambient_grad, lr: float) -> np.ndarray:
@@ -46,39 +52,23 @@ def clip_gradients(grads: dict, max_norm: float) -> dict:
 
 @dataclass
 class OptimizerState:
-    """Adam-with-decoupled-weight-decay state for named Euclidean parameters."""
+    """What Adam accumulates for named Euclidean parameters: the two moment
+    estimates and the step count of each name.  The rates are the caller's."""
 
-    learning_rate: float
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
     param_steps: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be > 0")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be >= 0")
-
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerState":
-        st = cls(
-            learning_rate=d["learning_rate"],
-            weight_decay=d["weight_decay"],
-            beta1=d["beta1"],
-            beta2=d["beta2"],
-            eps=d["eps"],
-        )
-        st.first_moment = {k: np.asarray(v, dtype=np.float64) for k, v in d["first_moment"].items()}
-        st.second_moment = {k: np.asarray(v, dtype=np.float64) for k, v in d["second_moment"].items()}
-        st.param_steps = {k: int(v) for k, v in d["param_steps"].items()}
-        return st
+        """Other keys (older checkpoints also stored the rates) are ignored."""
+        return cls({k: np.asarray(v, dtype=np.float64) for k, v in d["first_moment"].items()},
+                   {k: np.asarray(v, dtype=np.float64) for k, v in d["second_moment"].items()},
+                   {k: int(v) for k, v in d["param_steps"].items()})
 
 
-def euclidean_step(param, grad, state: OptimizerState, name: str = "param") -> np.ndarray:
+def euclidean_step(param, grad, state: OptimizerState, lr: float, weight_decay: float,
+                   name: str = "param") -> np.ndarray:
     """One Adam step (decoupled weight decay, bias correction) for one
     named parameter tensor.  Parameters named differently never interact."""
     p = np.asarray(param, dtype=np.float64)
@@ -93,11 +83,8 @@ def euclidean_step(param, grad, state: OptimizerState, name: str = "param") -> n
     t = state.param_steps[name]
     m = state.first_moment[name]
     v = state.second_moment[name]
-    m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-    v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    out = p - state.learning_rate * (
-        m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p
-    )
-    return out
+    m[...] = BETA1 * m + (1.0 - BETA1) * g
+    v[...] = BETA2 * v + (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    return p - lr * (m_hat / (np.sqrt(v_hat) + EPS) + weight_decay * p)

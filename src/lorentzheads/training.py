@@ -12,7 +12,8 @@ config and seed; checkpoints round-trip bit-exactly.
 Every run trains a `RunState`, the seven fields of a checkpoint: `start`
 builds a fresh one and `load_checkpoint` reads a saved one.  `prepare` makes
 every check a state must pass on a dataset, so a caller can refuse a run
-before writing anything, and holds the config's unseen classes out of train.
+before writing anything, and holds the config's unseen classes out of train;
+`check_fit`, its shape checks, also guards `eval`.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ class ExperimentConfig:
             raise ParameterError("epochs, batch_size, eval_every must be >= 1")
         if self.learning_rate <= 0:
             raise ParameterError("learning_rate must be > 0")
+        if self.weight_decay < 0:
+            raise ParameterError("weight_decay must be >= 0")
         if self.prototype_learning_rate is not None and self.prototype_learning_rate <= 0:
             raise ParameterError("prototype_learning_rate must be None or > 0")
         if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
@@ -336,33 +339,44 @@ def start(config: ExperimentConfig, dataset: SyntheticDataset,
     if bank is None:
         bank = heads.random_bank(config.head_mode, list(dataset.tree.leaf_classes),
                                  config.embed_dim, rng, delta=config.delta)
-    opt = optim.OptimizerState(learning_rate=config.learning_rate,
-                               weight_decay=config.weight_decay)
-    return RunState(config, 0, encoder, bank, opt, rng, [])
+    return RunState(config, 0, encoder, bank, optim.OptimizerState(), rng, [])
 
 
-def prepare(state: RunState, dataset: SyntheticDataset) -> SyntheticDataset:
-    """Refuse a state that cannot train on `dataset`; otherwise return the
-    dataset with `state.config.unseen_classes` held out of its train split."""
-    config, bank = state.config, state.bank
-    if not config.encoder and config.embed_dim != dataset.num_features:
+def check_fit(state: RunState, dataset: SyntheticDataset) -> None:
+    """Refuse a state whose encoder or bank does not fit its config and `dataset`."""
+    config, encoder, bank = state.config, state.encoder, state.bank
+    shapes = (encoder.W1.shape, encoder.W2.shape) if encoder is not None else None
+    fits = ((dataset.num_features, config.encoder_hidden),
+            (config.encoder_hidden, config.embed_dim)) if config.encoder else None
+    if shapes != fits:
+        raise ParameterError(f"encoder weights {shapes or 'absent'}, but {dataset.num_features} "
+                             f"features and the config need {fits or 'none'}")
+    if encoder is None and config.embed_dim != dataset.num_features:
         raise ParameterError("without an encoder, embed_dim must equal the feature dim")
     if bank.num_classes != dataset.num_classes:
         raise ParameterError("bank class count does not match dataset")
     if bank.feature_dim != config.embed_dim:
         raise ParameterError(f"{bank.mode} prototypes of width {bank.prototypes.shape[1]} "
                              f"do not fit embed_dim {config.embed_dim}")
-    if bank.mode != config.head_mode:
-        raise ParameterError(f"a {bank.mode} prototype bank cannot train with "
-                             f"head_mode {config.head_mode!r}")
+
+
+def prepare(state: RunState, dataset: SyntheticDataset):
+    """Refuse a state that cannot train on `dataset`; otherwise return the
+    dataset with `state.config.unseen_classes` held out of its train split,
+    and the names of the trainable tensors RSGD steps (Adam steps the rest)."""
+    check_fit(state, dataset)
+    config, bank = state.config, state.bank
+    rsgd = {"prototypes"} if not bank.frozen and bank.mode == heads.MODE_HYPERBOLIC else set()
+    if (bank.mode, bank.delta) != (config.head_mode, config.delta):
+        raise ParameterError(f"a {bank.mode} prototype bank with delta {bank.delta} cannot "
+                             f"train with head_mode {config.head_mode!r}, delta {config.delta}")
     if config.unseen_classes and not bank.frozen:
         raise ParameterError("unseen_classes needs a frozen prototype bank (zeroshot); "
                              "train would fit every class")
-    rsgd = not bank.frozen and bank.mode == heads.MODE_HYPERBOLIC
     if config.prototype_learning_rate is not None and not rsgd:
         raise ParameterError("prototype_learning_rate is read only by the RSGD step "
                              "of a learnable hyperbolic bank")
-    return holdout_unseen(dataset, config.unseen_classes)
+    return holdout_unseen(dataset, config.unseen_classes), rsgd
 
 
 def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
@@ -377,14 +391,14 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
         state = start(config, dataset)
     elif state.config != config:
         raise ParameterError("the run state holds another config than the one given")
-    dataset = prepare(state, dataset)
+    dataset, rsgd = prepare(state, dataset)
     _, start_epoch, encoder, bank, opt, rng, loss_hist = state
     focal = FocalLossConfig(gamma=config.focal_gamma, alpha=config.focal_alpha)
     checkpoints = []
 
     for epoch in range(start_epoch, config.epochs):
         perm = rng.permutation(dataset.train_idx)
-        total, seen = 0.0, 0
+        total = 0.0
         for lo in range(0, len(perm), config.batch_size):
             batch = perm[lo:lo + config.batch_size]
             X = dataset.features[batch]
@@ -409,8 +423,9 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
             try:
                 params = {
                     name: optim.riemannian_step(p, grads[name], config.proto_lr)
-                    if name == "prototypes" and bank.mode == heads.MODE_HYPERBOLIC
-                    else optim.euclidean_step(p, grads[name], opt, name)
+                    if name in rsgd
+                    else optim.euclidean_step(p, grads[name], opt, config.learning_rate,
+                                              config.weight_decay, name)
                     for name, p in params.items()
                 }
             except ContractError as e:
@@ -426,8 +441,7 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
                 raise _numerical_error("non-finite parameters after update", epoch, batch,
                                        params)
             total += loss * len(batch)
-            seen += len(batch)
-        loss_hist.append(total / seen)
+        loss_hist.append(total / len(perm))
 
         last = epoch == config.epochs - 1
         if out_dir is not None and ((epoch + 1) % config.eval_every == 0 or last):

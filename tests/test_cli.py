@@ -442,6 +442,22 @@ class TestMalformedFiles:
             main(["generate", "--out", str(tmp_path / "ds.json")] + GEN_ARGS)
 
 
+# a resumed run's edits to its checkpoint's config, and to the dataset's shape
+RESUMED = {
+    "train-resume-class-count": ({}, {"num_classes": 6}),
+    "train-resume-features": ({}, {"num_features": 12}),
+    "train-resume-no-encoder": ({"encoder": False}, {}),
+    "train-resume-encoder-hidden": ({"encoder_hidden": 7}, {}),
+}
+
+
+def _dataset(path, **shape):
+    """A GEN_ARGS-sized dataset with `shape` overriding its generator arguments."""
+    data.generate(**{"num_features": 8, "num_super": 2, "num_classes": 4,
+                     "num_samples": 600, "seed": 0, **shape}).save(path)
+    return path
+
+
 def _refused_argv(kind, tmp_path, trained):
     """argv of a `kind` run whose input is bad; every output goes under tmp_path/o"""
     _, ds_path, cfg_path, run = trained
@@ -457,11 +473,15 @@ def _refused_argv(kind, tmp_path, trained):
         elif kind == "train-prototype-lr":
             argv = ["--config", write_config(tmp_path / "c.json", prototype_learning_rate=5.0),
                     "--head", "euclidean-linear"]
-        elif kind == "train-resume-class-count":
-            argv = ["--resume", str(run / "checkpoint.json")]
-            ds_path = tmp_path / "ds6.json"
-            data.generate(num_features=8, num_super=2, num_classes=6, num_samples=600,
-                          seed=0).save(ds_path)
+        elif kind in RESUMED:
+            edit, shape = RESUMED[kind]
+            payload = json.loads((run / "checkpoint.json").read_text())
+            payload["config"].update(edit)
+            ck = tmp_path / "ck.json"
+            ck.write_text(json.dumps(payload))
+            argv = ["--resume", str(ck)]
+            if shape:
+                ds_path = _dataset(tmp_path / "ds_other.json", **shape)
         return ["train", "--dataset", str(ds_path), "--out", str(out)] + argv
     if kind.startswith("zeroshot"):
         rows = np.random.default_rng(0).normal(0.0, 1.0, (4, 8))   # fits embed_dim 8
@@ -477,10 +497,17 @@ def _refused_argv(kind, tmp_path, trained):
                        frozen=kind != "zeroshot-learnable-bank")
         if kind == "zeroshot-unseen-index":
             cfg = write_config(tmp_path / "c.json", unseen_classes=[9])
+        elif kind == "zeroshot-delta":   # the bank keeps the default delta 1.4
+            cfg = write_config(tmp_path / "c.json", unseen_classes=[3], delta=5.0)
         return ["zeroshot", "--config", cfg, "--dataset", str(ds_path),
                 "--prototypes", str(bank), "--out", str(out)]
     if kind == "hubness":
         return ["hubness", str(run / "metrics.json"), "--out", str(out)]
+    if kind.startswith("eval"):
+        shape = {"eval-features": {"num_features": 12}, "eval-class-count": {"num_classes": 6}}
+        return ["eval", "--checkpoint", str(run / "checkpoint.json"), "--dataset",
+                str(_dataset(tmp_path / "ds_other.json", **shape[kind])),
+                "--out", str(out / "metrics.json")]
     emb = tmp_path / "emb.txt"
     emb.write_text("a 1 0\nb 1\n")
     return ["import-prototypes", "--embeddings", str(emb), "--out", str(out / "bank.json")]
@@ -490,7 +517,10 @@ def _refused_argv(kind, tmp_path, trained):
                                   "import-prototypes", "train-unseen", "train-prototype-lr",
                                   "train-resume-class-count", "zeroshot-unseen-index",
                                   "zeroshot-learnable-bank", "zeroshot-width",
-                                  "zeroshot-head-mode"])
+                                  "zeroshot-head-mode", "zeroshot-delta",
+                                  "train-resume-features", "train-resume-no-encoder",
+                                  "train-resume-encoder-hidden", "eval-features",
+                                  "eval-class-count"])
 def test_refused_run_writes_nothing(trained, tmp_path, kind):
     assert main(_refused_argv(kind, tmp_path, trained)) == 2
     assert not (tmp_path / "o").exists()

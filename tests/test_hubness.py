@@ -33,6 +33,17 @@ class TestPairwiseDistances:
         D = hubness.pairwise_distances([[1.0, 0.0], [-1.0, 0.0]], "cosine")
         assert D[0, 1] == pytest.approx(2.0)
 
+    def test_cosine_rows_normalised_once(self, rng):
+        # the same bits as dividing each row by its norm; a zero row is refused
+        P = rng.normal(0.0, 1.0, (6, 4))
+        U = P / np.linalg.norm(P, axis=1)[:, None]
+        D = 1.0 - U @ U.T
+        D = 0.5 * (D + D.T)
+        np.fill_diagonal(D, 0.0)
+        np.testing.assert_array_equal(hubness.pairwise_distances(P, "cosine"), D)
+        with pytest.raises(ContractError, match="nonzero"):
+            hubness.pairwise_distances(np.vstack([P, np.zeros(4)]), "cosine")
+
     def test_symmetric_zero_diagonal(self, rng):
         P = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (8, 3)))
         D = hubness.pairwise_distances(P, "hyperbolic")

@@ -89,44 +89,44 @@ class TestRiemannianStep:
 
 class TestEuclideanStep:
     def test_zero_grad_no_decay_is_identity(self):
-        st = optim.OptimizerState(learning_rate=0.1)
+        st = optim.OptimizerState()
         p = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(optim.euclidean_step(p, np.zeros(2), st), p)
+        np.testing.assert_array_equal(optim.euclidean_step(p, np.zeros(2), st, 0.1, 0.0), p)
 
     def test_descent_direction(self):
-        st = optim.OptimizerState(learning_rate=0.1)
-        out = optim.euclidean_step(np.array([1.0]), np.array([1.0]), st)
+        st = optim.OptimizerState()
+        out = optim.euclidean_step(np.array([1.0]), np.array([1.0]), st, 0.1, 0.0)
         assert out[0] < 1.0
 
     def test_independent_parameters(self, rng):
-        st = optim.OptimizerState(learning_rate=0.1)
-        a = optim.euclidean_step(np.ones(3), rng.normal(size=3), st, "a")
+        st = optim.OptimizerState()
+        a = optim.euclidean_step(np.ones(3), rng.normal(size=3), st, 0.1, 0.0, "a")
         b_grad = np.zeros(2)
-        b = optim.euclidean_step(np.ones(2), b_grad, st, "b")
+        b = optim.euclidean_step(np.ones(2), b_grad, st, 0.1, 0.0, "b")
         np.testing.assert_array_equal(b, np.ones(2))
         assert set(st.first_moment) == {"a", "b"}
 
     def test_decoupled_weight_decay(self):
-        st = optim.OptimizerState(learning_rate=0.1, weight_decay=0.5)
-        out = optim.euclidean_step(np.array([2.0]), np.zeros(1), st)
+        st = optim.OptimizerState()
+        out = optim.euclidean_step(np.array([2.0]), np.zeros(1), st, 0.1, 0.5)
         assert out[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_shape_mismatch(self):
-        st = optim.OptimizerState(learning_rate=0.1)
+        st = optim.OptimizerState()
         with pytest.raises(DimensionError):
-            optim.euclidean_step(np.ones(3), np.ones(2), st)
+            optim.euclidean_step(np.ones(3), np.ones(2), st, 0.1, 0.0)
 
     def test_state_round_trip(self, rng):
-        st = optim.OptimizerState(learning_rate=0.05, weight_decay=0.01)
+        st = optim.OptimizerState()
         p = rng.normal(size=4)
         for _ in range(3):
-            p = optim.euclidean_step(p, rng.normal(size=4), st, "w")
+            p = optim.euclidean_step(p, rng.normal(size=4), st, 0.05, 0.01, "w")
         st2 = optim.OptimizerState.from_dict(jsonio.plain(st))
         g = rng.normal(size=4)
         np.testing.assert_array_equal(
-            optim.euclidean_step(p, g, st, "w"), optim.euclidean_step(p, g, st2, "w")
+            optim.euclidean_step(p, g, st, 0.05, 0.01, "w"),
+            optim.euclidean_step(p, g, st2, 0.05, 0.01, "w"),
         )
-
 
 class TestClipGradients:
     def test_below_threshold_unchanged(self):

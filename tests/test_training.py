@@ -52,6 +52,11 @@ class TestConfig:
         with pytest.raises(ParameterError, match="grad_clip_norm"):
             quick_config(grad_clip_norm=value)
 
+    def test_weight_decay_must_be_non_negative(self):
+        with pytest.raises(ParameterError, match="weight_decay"):
+            T.ExperimentConfig(weight_decay=-0.1)
+        assert quick_config(weight_decay=0.0).weight_decay == 0.0
+
     @pytest.mark.parametrize("value", [0.0, -0.1])
     def test_prototype_learning_rate_must_be_positive(self, value):
         with pytest.raises(ParameterError, match="prototype_learning_rate"):
@@ -264,6 +269,26 @@ class TestTrain:
         with pytest.raises(ParameterError, match="head_mode 'euclidean-cosine'"):
             T.train(cfg, ds, state=T.start(cfg, ds, bank))
 
+    def test_bank_delta_must_match_config(self):
+        ds = tiny_dataset()
+        P = G.batch_exp_map_origin(np.random.default_rng(0).normal(0.0, 1.0, (4, 8)))
+        bank = H.PrototypeBank(H.MODE_HYPERBOLIC, P, list(ds.tree.leaf_classes), frozen=True)
+        cfg = quick_config(embed_dim=8, delta=5.0)
+        with pytest.raises(ParameterError, match="delta 5.0"):
+            T.train(cfg, ds, state=T.start(cfg, ds, bank))
+
+    @pytest.mark.parametrize("edit, num_features", [
+        ({"encoder": False}, 8), ({"encoder_hidden": 7}, 8), ({"embed_dim": 6}, 8),
+        ({}, 12)])
+    def test_encoder_must_fit_config_and_dataset(self, edit, num_features):
+        # a state whose encoder the config or the dataset does not describe
+        cfg = quick_config(embed_dim=8)
+        state = T.start(cfg, tiny_dataset())
+        edited = T.ExperimentConfig(**{**cfg.to_dict(), **edit})
+        with pytest.raises(ParameterError, match="encoder"):
+            T.train(edited, tiny_dataset(num_features=num_features),
+                    state=state._replace(config=edited))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_aborts_with_diagnostics(self):
         ds = tiny_dataset()
@@ -311,6 +336,41 @@ class TestCheckpoints:
         mf = strip_wall_clock(json.loads((full_dir / "metrics.json").read_text()))
         mp = strip_wall_clock(json.loads((part_dir / "metrics.json").read_text()))
         assert mf == mp
+
+    def test_resume_trains_with_the_recorded_learning_rate(self, tmp_path):
+        # the optimizer reads its rates from the checkpoint's config alone
+        ds = tiny_dataset()
+        T.train(quick_config(head_mode=H.MODE_LINEAR, embed_dim=8, epochs=2), ds,
+                out_dir=tmp_path)
+        payload = json.loads((tmp_path / "checkpoint.json").read_text())
+        encoders = []
+        for lr in (0.01, 0.5):
+            payload["config"].update(epochs=3, learning_rate=lr)
+            ck = tmp_path / f"ck_{lr}.json"
+            ck.write_text(json.dumps(payload))
+            state = T.load_checkpoint(ck)
+            _, encoder, _, _ = T.train(state.config, ds, state=state)
+            encoders.append(encoder.W1)
+        assert not np.array_equal(encoders[0], encoders[1])
+
+    def test_retired_optimizer_keys_are_ignored(self, tmp_path):
+        # older checkpoints also stored the rates in "optimizer"
+        ds = tiny_dataset()
+        cfg = quick_config(embed_dim=8, epochs=2, eval_every=2, weight_decay=1e-3)
+        T.train(cfg, ds, out_dir=tmp_path)
+        payload = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert set(payload["optimizer"]) == {"first_moment", "second_moment", "param_steps"}
+        payload["config"]["epochs"] = 4
+        old = json.loads(json.dumps(payload))
+        old["optimizer"].update(learning_rate=cfg.learning_rate, weight_decay=1e-3,
+                                beta1=0.9, beta2=0.999, eps=1e-8)
+        for name, doc in (("new", payload), ("old", old)):
+            (tmp_path / name).mkdir()
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            state = T.load_checkpoint(tmp_path / f"{name}.json")
+            T.train(state.config, ds, out_dir=tmp_path / name, state=state)
+        assert ((tmp_path / "new" / "checkpoint.json").read_bytes()
+                == (tmp_path / "old" / "checkpoint.json").read_bytes())
 
     def test_resume_rejects_another_bank(self, tmp_path):
         # a resumed run trains its checkpoint's bank under the checkpoint's
