@@ -4,7 +4,7 @@ prototypes, and hubness diagnostics."""
 
 from . import data, geometry, heads, hubness, optim, training
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
-from .heads import BACKGROUND, FocalLossConfig, PrototypeBank
+from .heads import BACKGROUND, PrototypeBank
 
 __all__ = [
     "data",
@@ -14,7 +14,6 @@ __all__ = [
     "optim",
     "training",
     "BACKGROUND",
-    "FocalLossConfig",
     "PrototypeBank",
     "ContractError",
     "DimensionError",

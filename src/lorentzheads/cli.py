@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 config/input error (an unreadable path included),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -83,8 +84,8 @@ def cmd_train(args) -> int:
     # a resumed run continues under the checkpoint's config
     state = training.load_checkpoint(args.resume) if args.resume else None
     config = state.config if state else training.ExperimentConfig.load(args.config)
-    if args.head:
-        config.head_mode = args.head
+    if args.head:   # replace() runs the config's checks again
+        config = dataclasses.replace(config, head_mode=args.head)
     ds = data.SyntheticDataset.load(args.dataset)
     report = _train_run(args, state or training.start(config, ds), ds,
                         [args.resume or args.config, args.dataset])
@@ -115,7 +116,7 @@ def cmd_zeroshot(args) -> int:
     ds = data.SyntheticDataset.load(args.dataset)
     bank = heads.PrototypeBank.load(args.prototypes)
     if not config.unseen_classes and ds.unseen_classes:
-        config.unseen_classes = list(ds.unseen_classes)
+        config = dataclasses.replace(config, unseen_classes=list(ds.unseen_classes))
     report = _train_run(args, training.start(config, ds, bank), ds,
                         [args.config, args.dataset, args.prototypes])
     print(f"seen accuracy {report.seen_accuracy}  unseen accuracy {report.unseen_accuracy}  "

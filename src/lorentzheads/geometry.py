@@ -157,16 +157,20 @@ def exp_map_at(x, u, check: bool = True) -> np.ndarray:
 
 
 def hyperbolic_distance(x, y) -> float:
-    """Geodesic distance arccosh(-<x,y>_l); the argument is clamped to >= 1
-    so coincident points round to exactly zero."""
+    """Geodesic distance arccosh(-<x,y>_l).  Where -<x,y>_l rounds to 1 or
+    below, arccosh reads 0 for any d below ~1.5e-8; there the Lorentz norm
+    of x - y, which is 2 sinh(d/2), gives d instead (0 for x = y)."""
     x = _as_array(x, "x")
     y = _as_array(y, "y")
     assert_on_manifold(x)
     assert_on_manifold(y)
     if x.shape != y.shape:
         raise DimensionError(f"incompatible shapes {x.shape} vs {y.shape}")
-    arg = max(-lorentz_inner(x, y), 1.0)
-    return float(np.arccosh(arg))
+    arg = -lorentz_inner(x, y)
+    if arg > 1.0:
+        return float(np.arccosh(arg))
+    chord = np.sqrt(max(_inner(x - y, x - y), 0.0))
+    return float(2.0 * np.arcsinh(chord / 2.0))
 
 
 def log_map_at(x, y) -> np.ndarray:

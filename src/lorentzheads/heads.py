@@ -7,7 +7,9 @@ prototypes, and converts distances to logits via
     s_c = delta - (delta / d_min) * d_c
 
 so that s = delta at distance zero and sigmoid(s) = 0.5 exactly at
-d = d_min.  Training uses a sigmoid focal loss.  A matched Euclidean head
+d = d_min.  Training uses a sigmoid focal loss; every loss function takes
+its focusing gamma and class weight alpha from the caller (a run's
+`ExperimentConfig` holds and range-checks them).  A matched Euclidean head
 (plain linear logits W^T v, or temperature-scaled cosine similarities)
 serves as the baseline for controlled comparisons.  Every forward and loss
 path takes an (m, n) feature matrix; classify wraps one feature as m = 1.
@@ -43,32 +45,20 @@ def sigmoid(x):
 
 
 @dataclass
-class FocalLossConfig:
-    gamma: float = 2.0
-    alpha: float = 0.25
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ParameterError("gamma must be >= 0")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ParameterError("alpha must be in (0, 1]")
-
-
-@dataclass
 class PrototypeBank:
     """C class prototypes plus head configuration.
 
     Hyperbolic prototypes are stored as full (n+1)-coordinate hyperboloid
-    points (one row each); Euclidean prototypes as plain n-vectors.  For a
-    frozen bank d_min is always the recomputed minimum pairwise prototype
-    distance; for a learnable bank d_min is the constant 1.
+    points (one row each); Euclidean prototypes as plain n-vectors.  d_min
+    is derived, never read: the minimum pairwise prototype distance for a
+    frozen bank, the constant 1 for a learnable one.
     """
 
     mode: str
     prototypes: np.ndarray
     class_names: list[str]
     delta: float = DEFAULT_DELTA
-    d_min: float = 1.0
+    d_min: float = field(default=1.0, init=False)
     frozen: bool = False
 
     def __post_init__(self):
@@ -95,10 +85,8 @@ class PrototypeBank:
             raise ParameterError("class_names length must match prototype count")
         if len(set(self.class_names)) != len(self.class_names):
             raise ParameterError("duplicate class names")
-        if self.delta <= 0:
-            raise ParameterError("delta must be > 0")
-        if self.d_min <= 0:
-            raise ParameterError("d_min must be > 0")
+        if not 0.0 < self.delta < np.inf:
+            raise ParameterError(f"delta must be finite and > 0, not {self.delta}")
         if not np.all(np.isfinite(self.prototypes)):
             raise ContractError("prototypes contain non-finite entries")
         if self.mode == MODE_HYPERBOLIC:
@@ -132,7 +120,6 @@ class PrototypeBank:
             prototypes=np.asarray(d["prototypes"], dtype=np.float64),
             class_names=list(d["class_names"]),
             delta=float(d["delta"]),
-            d_min=float(d["d_min"]),
             frozen=bool(d["frozen"]),
         )
 
@@ -221,7 +208,7 @@ def classify(feature, bank: PrototypeBank, k: int | None = None, tau: float = DE
 # ---------------------------------------------------------------------------
 
 
-def _focal_terms(logits: np.ndarray, targets_onehot: np.ndarray, cfg: FocalLossConfig):
+def _focal_terms(logits: np.ndarray, targets_onehot: np.ndarray, gamma: float, alpha: float):
     """Per-entry focal loss values and d(loss)/d(logit), numerically stable."""
     s = np.asarray(logits, dtype=np.float64)
     t = np.asarray(targets_onehot, dtype=np.float64)
@@ -229,15 +216,15 @@ def _focal_terms(logits: np.ndarray, targets_onehot: np.ndarray, cfg: FocalLossC
     # q = p_t = sigmoid(sign * s); log q = -softplus(-sign*s)
     q = sigmoid(sign * s)
     log_q = -np.logaddexp(0.0, -sign * s)
-    a_t = cfg.alpha * t + (1.0 - cfg.alpha) * (1.0 - t)
+    a_t = alpha * t + (1.0 - alpha) * (1.0 - t)
     one_m_q = sigmoid(-sign * s)
-    w = one_m_q**cfg.gamma
+    w = one_m_q**gamma
     loss = -a_t * w * log_q
-    grad = sign * (a_t * cfg.gamma * q * w * log_q - a_t * one_m_q ** (cfg.gamma + 1.0))
+    grad = sign * (a_t * gamma * q * w * log_q - a_t * one_m_q ** (gamma + 1.0))
     return loss, grad
 
 
-def batch_focal_loss(logits: np.ndarray, targets: np.ndarray, cfg: FocalLossConfig):
+def batch_focal_loss(logits: np.ndarray, targets: np.ndarray, gamma: float, alpha: float):
     """Mean-over-samples focal loss for an (m, C) logit matrix.
 
     targets holds class indices with BACKGROUND for all-negative rows.
@@ -247,7 +234,7 @@ def batch_focal_loss(logits: np.ndarray, targets: np.ndarray, cfg: FocalLossConf
     onehot = np.zeros((m, C))
     fg = targets != BACKGROUND
     onehot[np.nonzero(fg)[0], targets[fg]] = 1.0
-    loss, grad = _focal_terms(logits, onehot, cfg)
+    loss, grad = _focal_terms(logits, onehot, gamma, alpha)
     return float(loss.sum() / m), grad / m
 
 
@@ -257,7 +244,7 @@ def batch_focal_loss(logits: np.ndarray, targets: np.ndarray, cfg: FocalLossConf
 
 
 def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
-                              targets: np.ndarray, cfg: FocalLossConfig):
+                              targets: np.ndarray, gamma: float, alpha: float):
     """Focal loss through exp0 -> distances -> shifted logits, with analytic
     gradients w.r.t. the input features and the prototypes.
 
@@ -269,15 +256,15 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
     F = np.asarray(features, dtype=np.float64)
     T = bank.prototypes
     X = geometry.batch_exp_map_origin(F)              # (m, n+1)
-    alpha = np.maximum(-geometry.batch_minkowski_inner(X, T), 1.0)
-    D = np.arccosh(alpha)                             # (m, C)
+    cosh_d = np.maximum(-geometry.batch_minkowski_inner(X, T), 1.0)
+    D = np.arccosh(cosh_d)                            # (m, C)
     S = shift_logits(D, bank.delta, bank.d_min)
-    loss, G_S = batch_focal_loss(S, targets, cfg)
+    loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
     G_D = G_S * (-bank.delta / bank.d_min)
-    # d(arccosh)/d(alpha) = 1/sqrt(alpha^2-1); zeroed at coincidence
-    denom = np.sqrt(np.maximum(alpha * alpha - 1.0, 0.0))
+    # d(arccosh)/d(cosh_d) = 1/sqrt(cosh_d^2-1); zeroed at coincidence
+    denom = np.sqrt(np.maximum(cosh_d * cosh_d - 1.0, 0.0))
     W = np.where(D < _EPS_DIST, 0.0, G_D / np.where(denom == 0.0, 1.0, denom))
-    # alpha = -<x,t>_l = -x^T g_l t, so dL/dX = -g_l (W T), dL/dT = -g_l (W^T X)
+    # cosh_d = -<x,t>_l = -x^T g_l t, so dL/dX = -g_l (W T), dL/dT = -g_l (W^T X)
     grad_X = -(W @ T)
     grad_X[:, 0] = -grad_X[:, 0]
     grad_T = -(W.T @ X)
@@ -287,16 +274,16 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
 
 
 def loss_and_grads(features: np.ndarray, bank: PrototypeBank, targets: np.ndarray,
-                   cfg: FocalLossConfig, tau: float = DEFAULT_TAU):
+                   gamma: float, alpha: float, tau: float = DEFAULT_TAU):
     """Mode-dispatching training loss: (loss, grad_features (m, n),
     grad_prototypes shaped like bank.prototypes)."""
     if bank.mode == MODE_HYPERBOLIC:
-        return hyperbolic_loss_and_grads(features, bank, targets, cfg)
-    return euclidean_loss_and_grads(features, bank, targets, cfg, tau=tau)
+        return hyperbolic_loss_and_grads(features, bank, targets, gamma, alpha)
+    return euclidean_loss_and_grads(features, bank, targets, gamma, alpha, tau=tau)
 
 
 def euclidean_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
-                             targets: np.ndarray, cfg: FocalLossConfig,
+                             targets: np.ndarray, gamma: float, alpha: float,
                              tau: float = DEFAULT_TAU):
     """Focal loss through the Euclidean baseline head with analytic gradients
     w.r.t. features (m, n) and prototypes (C, n)."""
@@ -304,14 +291,14 @@ def euclidean_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
     P = bank.prototypes
     if bank.mode == MODE_LINEAR:
         S = F @ P.T
-        loss, G_S = batch_focal_loss(S, targets, cfg)
+        loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
         return loss, G_S @ P, G_S.T @ F
     if bank.mode != MODE_COSINE:
         raise ContractError("euclidean head required")
     U, fn = unit_rows(F)
     Q, pn = unit_rows(P)
     S = (U @ Q.T) / tau
-    loss, G_S = batch_focal_loss(S, targets, cfg)
+    loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
     G_U = (G_S @ Q) / tau
     G_Q = (G_S.T @ U) / tau
     # back through row normalization: d/df = (I - u u^T)/||f|| applied to g

@@ -19,6 +19,7 @@ before writing anything, and holds the config's unseen classes out of train;
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -29,11 +30,20 @@ import numpy as np
 from . import geometry, heads, jsonio, optim
 from .data import ClassTree, SyntheticDataset, holdout_unseen
 from .errors import ContractError, NumericalError, ParameterError
-from .heads import BACKGROUND, FocalLossConfig, PrototypeBank
+from .heads import BACKGROUND, PrototypeBank
 
 # field annotation -> accepted JSON value types
 _JSON_TYPES = {"str": str, "float": (int, float), "int": int, "bool": bool, "list": list,
                "None": type(None)}
+# number field -> (its range in words, the test a value must pass)
+_RANGES = {
+    **dict.fromkeys(("learning_rate", "prototype_learning_rate", "grad_clip_norm", "delta",
+                     "cosine_tau"), ("> 0", lambda v: v > 0)),
+    **dict.fromkeys(("weight_decay", "focal_gamma", "seed"), (">= 0", lambda v: v >= 0)),
+    **dict.fromkeys(("epochs", "batch_size", "eval_every", "encoder_hidden", "embed_dim"),
+                    (">= 1", lambda v: v >= 1)),
+    "focal_alpha": ("in (0, 1]", lambda v: 0 < v <= 1),
+}
 
 
 @dataclass
@@ -61,20 +71,19 @@ class ExperimentConfig:
     unseen_classes: list = field(default_factory=list)
 
     def __post_init__(self):
+        """The one range check of a run's settings (`from_dict` checks only
+        their JSON types), so a bad setting is refused before any output."""
         if self.head_mode not in heads.MODES:
             raise ParameterError(f"unknown head mode {self.head_mode!r}")
-        if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
-            raise ParameterError("epochs, batch_size, eval_every must be >= 1")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be > 0")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be >= 0")
-        if self.prototype_learning_rate is not None and self.prototype_learning_rate <= 0:
-            raise ParameterError("prototype_learning_rate must be None or > 0")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ParameterError("grad_clip_norm must be None or > 0")
-        if self.delta <= 0:
-            raise ParameterError("delta must be > 0")
+        for name, (rule, ok) in _RANGES.items():
+            value = getattr(self, name)
+            # NaN fails every test; abs() < inf refuses ±Infinity, not a huge int
+            if value is not None and not (ok(value) and abs(value) < math.inf):
+                raise ParameterError(f"{name} must be finite and {rule}, not {value}")
+        for u in self.unseen_classes:
+            # a leaf name or a class index; JSON true would pass as index 1
+            if not isinstance(u, (str, int)) or isinstance(u, bool):
+                raise ParameterError(f"unseen_classes holds class names or indices, not {u!r}")
 
     @property
     def proto_lr(self) -> float:
@@ -393,7 +402,6 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
         raise ParameterError("the run state holds another config than the one given")
     dataset, rsgd = prepare(state, dataset)
     _, start_epoch, encoder, bank, opt, rng, loss_hist = state
-    focal = FocalLossConfig(gamma=config.focal_gamma, alpha=config.focal_alpha)
     checkpoints = []
 
     for epoch in range(start_epoch, config.epochs):
@@ -411,8 +419,8 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
                 emb, cache = encoder.forward(X)
             else:
                 emb = X
-            loss, grad_emb, grad_proto = heads.loss_and_grads(emb, bank, y, focal,
-                                                              tau=config.cosine_tau)
+            loss, grad_emb, grad_proto = heads.loss_and_grads(
+                emb, bank, y, config.focal_gamma, config.focal_alpha, tau=config.cosine_tau)
             if not np.isfinite(loss):
                 raise _numerical_error("non-finite loss", epoch, batch, params)
             grads = encoder.backward(cache, grad_emb) if encoder is not None else {}

@@ -93,7 +93,7 @@ class TestAcceptance:
     def test_2_gradient_suite(self, rng):
         with criterion(2, "gradient suite"):
             t0 = time.perf_counter()
-            cfg = H.FocalLossConfig()
+            cfg = (2.0, 0.25)  # focal_gamma, focal_alpha defaults
             h = 1e-5
             checked = 0
             while checked < 100:
@@ -115,9 +115,9 @@ class TestAcceptance:
                         H.MODE_HYPERBOLIC, G.batch_exp_map_origin(W),
                         [f"c{i}" for i in range(C)],
                     )
-                    return H.hyperbolic_loss_and_grads(f[None, :], b, targets, cfg)[0]
+                    return H.hyperbolic_loss_and_grads(f[None, :], b, targets, *cfg)[0]
 
-                _, gF, gT = H.hyperbolic_loss_and_grads(f[None, :], bank, targets, cfg)
+                _, gF, gT = H.hyperbolic_loss_and_grads(f[None, :], bank, targets, *cfg)
                 gW = G.grad_exp_map_origin(W, gT)
                 for arr, grad in ((f, gF[0]), (W, gW)):
                     flat, gflat = arr.reshape(-1), np.asarray(grad).reshape(-1)

@@ -343,6 +343,14 @@ class TestImportPrototypes:
             assert main(["import-prototypes", "--embeddings", str(p),
                          "--out", str(tmp_path / "bank.json")]) == 2, fname
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "0"])
+    def test_bad_delta_exit_2(self, tmp_path, delta):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("a 1 0\nb 0 1\n")
+        assert main(["import-prototypes", "--embeddings", str(emb), "--delta", delta,
+                     "--out", str(tmp_path / "o" / "bank.json")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_already_hyperbolic_euclidean_exit_2(self, tmp_path):
         emb = tmp_path / "emb.txt"
         emb.write_text("a 1 0\nb 0 1\n")
@@ -451,6 +459,50 @@ RESUMED = {
 }
 
 
+# settings every run refuses before writing anything: test id -> (key, value)
+BAD_SETTINGS = {
+    "focal-gamma-neg": ("focal_gamma", -1), "focal-alpha-0": ("focal_alpha", 0),
+    "focal-alpha-1.5": ("focal_alpha", 1.5), "cosine-tau-0": ("cosine_tau", 0),
+    "cosine-tau-neg": ("cosine_tau", -1), "encoder-hidden-0": ("encoder_hidden", 0),
+    "embed-dim-0": ("embed_dim", 0), "seed-neg": ("seed", -1),
+    "learning-rate-nan": ("learning_rate", float("nan")),
+    "delta-nan": ("delta", float("nan")),
+    "weight-decay-inf": ("weight_decay", float("inf")),
+    "unseen-float": ("unseen_classes", [1.5]), "unseen-bool": ("unseen_classes", [True]),
+    "unseen-object": ("unseen_classes", [{"a": 1}]),
+}
+# the cases a run refused late or not at all when the config did not check
+# them; the rest already met another refusal before any output (unseen_classes
+# with a learnable bank, a bank delta or width, or encoder weights that differ)
+BAD_SETTING_CASES = [
+    f"{command}:{setting}" for command, skip in (
+        ("train", ("unseen",)), ("zeroshot", ("delta", "embed")),
+        ("resume", ("unseen", "delta", "embed", "encoder")))
+    for setting in BAD_SETTINGS if not setting.startswith(skip)
+]
+
+
+def _bad_setting_argv(kind, tmp_path, trained):
+    """argv of a `<command>:<setting>` run: `train` and `zeroshot` read the
+    setting from --config, `resume` from the trained run's edited checkpoint."""
+    _, ds_path, _, run = trained
+    command, setting = kind.split(":")
+    key, value = BAD_SETTINGS[setting]
+    if command == "resume":
+        payload = json.loads((run / "checkpoint.json").read_text())
+        payload["config"][key] = value
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps(payload))
+        source = ["--resume", str(ck)]
+    else:
+        source = ["--config", write_config(tmp_path / "c.json", **{key: value})]
+    argv = ["--dataset", str(ds_path), "--out", str(tmp_path / "o")] + source
+    if command == "zeroshot":
+        rows = np.random.default_rng(0).normal(0.0, 1.0, (4, 8))
+        return ["zeroshot", "--prototypes", write_bank(tmp_path / "bank.json", rows)] + argv
+    return ["train"] + argv
+
+
 def _dataset(path, **shape):
     """A GEN_ARGS-sized dataset with `shape` overriding its generator arguments."""
     data.generate(**{"num_features": 8, "num_super": 2, "num_classes": 4,
@@ -462,6 +514,8 @@ def _refused_argv(kind, tmp_path, trained):
     """argv of a `kind` run whose input is bad; every output goes under tmp_path/o"""
     _, ds_path, cfg_path, run = trained
     out = tmp_path / "o"
+    if ":" in kind:
+        return _bad_setting_argv(kind, tmp_path, trained)
     if kind == "generate":
         return ["generate", "--out", str(out / "ds.json"), "--classes", "2", "--super", "4"]
     if kind.startswith("train"):
@@ -520,7 +574,8 @@ def _refused_argv(kind, tmp_path, trained):
                                   "zeroshot-head-mode", "zeroshot-delta",
                                   "train-resume-features", "train-resume-no-encoder",
                                   "train-resume-encoder-hidden", "eval-features",
-                                  "eval-class-count"])
+                                  "eval-class-count"]
+                         + BAD_SETTING_CASES)
 def test_refused_run_writes_nothing(trained, tmp_path, kind):
     assert main(_refused_argv(kind, tmp_path, trained)) == 2
     assert not (tmp_path / "o").exists()

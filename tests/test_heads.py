@@ -27,9 +27,13 @@ def distances(feature, bank):
     return G.batch_distance(G.batch_exp_map_origin(f[None]), bank.prototypes)[0]
 
 
-def focal_loss(logits, target, cfg=H.FocalLossConfig()):
+# (focal_gamma, focal_alpha) at their ExperimentConfig defaults
+FOCAL = (2.0, 0.25)
+
+
+def focal_loss(logits, target, cfg=FOCAL):
     """batch_focal_loss for a single row (m = 1): (loss, gradient row)."""
-    loss, grad = H.batch_focal_loss(np.asarray(logits)[None], np.array([target]), cfg)
+    loss, grad = H.batch_focal_loss(np.asarray(logits)[None], np.array([target]), *cfg)
     return loss, grad[0]
 
 
@@ -43,6 +47,24 @@ class TestPrototypeBank:
     def test_learnable_d_min_is_one(self):
         bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
         assert bank.d_min == 1.0
+
+    def test_d_min_is_derived_not_read(self, rng):
+        # a file edited to d_min 2: a learnable bank still scores with 1, a
+        # frozen one with its minimum pairwise distance
+        bank = make_hyperbolic_bank([[1.0, 0.0], [0.0, 1.0]])
+        F = rng.normal(size=(5, 2))
+        D = G.batch_distance(G.batch_exp_map_origin(F), bank.prototypes)
+        pair = G.hyperbolic_distance(bank.prototypes[0], bank.prototypes[1])
+        for frozen, d_min in ((False, 1.0), (True, pair)):
+            read = H.PrototypeBank.from_dict({**bank.to_dict(), "frozen": frozen, "d_min": 2.0})
+            assert read.d_min == pytest.approx(d_min)
+            np.testing.assert_array_equal(H.batch_bank_logits(F, read),
+                                          H.shift_logits(D, 1.4, read.d_min))
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ParameterError, match="delta"):
+            make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]], delta=delta)
 
     def test_needs_two_classes(self):
         with pytest.raises(ParameterError):
@@ -103,7 +125,7 @@ class TestDistances:
         bank = H.PrototypeBank(H.MODE_LINEAR, np.eye(2), ["a", "b"])
         with pytest.raises(ContractError):
             H.hyperbolic_loss_and_grads(np.array([[1.0, 0.0]]), bank, np.array([0]),
-                                        H.FocalLossConfig())
+                                        *FOCAL)
 
 
 class TestShiftLogits:
@@ -165,13 +187,13 @@ class TestBaselineLogits:
         with pytest.raises(ContractError, match="nonzero"):
             H.batch_bank_logits(F, bank)
         with pytest.raises(ContractError, match="nonzero"):
-            H.loss_and_grads(F, bank, np.array([0, 1]), H.FocalLossConfig())
+            H.loss_and_grads(F, bank, np.array([0, 1]), *FOCAL)
 
     def test_mode_mismatch(self):
         bank = make_hyperbolic_bank([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ContractError):
             H.euclidean_loss_and_grads(np.array([[1.0, 0.0]]), bank, np.array([0]),
-                                       H.FocalLossConfig())
+                                       *FOCAL)
 
 
 class TestFocalLoss:
@@ -181,7 +203,7 @@ class TestFocalLoss:
         assert loss < 1e-10
 
     def test_reduces_to_bce_at_gamma_zero(self, rng):
-        cfg = H.FocalLossConfig(gamma=0.0, alpha=0.5)
+        cfg = (0.0, 0.5)
         s = rng.normal(size=6)
         loss, _ = focal_loss(s, 2, cfg)
         p = H.sigmoid(s)
@@ -191,7 +213,7 @@ class TestFocalLoss:
         assert loss == pytest.approx(0.5 * bce.sum())
 
     def test_hand_value(self):
-        cfg = H.FocalLossConfig(gamma=2.0, alpha=0.25)
+        cfg = (2.0, 0.25)
         loss, _ = focal_loss(np.array([0.0]), 0, cfg)
         assert loss == pytest.approx(0.25 * 0.25 * np.log(2.0))
 
@@ -210,7 +232,7 @@ class TestFocalLoss:
             assert loss > 0.0
 
     def test_gradient_matches_finite_differences(self, rng):
-        cfg = H.FocalLossConfig(gamma=2.0, alpha=0.25)
+        cfg = (2.0, 0.25)
         h = 1e-6
         for _ in range(20):
             s = rng.normal(0.0, 2.0, 4)
@@ -256,12 +278,12 @@ class TestLossDispatch:
         bank = H.random_bank(mode, ["a", "b", "c"], 4, rng)
         F = rng.normal(0.0, 1.0, (6, 4))
         targets = rng.integers(-1, 3, 6)
-        cfg = H.FocalLossConfig()
-        got = H.loss_and_grads(F, bank, targets, cfg, tau=0.5)
+        cfg = FOCAL
+        got = H.loss_and_grads(F, bank, targets, *cfg, tau=0.5)
         if mode == H.MODE_HYPERBOLIC:
-            want = H.hyperbolic_loss_and_grads(F, bank, targets, cfg)
+            want = H.hyperbolic_loss_and_grads(F, bank, targets, *cfg)
         else:
-            want = H.euclidean_loss_and_grads(F, bank, targets, cfg, tau=0.5)
+            want = H.euclidean_loss_and_grads(F, bank, targets, *cfg, tau=0.5)
         assert got[0] == want[0]
         for a, b in zip(got[1:], want[1:]):
             np.testing.assert_array_equal(a, b)
@@ -272,10 +294,10 @@ class TestHeadGradients:
 
     def _loss(self, feature, spatial, targets, cfg):
         bank = make_hyperbolic_bank(spatial)
-        return H.hyperbolic_loss_and_grads(feature[None, :], bank, targets, cfg)
+        return H.hyperbolic_loss_and_grads(feature[None, :], bank, targets, *cfg)
 
     def test_feature_and_prototype_gradients(self, rng):
-        cfg = H.FocalLossConfig()
+        cfg = FOCAL
         h = 1e-5
         checked = 0
         while checked < 30:
@@ -306,7 +328,7 @@ class TestHeadGradients:
             checked += 1
 
     def test_euclidean_gradients(self, rng):
-        cfg = H.FocalLossConfig()
+        cfg = FOCAL
         h = 1e-6
         for mode in (H.MODE_LINEAR, H.MODE_COSINE):
             for _ in range(10):
@@ -316,9 +338,9 @@ class TestHeadGradients:
                 bank = H.PrototypeBank(mode, P, ["a", "b", "c"])
 
                 def loss():
-                    return H.euclidean_loss_and_grads(F, bank, targets, cfg)[0]
+                    return H.euclidean_loss_and_grads(F, bank, targets, *cfg)[0]
 
-                _, gF, gP = H.euclidean_loss_and_grads(F, bank, targets, cfg)
+                _, gF, gP = H.euclidean_loss_and_grads(F, bank, targets, *cfg)
                 for arr, g in ((F, gF), (bank.prototypes, gP)):
                     flat, gflat = arr.reshape(-1), g.reshape(-1)
                     for j in range(flat.size):

@@ -64,10 +64,10 @@ class TestRiemannianStep:
             G.batch_exp_map_origin(rng.uniform(-0.01, 0.01, (2, 2))),
             ["a", "b"],
         )
-        cfg = H.FocalLossConfig()
+        cfg = (2.0, 0.25)  # focal_gamma, focal_alpha defaults
         losses = []
         for _ in range(50):
-            loss, _, gT = H.hyperbolic_loss_and_grads(feats, bank, targets, cfg)
+            loss, _, gT = H.hyperbolic_loss_and_grads(feats, bank, targets, *cfg)
             losses.append(loss)
             bank.prototypes = optim.riemannian_step(bank.prototypes, gT, 1e-2)
         smoothed = np.convolve(losses, np.ones(5) / 5, mode="valid")

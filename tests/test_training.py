@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -80,6 +81,30 @@ class TestConfig:
         cfg = T.ExperimentConfig.from_dict(
             {"learning_rate": 1, "grad_clip_norm": None, "prototype_learning_rate": 0.5})
         assert cfg.learning_rate == 1 and cfg.grad_clip_norm is None
+
+    @pytest.mark.parametrize("key, value", [
+        ("focal_gamma", -1.0), ("focal_alpha", 0.0), ("focal_alpha", 1.5),
+        ("cosine_tau", 0.0), ("cosine_tau", -1.0), ("encoder_hidden", 0), ("embed_dim", 0),
+        ("seed", -1), ("learning_rate", float("nan")), ("delta", float("nan")),
+        ("weight_decay", float("inf")), ("focal_alpha", float("nan")),
+        ("grad_clip_norm", float("-inf")), ("prototype_learning_rate", float("nan")),
+        ("unseen_classes", [1.5]), ("unseen_classes", [True]), ("unseen_classes", [{"a": 1}]),
+    ])
+    def test_out_of_range_rejected(self, key, value):
+        with pytest.raises(ParameterError, match=key):
+            T.ExperimentConfig.from_dict({key: value})
+
+    def test_every_number_field_has_a_range(self):
+        numbers = {f.name for f in dataclasses.fields(T.ExperimentConfig)
+                   if f.type.split(" | ")[0] in ("int", "float")}
+        assert set(T._RANGES) == numbers
+
+    def test_range_edges_accepted(self):
+        cfg = T.ExperimentConfig.from_dict(
+            {"focal_gamma": 0, "focal_alpha": 1, "seed": 10**30, "encoder_hidden": 1,
+             "embed_dim": 1, "unseen_classes": ["leaf_1", 2]})
+        assert (cfg.focal_gamma, cfg.focal_alpha, cfg.seed) == (0, 1, 10**30)
+        assert cfg.unseen_classes == ["leaf_1", 2]
 
     def test_proto_lr_falls_back_only_when_unset(self):
         assert quick_config(learning_rate=0.5).proto_lr == 0.5
