@@ -81,6 +81,11 @@ class SyntheticDataset:
         power_law = "power_law_exponent" in self.params
         if not (self.unseen_classes or power_law) and len(tr) + len(va) != N:
             raise ContractError("train/val split must cover the dataset")
+        for u in self.unseen_classes:
+            # evaluation scores them by index; JSON true would pass as index 1
+            if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < self.num_classes:
+                raise ContractError(f"unseen_classes must be class indices in "
+                                    f"[0, {self.num_classes}), not {u!r}")
         floor = 1 if power_law else 10
         counts = self.class_counts("train")
         active = [c for c in range(self.num_classes) if c not in self.unseen_classes]

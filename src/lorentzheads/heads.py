@@ -99,11 +99,15 @@ class PrototypeBank:
         else:
             diff = self.prototypes[:, None, :] - self.prototypes[None, :, :]
             D = np.linalg.norm(diff, axis=-1)
-        iu = np.triu_indices(self.num_classes, k=1)
-        vals = D[iu]
-        # duplicated prototypes (aliasing setups) produce zero-distance pairs,
-        # up to arccosh rounding near 1; exclude them from the minimum
-        positive = vals[vals > 1e-7]
+        i, j = np.triu_indices(self.num_classes, k=1)
+        vals = D[i, j]
+        # duplicated prototypes (aliasing setups) are no pair of distinct
+        # classes; exclude bitwise-identical rows, which arccosh rounding can
+        # put above the cut-off away from the origin, and near-zero distances
+        first = {}
+        row_id = np.array([first.setdefault(p.tobytes(), k)
+                           for k, p in enumerate(self.prototypes)])
+        positive = vals[(vals > 1e-7) & (row_id[i] != row_id[j])]
         if positive.size == 0:
             raise ParameterError("all prototypes coincide; d_min undefined")
         return float(positive.min())

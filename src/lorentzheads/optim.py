@@ -5,7 +5,10 @@ is metric-scaled (inverse metric negates the time component), projected onto
 the tangent space, and the step is retracted with the exponential map plus a
 final manifold projection.  One call updates a single point or the whole
 (C, n+1) prototype matrix, row by row.  Euclidean parameters use Adam with
-decoupled weight decay.  Gradient clipping scales the whole gradient
+decoupled weight decay.  Adam is elementwise, so a run packs every tensor it
+steps into one flat buffer (`pack`), lays the moments out the same way
+(`OptimizerState.pack`), and makes one `euclidean_step` call per batch; the
+tensors share one step count.  Gradient clipping scales the whole gradient
 collection by a single global-norm factor.  Both steps take their rates as
 arguments; `OptimizerState` holds only what Adam accumulates.
 """
@@ -50,6 +53,18 @@ def clip_gradients(grads: dict, max_norm: float) -> dict:
     return {k: g * scale for k, g in grads.items()}
 
 
+def pack(tensors: dict) -> tuple[np.ndarray, dict]:
+    """Copy `tensors` into one contiguous float64 buffer, in dict order, and
+    return it with a view of it shaped like each tensor, by name."""
+    flat = np.zeros(sum(np.size(t) for t in tensors.values()))
+    views, lo = {}, 0
+    for name, t in tensors.items():
+        views[name] = flat[lo:lo + np.size(t)].reshape(np.shape(t))
+        views[name][...] = t
+        lo += np.size(t)
+    return flat, views
+
+
 @dataclass
 class OptimizerState:
     """What Adam accumulates for named Euclidean parameters: the two moment
@@ -66,25 +81,48 @@ class OptimizerState:
                    {k: np.asarray(v, dtype=np.float64) for k, v in d["second_moment"].items()},
                    {k: int(v) for k, v in d["param_steps"].items()})
 
+    def check(self, params: dict) -> None:
+        """Refuse a state that cannot go on stepping `params` (the tensors Adam
+        steps, by name) as one buffer: it must hold moments and a step count
+        for all of them or for none, the same count for each, and moments
+        shaped like their tensors."""
+        held = (self.first_moment, self.second_moment, self.param_steps)
+        if {frozenset(d) for d in held} not in ({frozenset()}, {frozenset(params)}):
+            raise ParameterError(
+                f"optimizer state must hold moments and step counts for all of "
+                f"{sorted(params)} or none, not first moments for {sorted(held[0])}, "
+                f"second moments for {sorted(held[1])}, step counts for {sorted(held[2])}")
+        if len(set(self.param_steps.values())) > 1:
+            raise ParameterError(f"Adam step counts differ between tensors: {self.param_steps}")
+        for moments in held[:2]:
+            for name, m in moments.items():
+                if np.shape(m) != np.shape(params[name]):
+                    raise ParameterError(f"optimizer moment of {name!r} has shape "
+                                         f"{np.shape(m)}, its tensor {np.shape(params[name])}")
 
-def euclidean_step(param, grad, state: OptimizerState, lr: float, weight_decay: float,
-                   name: str = "param") -> np.ndarray:
-    """One Adam step (decoupled weight decay, bias correction) for one
-    named parameter tensor.  Parameters named differently never interact."""
-    p = np.asarray(param, dtype=np.float64)
+    def pack(self, params: dict) -> tuple[np.ndarray, np.ndarray, int]:
+        """Lay the moments out like `pack(params)`, rebinding each stored
+        moment to a view of its buffer; names with none start at zero.
+        Returns the first- and second-moment buffers and the step count."""
+        zeros = {name: np.zeros(np.shape(p)) for name, p in params.items()}
+        m, self.first_moment = pack({**zeros, **self.first_moment})
+        v, self.second_moment = pack({**zeros, **self.second_moment})
+        return m, v, max(self.param_steps.values(), default=0)
+
+
+def euclidean_step(param: np.ndarray, grad, first_moment: np.ndarray,
+                   second_moment: np.ndarray, step: int, lr: float,
+                   weight_decay: float) -> None:
+    """Adam step number `step` (decoupled weight decay, bias correction),
+    updating `param` and both moment estimates in place.  Elementwise, so one
+    call on a `pack` buffer steps each tensor in it as a call of its own
+    would."""
     g = np.asarray(grad, dtype=np.float64)
-    if p.shape != g.shape:
-        raise DimensionError(f"param shape {p.shape} vs grad shape {g.shape}")
-    if name not in state.first_moment:
-        state.first_moment[name] = np.zeros_like(p)
-        state.second_moment[name] = np.zeros_like(p)
-        state.param_steps[name] = 0
-    state.param_steps[name] += 1
-    t = state.param_steps[name]
-    m = state.first_moment[name]
-    v = state.second_moment[name]
-    m[...] = BETA1 * m + (1.0 - BETA1) * g
-    v[...] = BETA2 * v + (1.0 - BETA2) * g * g
-    m_hat = m / (1.0 - BETA1**t)
-    v_hat = v / (1.0 - BETA2**t)
-    return p - lr * (m_hat / (np.sqrt(v_hat) + EPS) + weight_decay * p)
+    if not param.shape == g.shape == first_moment.shape == second_moment.shape:
+        raise DimensionError(f"param shape {param.shape} vs grad shape {g.shape}, moment "
+                             f"shapes {first_moment.shape}, {second_moment.shape}")
+    first_moment[...] = BETA1 * first_moment + (1.0 - BETA1) * g
+    second_moment[...] = BETA2 * second_moment + (1.0 - BETA2) * g * g
+    m_hat = first_moment / (1.0 - BETA1**step)
+    v_hat = second_moment / (1.0 - BETA2**step)
+    param -= lr * (m_hat / (np.sqrt(v_hat) + EPS) + weight_decay * param)

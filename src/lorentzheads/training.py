@@ -2,8 +2,9 @@
 
 A small Euclidean encoder (optional 2-layer perceptron with rectified-linear
 activation) feeds one of the classification heads; training minimizes the
-sigmoid focal loss with Adam on Euclidean parameters and Riemannian SGD on
-hyperbolic prototypes.  Evaluation reports accuracy, supercategory accuracy
+sigmoid focal loss with Adam on Euclidean parameters (one step per batch
+over one buffer holding them all) and Riemannian SGD on hyperbolic
+prototypes.  Evaluation reports accuracy, supercategory accuracy
 (a prediction also counts if it shares the groundtruth's parent category),
 per-class precision/recall, seen/unseen splits with their harmonic mean, and
 per-bucket accuracy for imbalanced runs.  Runs are deterministic given the
@@ -329,8 +330,9 @@ def load_checkpoint(path) -> RunState:
 # ---------------------------------------------------------------------------
 
 
-def _numerical_error(what: str, epoch: int, batch_idx, params: dict) -> NumericalError:
-    norms = {k: float(np.linalg.norm(v)) for k, v in params.items()}
+def _numerical_error(what: str, epoch: int, batch_idx, encoder: Encoder | None,
+                     bank: PrototypeBank) -> NumericalError:
+    norms = {k: float(np.linalg.norm(v)) for k, v in _trainable(encoder, bank).items()}
     diagnostics = {"last_batch": [int(i) for i in batch_idx], "param_norms": norms}
     return NumericalError(f"{what} at epoch {epoch}: {diagnostics}")
 
@@ -369,13 +371,23 @@ def check_fit(state: RunState, dataset: SyntheticDataset) -> None:
                              f"do not fit embed_dim {config.embed_dim}")
 
 
+def _trainable(encoder: Encoder | None, bank: PrototypeBank) -> dict:
+    """Every trainable tensor by name; a frozen bank is not one of them."""
+    params = encoder.params() if encoder is not None else {}
+    if not bank.frozen:
+        params["prototypes"] = bank.prototypes
+    return params
+
+
 def prepare(state: RunState, dataset: SyntheticDataset):
     """Refuse a state that cannot train on `dataset`; otherwise return the
     dataset with `state.config.unseen_classes` held out of its train split,
-    and the names of the trainable tensors RSGD steps (Adam steps the rest)."""
+    whether RSGD steps the prototypes, and the trainable tensors Adam steps
+    (the rest) by name."""
     check_fit(state, dataset)
     config, bank = state.config, state.bank
-    rsgd = {"prototypes"} if not bank.frozen and bank.mode == heads.MODE_HYPERBOLIC else set()
+    params = _trainable(state.encoder, bank)
+    rsgd = "prototypes" in params and bank.mode == heads.MODE_HYPERBOLIC
     if (bank.mode, bank.delta) != (config.head_mode, config.delta):
         raise ParameterError(f"a {bank.mode} prototype bank with delta {bank.delta} cannot "
                              f"train with head_mode {config.head_mode!r}, delta {config.delta}")
@@ -385,14 +397,18 @@ def prepare(state: RunState, dataset: SyntheticDataset):
     if config.prototype_learning_rate is not None and not rsgd:
         raise ParameterError("prototype_learning_rate is read only by the RSGD step "
                              "of a learnable hyperbolic bank")
-    return holdout_unseen(dataset, config.unseen_classes), rsgd
+    if rsgd:
+        del params["prototypes"]
+    state.opt.check(params)
+    return holdout_unseen(dataset, config.unseen_classes), rsgd, params
 
 
 def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
           state: RunState | None = None):
     """Train `state` (by default `start(config, dataset)`; for a resumed run,
     the load_checkpoint result) to `config.epochs`, advancing its encoder,
-    bank, optimizer, RNG and loss history in place.  Returns (bank, encoder,
+    bank, optimizer, RNG and loss history in place; the Adam-stepped tensors
+    and their moments become views of one buffer each.  Returns (bank, encoder,
     report, checkpoint_paths); every save overwrites `out_dir/checkpoint.json`,
     so checkpoint_paths names it once, or is empty when nothing was saved."""
     t0 = time.perf_counter()
@@ -400,8 +416,17 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
         state = start(config, dataset)
     elif state.config != config:
         raise ParameterError("the run state holds another config than the one given")
-    dataset, rsgd = prepare(state, dataset)
+    dataset, rsgd, adam = prepare(state, dataset)
     _, start_epoch, encoder, bank, opt, rng, loss_hist = state
+    # the Adam-stepped tensors become views of one buffer, their moments
+    # views of two more, so one euclidean_step call per batch steps them all
+    flat, views = optim.pack(adam)
+    for name, view in views.items():
+        if name == "prototypes":
+            bank.prototypes = view
+        else:
+            encoder.set_param(name, view)
+    first_moment, second_moment, step = opt.pack(views)
     checkpoints = []
 
     for epoch in range(start_epoch, config.epochs):
@@ -411,10 +436,6 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
             batch = perm[lo:lo + config.batch_size]
             X = dataset.features[batch]
             y = dataset.labels[batch]
-            # every trainable tensor by name; a frozen bank is not one of them
-            params = encoder.params() if encoder is not None else {}
-            if not bank.frozen:
-                params["prototypes"] = bank.prototypes
             if encoder is not None:
                 emb, cache = encoder.forward(X)
             else:
@@ -422,32 +443,31 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
             loss, grad_emb, grad_proto = heads.loss_and_grads(
                 emb, bank, y, config.focal_gamma, config.focal_alpha, tau=config.cosine_tau)
             if not np.isfinite(loss):
-                raise _numerical_error("non-finite loss", epoch, batch, params)
+                raise _numerical_error("non-finite loss", epoch, batch, encoder, bank)
             grads = encoder.backward(cache, grad_emb) if encoder is not None else {}
             if not bank.frozen:
                 grads["prototypes"] = grad_proto
             if config.grad_clip_norm is not None:
                 grads = optim.clip_gradients(grads, config.grad_clip_norm)
-            try:
-                params = {
-                    name: optim.riemannian_step(p, grads[name], config.proto_lr)
-                    if name in rsgd
-                    else optim.euclidean_step(p, grads[name], opt, config.learning_rate,
-                                              config.weight_decay, name)
-                    for name, p in params.items()
-                }
-            except ContractError as e:
-                # inputs were validated before the loop; a contract violation
-                # here means the iterates overflowed
-                raise _numerical_error(f"numerical breakdown ({e})", epoch, batch, params) from e
-            for name, p in params.items():
-                if name == "prototypes":
-                    bank.prototypes = p
-                else:
-                    encoder.set_param(name, p)
-            if not all(np.all(np.isfinite(p)) for p in params.values()):
+            if rsgd:
+                # before Adam, so a breakdown reports the norms before the update
+                try:
+                    bank.prototypes = optim.riemannian_step(bank.prototypes, grads["prototypes"],
+                                                            config.proto_lr)
+                except ContractError as e:
+                    # inputs were validated before the loop; a contract
+                    # violation here means the iterates overflowed
+                    raise _numerical_error(f"numerical breakdown ({e})", epoch, batch,
+                                           encoder, bank) from e
+            step += 1
+            grad = optim.pack({name: grads[name] for name in views})[0]
+            optim.euclidean_step(flat, grad, first_moment, second_moment, step,
+                                 config.learning_rate, config.weight_decay)
+            opt.param_steps = dict.fromkeys(views, step)
+            if not (np.isfinite(flat).all()
+                    and (not rsgd or np.isfinite(bank.prototypes).all())):
                 raise _numerical_error("non-finite parameters after update", epoch, batch,
-                                       params)
+                                       encoder, bank)
             total += loss * len(batch)
         loss_hist.append(total / len(perm))
 

@@ -458,6 +458,14 @@ RESUMED = {
     "train-resume-encoder-hidden": ({"encoder_hidden": 7}, {}),
 }
 
+# a resumed run's edits to its checkpoint's Adam state: field, name, new
+# value (None deletes the entry); every one of them is refused by `prepare`
+RESUMED_OPTIMIZER = {
+    "train-resume-unequal-steps": ("param_steps", "enc.b1", 1),
+    "train-resume-missing-moment": ("first_moment", "enc.W2", None),
+    "train-resume-moment-shape": ("second_moment", "enc.b2", [0.0]),
+}
+
 
 # settings every run refuses before writing anything: test id -> (key, value)
 BAD_SETTINGS = {
@@ -527,6 +535,21 @@ def _refused_argv(kind, tmp_path, trained):
         elif kind == "train-prototype-lr":
             argv = ["--config", write_config(tmp_path / "c.json", prototype_learning_rate=5.0),
                     "--head", "euclidean-linear"]
+        elif kind == "train-dataset-unseen-name":
+            # the name form a config accepts, but a dataset stores indices
+            payload = json.loads(ds_path.read_text())
+            ds_path = tmp_path / "ds_named.json"
+            ds_path.write_text(json.dumps({**payload, "unseen_classes": ["leaf_1"]}))
+            argv = ["--config", cfg_path]
+        elif kind in RESUMED_OPTIMIZER:
+            field, name, value = RESUMED_OPTIMIZER[kind]
+            payload = json.loads((run / "checkpoint.json").read_text())
+            payload["optimizer"][field].pop(name)
+            if value is not None:
+                payload["optimizer"][field][name] = value
+            ck = tmp_path / "ck.json"
+            ck.write_text(json.dumps(payload))
+            argv = ["--resume", str(ck)]
         elif kind in RESUMED:
             edit, shape = RESUMED[kind]
             payload = json.loads((run / "checkpoint.json").read_text())
@@ -574,8 +597,8 @@ def _refused_argv(kind, tmp_path, trained):
                                   "zeroshot-head-mode", "zeroshot-delta",
                                   "train-resume-features", "train-resume-no-encoder",
                                   "train-resume-encoder-hidden", "eval-features",
-                                  "eval-class-count"]
-                         + BAD_SETTING_CASES)
+                                  "eval-class-count", "train-dataset-unseen-name"]
+                         + sorted(RESUMED_OPTIMIZER) + BAD_SETTING_CASES)
 def test_refused_run_writes_nothing(trained, tmp_path, kind):
     assert main(_refused_argv(kind, tmp_path, trained)) == 2
     assert not (tmp_path / "o").exists()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,26 @@ class TestImbalanceProfile:
         ds = data.generate(num_samples=500, seed=0)
         with pytest.raises(ParameterError):
             data.imbalance_profile(ds, 0.0)
+
+
+class TestDatasetUnseenClasses:
+    @pytest.mark.parametrize("entry", ["leaf_1", True, 1.0, 4, -1, None])
+    def test_non_index_refused(self, tmp_path, entry):
+        ds = data.holdout_unseen(data.generate(num_samples=600, num_classes=4, num_super=2,
+                                               seed=0), [1])
+        path = tmp_path / "ds.json"
+        ds.save(path)
+        payload = json.loads(path.read_text())
+        payload["unseen_classes"] = [entry]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ContractError, match="unseen_classes"):
+            data.SyntheticDataset.load(path)
+
+    def test_indices_accepted(self, tmp_path):
+        ds = data.holdout_unseen(data.generate(num_samples=600, num_classes=4, num_super=2,
+                                               seed=0), [1, 3])
+        ds.save(tmp_path / "ds.json")
+        assert data.SyntheticDataset.load(tmp_path / "ds.json").unseen_classes == [1, 3]
 
 
 class TestHoldoutUnseen:

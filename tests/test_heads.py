@@ -44,6 +44,20 @@ class TestPrototypeBank:
         assert bank.d_min == pytest.approx(expected)
         assert bank.d_min == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("radius_row", [[0.6, 0.8], [3.0, 4.0]])
+    def test_duplicated_rows_excluded_from_d_min(self, radius_row):
+        # far from the origin the distance of a row to itself reads ~1e-6,
+        # above the near-zero cut-off; identical rows still are no pair
+        bank = make_hyperbolic_bank([radius_row, radius_row, [-1.0, 0.5]], frozen=True)
+        expected = G.hyperbolic_distance(bank.prototypes[0], bank.prototypes[2])
+        assert bank.d_min == pytest.approx(expected, rel=1e-12)
+        if radius_row == [3.0, 4.0]:
+            assert bank.d_min == pytest.approx(5.66, abs=0.01)
+
+    def test_all_identical_rows_refused(self):
+        with pytest.raises(ParameterError, match="coincide"):
+            make_hyperbolic_bank([[3.0, 4.0]] * 3, frozen=True)
+
     def test_learnable_d_min_is_one(self):
         bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
         assert bank.d_min == 1.0

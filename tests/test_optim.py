@@ -87,46 +87,128 @@ class TestRiemannianStep:
         G.assert_on_manifold(batched)
 
 
+def adam(params: dict, grads: dict, st: optim.OptimizerState, lr, weight_decay) -> dict:
+    """One Adam step of `params` by name as a run takes it: one packed
+    buffer, one call, one step count.  Returns the stepped tensors."""
+    flat, views = optim.pack(params)
+    m, v, step = st.pack(views)
+    optim.euclidean_step(flat, optim.pack(grads)[0], m, v, step + 1, lr, weight_decay)
+    st.param_steps = dict.fromkeys(views, step + 1)
+    return views
+
+
 class TestEuclideanStep:
     def test_zero_grad_no_decay_is_identity(self):
         st = optim.OptimizerState()
         p = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(optim.euclidean_step(p, np.zeros(2), st, 0.1, 0.0), p)
+        np.testing.assert_array_equal(adam({"p": p}, {"p": np.zeros(2)}, st, 0.1, 0.0)["p"], p)
 
     def test_descent_direction(self):
         st = optim.OptimizerState()
-        out = optim.euclidean_step(np.array([1.0]), np.array([1.0]), st, 0.1, 0.0)
+        out = adam({"p": np.array([1.0])}, {"p": np.array([1.0])}, st, 0.1, 0.0)["p"]
         assert out[0] < 1.0
 
     def test_independent_parameters(self, rng):
         st = optim.OptimizerState()
-        a = optim.euclidean_step(np.ones(3), rng.normal(size=3), st, 0.1, 0.0, "a")
-        b_grad = np.zeros(2)
-        b = optim.euclidean_step(np.ones(2), b_grad, st, 0.1, 0.0, "b")
-        np.testing.assert_array_equal(b, np.ones(2))
+        a_grad = rng.normal(size=3)
+        out = adam({"a": np.ones(3), "b": np.ones(2)}, {"a": a_grad, "b": np.zeros(2)},
+                   st, 0.1, 0.0)
+        np.testing.assert_array_equal(out["b"], np.ones(2))
         assert set(st.first_moment) == {"a", "b"}
+        alone = adam({"a": np.ones(3)}, {"a": a_grad}, optim.OptimizerState(), 0.1, 0.0)
+        np.testing.assert_array_equal(out["a"], alone["a"])
 
     def test_decoupled_weight_decay(self):
         st = optim.OptimizerState()
-        out = optim.euclidean_step(np.array([2.0]), np.zeros(1), st, 0.1, 0.5)
+        out = adam({"p": np.array([2.0])}, {"p": np.zeros(1)}, st, 0.1, 0.5)["p"]
         assert out[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_shape_mismatch(self):
-        st = optim.OptimizerState()
         with pytest.raises(DimensionError):
-            optim.euclidean_step(np.ones(3), np.ones(2), st, 0.1, 0.0)
+            optim.euclidean_step(np.ones(3), np.ones(2), np.zeros(3), np.zeros(3), 1, 0.1, 0.0)
 
     def test_state_round_trip(self, rng):
         st = optim.OptimizerState()
-        p = rng.normal(size=4)
+        p = {"w": rng.normal(size=4)}
         for _ in range(3):
-            p = optim.euclidean_step(p, rng.normal(size=4), st, 0.05, 0.01, "w")
+            p = adam(p, {"w": rng.normal(size=4)}, st, 0.05, 0.01)
         st2 = optim.OptimizerState.from_dict(jsonio.plain(st))
-        g = rng.normal(size=4)
-        np.testing.assert_array_equal(
-            optim.euclidean_step(p, g, st, 0.05, 0.01, "w"),
-            optim.euclidean_step(p, g, st2, 0.05, 0.01, "w"),
-        )
+        g = {"w": rng.normal(size=4)}
+        np.testing.assert_array_equal(adam(p, g, st, 0.05, 0.01)["w"],
+                                      adam(p, g, st2, 0.05, 0.01)["w"])
+
+
+class TestPack:
+    def test_views_share_the_buffer(self, rng):
+        tensors = {"W": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+        flat, views = optim.pack(tensors)
+        assert flat.shape == (8,) and flat.flags.c_contiguous
+        np.testing.assert_array_equal(flat, np.concatenate([tensors["W"].ravel(),
+                                                            tensors["b"]]))
+        flat += 1.0
+        np.testing.assert_array_equal(views["W"], tensors["W"] + 1.0)
+        assert all(np.shares_memory(v, flat) for v in views.values())
+
+    def test_empty(self):
+        flat, views = optim.pack({})
+        assert flat.shape == (0,) and views == {}
+
+    def test_moments_laid_out_like_params_and_zero_filled(self):
+        params = {"a": np.ones((2, 2)), "b": np.ones(3)}
+        st = optim.OptimizerState()
+        m, v, step = st.pack(params)
+        assert m.shape == v.shape == (7,) and not m.any() and step == 0
+        assert st.first_moment["a"].shape == (2, 2)
+        assert np.shares_memory(st.second_moment["b"], v)
+
+    def test_stored_moments_copied_in(self):
+        st = optim.OptimizerState({"a": np.full(2, 3.0)}, {"a": np.full(2, 4.0)}, {"a": 5})
+        m, v, step = st.pack({"a": np.zeros(2)})
+        np.testing.assert_array_equal(m, [3.0, 3.0])
+        np.testing.assert_array_equal(v, [4.0, 4.0])
+        assert step == 5
+
+
+class TestStateCheck:
+    PARAMS = {"a": np.zeros(2), "b": np.zeros((2, 3))}
+
+    def full_state(self):
+        return optim.OptimizerState({k: np.zeros_like(p) for k, p in self.PARAMS.items()},
+                                    {k: np.zeros_like(p) for k, p in self.PARAMS.items()},
+                                    {"a": 4, "b": 4})
+
+    def test_empty_and_full_states_pass(self):
+        optim.OptimizerState().check(self.PARAMS)
+        self.full_state().check(self.PARAMS)
+
+    def test_unequal_step_counts(self):
+        st = self.full_state()
+        st.param_steps["b"] = 3
+        with pytest.raises(ParameterError, match="step counts differ"):
+            st.check(self.PARAMS)
+
+    @pytest.mark.parametrize("field", ["first_moment", "second_moment", "param_steps"])
+    def test_some_names_missing(self, field):
+        st = self.full_state()
+        del getattr(st, field)["a"]
+        with pytest.raises(ParameterError, match="all of"):
+            st.check(self.PARAMS)
+
+    def test_extra_name(self):
+        st = self.full_state()
+        for d in (st.first_moment, st.second_moment):
+            d["c"] = np.zeros(1)
+        st.param_steps["c"] = 4
+        with pytest.raises(ParameterError, match="all of"):
+            st.check(self.PARAMS)
+
+    @pytest.mark.parametrize("field", ["first_moment", "second_moment"])
+    def test_moment_shape(self, field):
+        st = self.full_state()
+        getattr(st, field)["b"] = np.zeros((3, 2))
+        with pytest.raises(ParameterError, match="shape"):
+            st.check(self.PARAMS)
+
 
 class TestClipGradients:
     def test_below_threshold_unchanged(self):

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from lorentzheads import data, geometry as G, heads as H, training as T
-from lorentzheads.errors import NumericalError, ParameterError
+from lorentzheads import data, geometry as G, heads as H, optim, training as T
+from lorentzheads.errors import ContractError, NumericalError, ParameterError
 from lorentzheads.heads import BACKGROUND
 
 
@@ -449,3 +449,186 @@ class TestZeroShot:
         cfg = quick_config(epochs=5, embed_dim=8)
         _, _, rep, _ = T.train(cfg, ds)
         assert set(rep.bucket_accuracy) == {"frequent", "common", "rare"}
+
+
+def reference_adam(p, g, opt, lr, weight_decay, name):
+    """Adam on one tensor with its own moments and step count: the update
+    `train` made per tensor before it stepped one buffer."""
+    if name not in opt.first_moment:
+        opt.first_moment[name] = np.zeros_like(p)
+        opt.second_moment[name] = np.zeros_like(p)
+        opt.param_steps[name] = 0
+    opt.param_steps[name] += 1
+    t = opt.param_steps[name]
+    m, v = opt.first_moment[name], opt.second_moment[name]
+    m[...] = optim.BETA1 * m + (1.0 - optim.BETA1) * g
+    v[...] = optim.BETA2 * v + (1.0 - optim.BETA2) * g * g
+    m_hat = m / (1.0 - optim.BETA1**t)
+    v_hat = v / (1.0 - optim.BETA2**t)
+    return p - lr * (m_hat / (np.sqrt(v_hat) + optim.EPS) + weight_decay * p)
+
+
+def reference_train(state: T.RunState, dataset) -> T.RunState:
+    """`train`'s loop with one Adam call per tensor (no checks, no outputs):
+    the state at `state.config.epochs`."""
+    config, epoch, encoder, bank, opt, rng, loss_hist = state
+    dataset = data.holdout_unseen(dataset, config.unseen_classes)
+    for _ in range(epoch, config.epochs):
+        perm = rng.permutation(dataset.train_idx)
+        total = 0.0
+        for lo in range(0, len(perm), config.batch_size):
+            batch = perm[lo:lo + config.batch_size]
+            emb, cache = encoder.forward(dataset.features[batch])
+            loss, grad_emb, grad_proto = H.loss_and_grads(
+                emb, bank, dataset.labels[batch], config.focal_gamma, config.focal_alpha,
+                tau=config.cosine_tau)
+            grads, params = encoder.backward(cache, grad_emb), encoder.params()
+            if not bank.frozen:
+                grads["prototypes"], params["prototypes"] = grad_proto, bank.prototypes
+            if config.grad_clip_norm is not None:
+                grads = optim.clip_gradients(grads, config.grad_clip_norm)
+            for name, p in params.items():
+                if name == "prototypes" and bank.mode == H.MODE_HYPERBOLIC:
+                    bank.prototypes = optim.riemannian_step(p, grads[name], config.proto_lr)
+                elif name == "prototypes":
+                    bank.prototypes = reference_adam(p, grads[name], opt, config.learning_rate,
+                                                     config.weight_decay, name)
+                else:
+                    encoder.set_param(name, reference_adam(
+                        p, grads[name], opt, config.learning_rate, config.weight_decay, name))
+            total += loss * len(batch)
+        loss_hist.append(total / len(perm))
+    return state._replace(epoch=config.epochs)
+
+
+def frozen_means_bank(ds, mode=H.MODE_HYPERBOLIC):
+    """A frozen bank at the class means (exp0-mapped for the hyperbolic head)."""
+    means = np.stack([ds.features[ds.labels == c].mean(axis=0) for c in range(ds.num_classes)])
+    if mode == H.MODE_HYPERBOLIC:
+        means = G.batch_exp_map_origin(means)
+    return H.PrototypeBank(mode, means, list(ds.tree.leaf_classes), frozen=True)
+
+
+SETTINGS = {"plain": {}, "clipped-decayed": {"grad_clip_norm": 0.5, "weight_decay": 1e-3}}
+
+
+class TestOneAdamBuffer:
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    @pytest.mark.parametrize("mode", H.MODES)
+    def test_matches_per_tensor_adam(self, tmp_path, mode, setting):
+        ds = tiny_dataset()
+        cfg = quick_config(head_mode=mode, embed_dim=8, epochs=2, **SETTINGS[setting])
+        T.train(cfg, ds, out_dir=tmp_path)
+        T.save_checkpoint(tmp_path / "ref.json", *reference_train(T.start(cfg, ds), ds))
+        assert (tmp_path / "checkpoint.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("mode", H.MODES)
+    def test_resumed_run_matches_per_tensor_adam(self, tmp_path, mode):
+        ds = tiny_dataset()
+        T.train(quick_config(head_mode=mode, embed_dim=8, epochs=2, weight_decay=1e-3), ds,
+                out_dir=tmp_path)
+        payload = json.loads((tmp_path / "checkpoint.json").read_text())
+        payload["config"]["epochs"] = 4
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps(payload))
+        (tmp_path / "resumed").mkdir()
+        state = T.load_checkpoint(ck)
+        T.train(state.config, ds, out_dir=tmp_path / "resumed", state=state)
+        T.save_checkpoint(tmp_path / "ref.json", *reference_train(T.load_checkpoint(ck), ds))
+        assert ((tmp_path / "resumed" / "checkpoint.json").read_bytes()
+                == (tmp_path / "ref.json").read_bytes())
+
+    @pytest.mark.parametrize("mode", [H.MODE_HYPERBOLIC, H.MODE_LINEAR])
+    def test_zero_shot_matches_per_tensor_adam(self, tmp_path, mode):
+        ds = tiny_dataset()
+        cfg = quick_config(head_mode=mode, embed_dim=8, epochs=2, unseen_classes=[3],
+                           grad_clip_norm=0.5)
+        T.zero_shot_eval(cfg, ds, frozen_means_bank(ds, mode), out_dir=tmp_path)
+        ref = reference_train(T.start(cfg, ds, frozen_means_bank(ds, mode)), ds)
+        T.save_checkpoint(tmp_path / "ref.json", *ref)
+        assert (tmp_path / "checkpoint.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    def test_trained_tensors_are_views_read_correctly(self, tmp_path):
+        ds = tiny_dataset()
+        cfg = quick_config(head_mode=H.MODE_LINEAR, embed_dim=8, epochs=2)
+        bank, encoder, report, _ = T.train(cfg, ds, out_dir=tmp_path)
+        tensors = [*encoder.params().values(), bank.prototypes]
+        buffer = encoder.W1.base
+        assert buffer is not None and all(t.base is buffer for t in tensors)
+        assert buffer.size == sum(t.size for t in tensors)
+        # the views score and save as the copies of them do
+        copies = T.Encoder(*(t.copy() for t in encoder.params().values()))
+        copied_bank = H.PrototypeBank(bank.mode, bank.prototypes.copy(), bank.class_names,
+                                      bank.delta)
+        again = T.evaluate_split(bank, encoder, ds)
+        from_copies = T.evaluate_split(copied_bank, copies, ds)
+        assert again.val_accuracy == report.val_accuracy == from_copies.val_accuracy
+        assert again.per_class == report.per_class == from_copies.per_class
+        state = T.load_checkpoint(tmp_path / "checkpoint.json")
+        for loaded, trained in zip([*state.encoder.params().values(), state.bank.prototypes],
+                                   tensors):
+            np.testing.assert_array_equal(loaded, trained)
+        T.save_checkpoint(tmp_path / "again.json", *state._replace(encoder=encoder, bank=bank))
+        assert ((tmp_path / "again.json").read_bytes()
+                == (tmp_path / "checkpoint.json").read_bytes())
+
+    @pytest.mark.parametrize("mode", H.MODES + ("zero-shot",))
+    def test_one_adam_call_per_batch(self, monkeypatch, mode):
+        ds = tiny_dataset()
+        calls = {"euclidean_step": 0, "riemannian_step": 0}
+        for name in calls:
+            def counted(*args, _step=getattr(optim, name), _name=name):
+                calls[_name] += 1
+                return _step(*args)
+            monkeypatch.setattr(optim, name, counted)
+        if mode == "zero-shot":
+            cfg = quick_config(embed_dim=8, epochs=2)
+            T.train(cfg, ds, state=T.start(cfg, ds, frozen_means_bank(ds)))
+        else:
+            T.train(quick_config(head_mode=mode, embed_dim=8, epochs=2), ds)
+        batches = 2 * -(-len(ds.train_idx) // 64)
+        assert calls == {"euclidean_step": batches,
+                         "riemannian_step": batches if mode == H.MODE_HYPERBOLIC else 0}
+
+    def test_step_count_shared(self, tmp_path):
+        ds = tiny_dataset()
+        T.train(quick_config(head_mode=H.MODE_COSINE, embed_dim=8, epochs=2), ds,
+                out_dir=tmp_path)
+        steps = json.loads((tmp_path / "checkpoint.json").read_text())["optimizer"]["param_steps"]
+        batches = -(-len(ds.train_idx) // 64)
+        assert steps == dict.fromkeys(["enc.W1", "enc.W2", "enc.b1", "enc.b2", "prototypes"],
+                                      2 * batches)
+
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(lambda o: o.param_steps.update({"enc.b1": 1}), "step counts differ",
+                     id="unequal-steps"),
+        pytest.param(lambda o: o.first_moment.pop("enc.W2"), "all of", id="missing-moment"),
+        pytest.param(lambda o: o.second_moment.update({"enc.b2": np.zeros(3)}), "shape",
+                     id="moment-shape"),
+        pytest.param(lambda o: o.first_moment.update({"prototypes": np.zeros((4, 8))}),
+                     "all of", id="rsgd-tensor-moment"),
+    ])
+    def test_prepare_refuses_an_unsteppable_state(self, tmp_path, edit, match):
+        ds = tiny_dataset()
+        cfg = quick_config(embed_dim=8, epochs=2)
+        T.train(cfg, ds, out_dir=tmp_path)
+        state = T.load_checkpoint(tmp_path / "checkpoint.json")
+        edit(state.opt)
+        with pytest.raises(ParameterError, match=match):
+            T.prepare(state, ds)
+
+    def test_rsgd_breakdown_reports_norms_before_the_update(self, monkeypatch):
+        ds = tiny_dataset()
+        cfg = quick_config(embed_dim=8, epochs=1)
+        state = T.start(cfg, ds)
+        before = {k: float(np.linalg.norm(v))
+                  for k, v in {**state.encoder.params(), "prototypes": state.bank.prototypes}
+                  .items()}
+
+        def breaks(*args):
+            raise ContractError("off the manifold")
+
+        monkeypatch.setattr(optim, "riemannian_step", breaks)
+        with pytest.raises(NumericalError, match="numerical breakdown") as err:
+            T.train(cfg, ds, state=state)
+        assert str(before) in str(err.value)
