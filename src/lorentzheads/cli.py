@@ -192,7 +192,8 @@ def cmd_import_prototypes(args) -> int:
     )
     bank.save(args.out)
     manifest.finalize([args.out])
-    print(f"wrote {args.out}: {bank.num_classes} classes, d_min={bank.d_min:.6f}")
+    d_min = f", d_min={bank.d_min:.6f}" if bank.mode == heads.MODE_HYPERBOLIC else ""
+    print(f"wrote {args.out}: {bank.num_classes} classes{d_min}")
     return EXIT_OK
 
 

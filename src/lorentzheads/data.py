@@ -54,6 +54,9 @@ class SyntheticDataset:
     buckets: dict = field(default_factory=dict)   # class name -> frequent/common/rare
     unseen_classes: list[int] = field(default_factory=list)
 
+    def __post_init__(self):
+        self.validate()
+
     @property
     def num_classes(self) -> int:
         return len(self.tree.leaf_classes)
@@ -66,8 +69,8 @@ class SyntheticDataset:
         N = self.features.shape[0]
         if not np.all(np.isfinite(self.features)):
             raise ContractError("features contain non-finite entries")
-        if self.features.ndim != 2 or self.labels.shape != (N,):
-            raise ContractError("need an (N, n) feature matrix with one label per row")
+        if self.features.ndim != 2 or self.num_features < 1 or self.labels.shape != (N,):
+            raise ContractError("need an (N, n) feature matrix, n >= 1, with one label per row")
         if np.any((self.labels < BACKGROUND) | (self.labels >= self.num_classes)):
             raise ContractError(f"labels must lie in [{BACKGROUND}, {self.num_classes})")
         for idx in (self.train_idx, self.val_idx):
@@ -114,7 +117,7 @@ class SyntheticDataset:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticDataset":
-        ds = cls(
+        return cls(
             features=np.asarray(d["features"], dtype=np.float64),
             labels=np.asarray(d["labels"], dtype=np.int64),
             train_idx=np.asarray(d["splits"]["train"], dtype=np.int64),
@@ -125,8 +128,6 @@ class SyntheticDataset:
             buckets=d.get("buckets", {}),
             unseen_classes=list(d.get("unseen_classes", [])),
         )
-        ds.validate()
-        return ds
 
     @classmethod
     def load(cls, path) -> "SyntheticDataset":
@@ -198,7 +199,7 @@ def generate(
         leaf_classes=[f"leaf_{c}" for c in range(num_classes)],
         parents=parents,
     )
-    ds = SyntheticDataset(
+    return SyntheticDataset(
         features=features,
         labels=labels,
         train_idx=train_idx,
@@ -218,8 +219,6 @@ def generate(
             "train_fraction": train_fraction,
         },
     )
-    ds.validate()
-    return ds
 
 
 def imbalance_profile(dataset: SyntheticDataset, power_law_exponent: float) -> SyntheticDataset:
@@ -229,8 +228,8 @@ def imbalance_profile(dataset: SyntheticDataset, power_law_exponent: float) -> S
     train samples.  Classes are bucketed into frequent/common/rare by
     frequency terciles of the resulting counts.
     """
-    if power_law_exponent <= 0:
-        raise ParameterError("power_law_exponent must be > 0")
+    if not 0 < power_law_exponent < np.inf:
+        raise ParameterError("power_law_exponent must be finite and > 0")
     counts = dataset.class_counts("train")
     n_max = counts.max()
     targets = [int(round(n_max * (r + 1) ** (-power_law_exponent)))
@@ -262,12 +261,10 @@ def imbalance_profile(dataset: SyntheticDataset, power_law_exponent: float) -> S
         name = dataset.tree.leaf_classes[int(c)]
         buckets[name] = "frequent" if pos < cut1 else ("common" if pos < cut2 else "rare")
 
-    out = dataclasses.replace(
+    return dataclasses.replace(
         dataset, train_idx=new_train, buckets=buckets,
         params={**dataset.params, "power_law_exponent": power_law_exponent},
     )
-    out.validate()
-    return out
 
 
 def holdout_unseen(dataset: SyntheticDataset, unseen_classes) -> SyntheticDataset:
@@ -294,7 +291,5 @@ def holdout_unseen(dataset: SyntheticDataset, unseen_classes) -> SyntheticDatase
 
     train_labels = dataset.labels[dataset.train_idx]
     keep = ~np.isin(train_labels, resolved)
-    out = dataclasses.replace(dataset, train_idx=dataset.train_idx[keep],
-                              unseen_classes=resolved)
-    out.validate()
-    return out
+    return dataclasses.replace(dataset, train_idx=dataset.train_idx[keep],
+                               unseen_classes=resolved)

@@ -17,7 +17,7 @@ path takes an (m, n) feature matrix; classify wraps one feature as m = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,23 +49,22 @@ class PrototypeBank:
     """C class prototypes plus head configuration.
 
     Hyperbolic prototypes are stored as full (n+1)-coordinate hyperboloid
-    points (one row each); Euclidean prototypes as plain n-vectors.  d_min
-    is derived, never read: the minimum pairwise prototype distance for a
-    frozen bank, the constant 1 for a learnable one.
+    points (one row each); Euclidean prototypes as plain n-vectors.  d_min is
+    read by the hyperbolic logit alone and derived, never stored: the minimum
+    pairwise geodesic distance of a frozen hyperbolic bank, 1 otherwise.
     """
 
     mode: str
     prototypes: np.ndarray
     class_names: list[str]
     delta: float = DEFAULT_DELTA
-    d_min: float = field(default=1.0, init=False)
     frozen: bool = False
 
     def __post_init__(self):
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         self.validate()
-        if self.frozen:
-            self.d_min = self.min_pairwise_distance()
+        frozen_hyperbolic = self.frozen and self.mode == MODE_HYPERBOLIC
+        self.d_min = self.min_pairwise_distance() if frozen_hyperbolic else 1.0
 
     @property
     def num_classes(self) -> int:
@@ -93,12 +92,8 @@ class PrototypeBank:
             geometry.assert_on_manifold(self.prototypes)
 
     def min_pairwise_distance(self) -> float:
-        """Brute-force minimum inter-class prototype distance."""
-        if self.mode == MODE_HYPERBOLIC:
-            D = geometry.batch_distance(self.prototypes, self.prototypes)
-        else:
-            diff = self.prototypes[:, None, :] - self.prototypes[None, :, :]
-            D = np.linalg.norm(diff, axis=-1)
+        """Brute-force minimum geodesic distance between hyperbolic prototypes."""
+        D = geometry.batch_distance(self.prototypes, self.prototypes)
         i, j = np.triu_indices(self.num_classes, k=1)
         vals = D[i, j]
         # duplicated prototypes (aliasing setups) are no pair of distinct

@@ -67,47 +67,51 @@ def pack(tensors: dict) -> tuple[np.ndarray, dict]:
 
 @dataclass
 class OptimizerState:
-    """What Adam accumulates for named Euclidean parameters: the two moment
-    estimates and the step count of each name.  The rates are the caller's."""
+    """What Adam accumulates for named Euclidean parameters: both moment
+    estimates by name and the one step count they share; the rates are the caller's."""
 
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
-    param_steps: dict = field(default_factory=dict)
+    step: int = 0
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerState":
-        """Other keys (older checkpoints also stored the rates) are ignored."""
+        """Other keys (older checkpoints also stored the rates) are ignored; an
+        older checkpoint's per-tensor counts, `param_steps`, load as their one value."""
+        steps = set(map(int, d["param_steps"].values() if "param_steps" in d else [d["step"]]))
+        if len(steps) > 1:
+            raise ParameterError(f"Adam step counts differ between tensors: {d['param_steps']}")
         return cls({k: np.asarray(v, dtype=np.float64) for k, v in d["first_moment"].items()},
                    {k: np.asarray(v, dtype=np.float64) for k, v in d["second_moment"].items()},
-                   {k: int(v) for k, v in d["param_steps"].items()})
+                   max(steps, default=0))
 
     def check(self, params: dict) -> None:
         """Refuse a state that cannot go on stepping `params` (the tensors Adam
-        steps, by name) as one buffer: it must hold moments and a step count
-        for all of them or for none, the same count for each, and moments
-        shaped like their tensors."""
-        held = (self.first_moment, self.second_moment, self.param_steps)
-        if {frozenset(d) for d in held} not in ({frozenset()}, {frozenset(params)}):
-            raise ParameterError(
-                f"optimizer state must hold moments and step counts for all of "
-                f"{sorted(params)} or none, not first moments for {sorted(held[0])}, "
-                f"second moments for {sorted(held[1])}, step counts for {sorted(held[2])}")
-        if len(set(self.param_steps.values())) > 1:
-            raise ParameterError(f"Adam step counts differ between tensors: {self.param_steps}")
-        for moments in held[:2]:
+        steps, by name) as one buffer: after a step it holds moments for
+        exactly those tensors, before any step none; each moment is finite and
+        shaped like its tensor, and a second moment is never negative."""
+        expected = set(params) if self.step else set()
+        if self.step < 0 or not set(self.first_moment) == set(self.second_moment) == expected:
+            raise ParameterError(f"after {self.step} Adam steps the optimizer state must hold "
+                                 f"moments for {sorted(expected) or 'no tensor'}, not for "
+                                 f"{sorted(self.first_moment)}, {sorted(self.second_moment)}")
+        for kind, moments in (("first", self.first_moment), ("second", self.second_moment)):
             for name, m in moments.items():
                 if np.shape(m) != np.shape(params[name]):
-                    raise ParameterError(f"optimizer moment of {name!r} has shape "
+                    raise ParameterError(f"optimizer {kind} moment of {name!r} has shape "
                                          f"{np.shape(m)}, its tensor {np.shape(params[name])}")
+                if not np.isfinite(m).all() or (kind == "second" and np.less(m, 0.0).any()):
+                    raise ParameterError(f"optimizer {kind} moment of {name!r} must be finite"
+                                         + " and >= 0" * (kind == "second"))
 
-    def pack(self, params: dict) -> tuple[np.ndarray, np.ndarray, int]:
+    def pack(self, params: dict) -> tuple[np.ndarray, np.ndarray]:
         """Lay the moments out like `pack(params)`, rebinding each stored
         moment to a view of its buffer; names with none start at zero.
-        Returns the first- and second-moment buffers and the step count."""
+        Returns the first- and second-moment buffers."""
         zeros = {name: np.zeros(np.shape(p)) for name, p in params.items()}
         m, self.first_moment = pack({**zeros, **self.first_moment})
         v, self.second_moment = pack({**zeros, **self.second_moment})
-        return m, v, max(self.param_steps.values(), default=0)
+        return m, v
 
 
 def euclidean_step(param: np.ndarray, grad, first_moment: np.ndarray,

@@ -72,8 +72,15 @@ class ExperimentConfig:
     unseen_classes: list = field(default_factory=list)
 
     def __post_init__(self):
-        """The one range check of a run's settings (`from_dict` checks only
-        their JSON types), so a bad setting is refused before any output."""
+        """The one type and range check of a run's settings, however the
+        config is built, so a bad setting is refused before any output."""
+        for f in dataclasses.fields(self):
+            value, allowed = getattr(self, f.name), f.type.split(" | ")
+            # JSON true/false must not pass as a number
+            if not isinstance(value, tuple(_JSON_TYPES[t] for t in allowed)) or (
+                    isinstance(value, bool) and "bool" not in allowed):
+                raise ParameterError(f"config key {f.name!r} must be {f.type}, "
+                                     f"not {type(value).__name__}")
         if self.head_mode not in heads.MODES:
             raise ParameterError(f"unknown head mode {self.head_mode!r}")
         for name, (rule, ok) in _RANGES.items():
@@ -99,17 +106,9 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ParameterError(f"config must be a JSON object, not {type(d).__name__}")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        extra = set(d) - set(types)
+        extra = set(d) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise ParameterError(f"unknown config keys: {sorted(extra)}")
-        for key, value in d.items():
-            allowed = tuple(_JSON_TYPES[t] for t in types[key].split(" | "))
-            # JSON true/false must not pass as a number
-            if not isinstance(value, allowed) or (
-                    isinstance(value, bool) and bool not in allowed):
-                raise ParameterError(f"config key {key!r} must be {types[key]}, "
-                                     f"not {type(value).__name__}")
         return cls(**d)
 
     @classmethod
@@ -356,12 +355,15 @@ def start(config: ExperimentConfig, dataset: SyntheticDataset,
 def check_fit(state: RunState, dataset: SyntheticDataset) -> None:
     """Refuse a state whose encoder or bank does not fit its config and `dataset`."""
     config, encoder, bank = state.config, state.encoder, state.bank
-    shapes = (encoder.W1.shape, encoder.W2.shape) if encoder is not None else None
-    fits = ((dataset.num_features, config.encoder_hidden),
-            (config.encoder_hidden, config.embed_dim)) if config.encoder else None
+    weights = encoder.params().values() if encoder is not None else ()
+    shapes = [np.shape(w) for w in weights] or None
+    n, h, e = dataset.num_features, config.encoder_hidden, config.embed_dim
+    fits = [(n, h), (h,), (h, e), (e,)] if config.encoder else None
     if shapes != fits:
-        raise ParameterError(f"encoder weights {shapes or 'absent'}, but {dataset.num_features} "
+        raise ParameterError(f"encoder weights W1, b1, W2, b2 {shapes or 'absent'}, but {n} "
                              f"features and the config need {fits or 'none'}")
+    if not all(np.isfinite(w).all() for w in weights):
+        raise ParameterError("encoder weights contain non-finite entries")
     if encoder is None and config.embed_dim != dataset.num_features:
         raise ParameterError("without an encoder, embed_dim must equal the feature dim")
     if bank.num_classes != dataset.num_classes:
@@ -426,7 +428,7 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
             bank.prototypes = view
         else:
             encoder.set_param(name, view)
-    first_moment, second_moment, step = opt.pack(views)
+    first_moment, second_moment = opt.pack(views)
     checkpoints = []
 
     for epoch in range(start_epoch, config.epochs):
@@ -459,11 +461,11 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
                     # violation here means the iterates overflowed
                     raise _numerical_error(f"numerical breakdown ({e})", epoch, batch,
                                            encoder, bank) from e
-            step += 1
-            grad = optim.pack({name: grads[name] for name in views})[0]
-            optim.euclidean_step(flat, grad, first_moment, second_moment, step,
-                                 config.learning_rate, config.weight_decay)
-            opt.param_steps = dict.fromkeys(views, step)
+            if views:   # a run with no Adam-stepped tensor counts no Adam step
+                opt.step += 1
+                grad = optim.pack({name: grads[name] for name in views})[0]
+                optim.euclidean_step(flat, grad, first_moment, second_moment, opt.step,
+                                     config.learning_rate, config.weight_decay)
             if not (np.isfinite(flat).all()
                     and (not rsgd or np.isfinite(bank.prototypes).all())):
                 raise _numerical_error("non-finite parameters after update", epoch, batch,

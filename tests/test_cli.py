@@ -351,6 +351,17 @@ class TestImportPrototypes:
                      "--out", str(tmp_path / "o" / "bank.json")]) == 2
         assert not (tmp_path / "o").exists()
 
+    def test_coinciding_euclidean_rows(self, tmp_path, capsys):
+        # no Euclidean logit reads d_min, so equal rows need none
+        emb = tmp_path / "emb.txt"
+        emb.write_text("a 1 0\nb 1 0\n")
+        bank_path = tmp_path / "bank.json"
+        assert main(["import-prototypes", "--embeddings", str(emb),
+                     "--mode", "euclidean-linear", "--out", str(bank_path)]) == 0
+        assert "d_min" not in capsys.readouterr().out
+        assert "d_min" not in json.loads(bank_path.read_text())
+        validate_file(bank_path, "prototype_bank")
+
     def test_already_hyperbolic_euclidean_exit_2(self, tmp_path):
         emb = tmp_path / "emb.txt"
         emb.write_text("a 1 0\nb 0 1\n")
@@ -416,8 +427,8 @@ MALFORMED = {
     "labels-short": ("dataset", lambda d: {**d, "labels": d["labels"][:-5]}),
     "split-index": ("dataset", lambda d: {**d, "splits": {
         **d["splits"], "val": d["splits"]["val"] + [len(d["labels"])]}}),
-    "checkpoint-param-steps": ("checkpoint", lambda d: {**d, "optimizer": {
-        k: v for k, v in d["optimizer"].items() if k != "param_steps"}}),
+    "checkpoint-step": ("checkpoint", lambda d: {**d, "optimizer": {
+        k: v for k, v in d["optimizer"].items() if k != "step"}}),
     "bank-token": ("bank", lambda d: {**d["bank"], "frozen": True,
                                       "prototypes": _first_row(d["bank"]["prototypes"], "x")}),
 }
@@ -458,12 +469,38 @@ RESUMED = {
     "train-resume-encoder-hidden": ({"encoder_hidden": 7}, {}),
 }
 
-# a resumed run's edits to its checkpoint's Adam state: field, name, new
-# value (None deletes the entry); every one of them is refused by `prepare`
+def older_optimizer(opt: dict, **steps) -> dict:
+    """`opt` in the older checkpoint format: one step count per tensor, the
+    common count unless `steps` overrides it."""
+    step = opt.pop("step")
+    opt["param_steps"] = {**dict.fromkeys(opt["first_moment"], step), **steps}
+    return opt
+
+
+# a resumed run's edits to its checkpoint's Adam state, each refused before
+# anything is written
 RESUMED_OPTIMIZER = {
-    "train-resume-unequal-steps": ("param_steps", "enc.b1", 1),
-    "train-resume-missing-moment": ("first_moment", "enc.W2", None),
-    "train-resume-moment-shape": ("second_moment", "enc.b2", [0.0]),
+    "train-resume-unequal-steps": lambda o: older_optimizer(o, **{"enc.b1": 1}),
+    "train-resume-missing-moment": lambda o: o["first_moment"].pop("enc.W2"),
+    "train-resume-moment-shape": lambda o: o["second_moment"].update({"enc.b2": [0.0]}),
+    "train-resume-negative-second-moment":
+        lambda o: o["second_moment"]["enc.b1"].__setitem__(0, -1.0),
+}
+
+# edits to a checkpoint's encoder that `eval` and `train --resume` refuse
+ENCODER_EDITS = {
+    "nan-weight": lambda e: e["W1"][0].__setitem__(0, float("nan")),
+    "short-b1": lambda e: e.update(b1=e["b1"][:1]),
+    "long-b2": lambda e: e.update(b2=e["b2"][:3]),
+}
+ENCODER_CASES = [f"{command}-encoder-{edit}" for command in ("eval", "train-resume")
+                 for edit in ENCODER_EDITS]
+
+# generate flags refused before any file is written
+GENERATE_CASES = {
+    "generate": ["--classes", "2", "--super", "4"],
+    "generate-zero-features": ["--n-features", "0"],
+    "generate-imbalance-nan": ["--imbalance-exponent", "nan"],
 }
 
 
@@ -524,8 +561,17 @@ def _refused_argv(kind, tmp_path, trained):
     out = tmp_path / "o"
     if ":" in kind:
         return _bad_setting_argv(kind, tmp_path, trained)
-    if kind == "generate":
-        return ["generate", "--out", str(out / "ds.json"), "--classes", "2", "--super", "4"]
+    if kind in GENERATE_CASES:
+        return ["generate", "--out", str(out / "ds.json")] + GENERATE_CASES[kind]
+    if kind in ENCODER_CASES:
+        payload = json.loads((run / "checkpoint.json").read_text())
+        ENCODER_EDITS[kind.split("-encoder-")[1]](payload["encoder"])
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps(payload))
+        if kind.startswith("eval"):
+            return ["eval", "--checkpoint", str(ck), "--dataset", str(ds_path),
+                    "--out", str(out / "metrics.json")]
+        return ["train", "--resume", str(ck), "--dataset", str(ds_path), "--out", str(out)]
     if kind.startswith("train"):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"epochs": 2, "momentum": 0.9}))
@@ -542,11 +588,8 @@ def _refused_argv(kind, tmp_path, trained):
             ds_path.write_text(json.dumps({**payload, "unseen_classes": ["leaf_1"]}))
             argv = ["--config", cfg_path]
         elif kind in RESUMED_OPTIMIZER:
-            field, name, value = RESUMED_OPTIMIZER[kind]
             payload = json.loads((run / "checkpoint.json").read_text())
-            payload["optimizer"][field].pop(name)
-            if value is not None:
-                payload["optimizer"][field][name] = value
+            RESUMED_OPTIMIZER[kind](payload["optimizer"])
             ck = tmp_path / "ck.json"
             ck.write_text(json.dumps(payload))
             argv = ["--resume", str(ck)]
@@ -590,7 +633,7 @@ def _refused_argv(kind, tmp_path, trained):
     return ["import-prototypes", "--embeddings", str(emb), "--out", str(out / "bank.json")]
 
 
-@pytest.mark.parametrize("kind", ["generate", "train", "zeroshot", "hubness",
+@pytest.mark.parametrize("kind", ["train", "zeroshot", "hubness",
                                   "import-prototypes", "train-unseen", "train-prototype-lr",
                                   "train-resume-class-count", "zeroshot-unseen-index",
                                   "zeroshot-learnable-bank", "zeroshot-width",
@@ -598,7 +641,8 @@ def _refused_argv(kind, tmp_path, trained):
                                   "train-resume-features", "train-resume-no-encoder",
                                   "train-resume-encoder-hidden", "eval-features",
                                   "eval-class-count", "train-dataset-unseen-name"]
-                         + sorted(RESUMED_OPTIMIZER) + BAD_SETTING_CASES)
+                         + sorted(RESUMED_OPTIMIZER) + ENCODER_CASES + sorted(GENERATE_CASES)
+                         + BAD_SETTING_CASES)
 def test_refused_run_writes_nothing(trained, tmp_path, kind):
     assert main(_refused_argv(kind, tmp_path, trained)) == 2
     assert not (tmp_path / "o").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -53,6 +54,15 @@ class TestGenerate:
         setattr(ds, field, value(ds))
         with pytest.raises(ContractError, match=match):
             ds.validate()
+
+    def test_checked_when_built(self):
+        ds = data.generate(num_samples=1000, seed=3)
+        with pytest.raises(ContractError, match="split indices"):
+            dataclasses.replace(ds, val_idx=np.append(ds.val_idx, 1000))
+
+    def test_zero_width_features_rejected(self):
+        with pytest.raises(ContractError, match="n >= 1"):
+            data.generate(num_features=0, num_samples=600, num_classes=4, num_super=2)
 
     def test_hierarchical_signal_in_means(self):
         # with sigma_leaf << sigma_super, sibling leaf means are closer than
@@ -123,6 +133,12 @@ class TestImbalanceProfile:
         ds = data.generate(num_samples=500, seed=0)
         with pytest.raises(ParameterError):
             data.imbalance_profile(ds, 0.0)
+
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf")])
+    def test_non_finite_exponent(self, exponent):
+        ds = data.generate(num_samples=500, seed=0)
+        with pytest.raises(ParameterError, match="power_law_exponent"):
+            data.imbalance_profile(ds, exponent)
 
 
 class TestDatasetUnseenClasses:

@@ -62,6 +62,16 @@ class TestPrototypeBank:
         bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
         assert bank.d_min == 1.0
 
+    @pytest.mark.parametrize("mode", [H.MODE_LINEAR, H.MODE_COSINE])
+    def test_frozen_euclidean_d_min_is_one(self, mode):
+        # no Euclidean logit reads d_min, so rows that coincide are no error
+        bank = H.PrototypeBank(mode, [[1.0, 0.0]] * 2, ["a", "b"], frozen=True)
+        assert bank.d_min == 1.0
+
+    def test_d_min_is_not_written(self):
+        bank = make_hyperbolic_bank([[1.0, 0.0], [0.0, 1.0]], frozen=True)
+        assert "d_min" not in bank.to_dict()
+
     def test_d_min_is_derived_not_read(self, rng):
         # a file edited to d_min 2: a learnable bank still scores with 1, a
         # frozen one with its minimum pairwise distance

@@ -91,9 +91,9 @@ def adam(params: dict, grads: dict, st: optim.OptimizerState, lr, weight_decay) 
     """One Adam step of `params` by name as a run takes it: one packed
     buffer, one call, one step count.  Returns the stepped tensors."""
     flat, views = optim.pack(params)
-    m, v, step = st.pack(views)
-    optim.euclidean_step(flat, optim.pack(grads)[0], m, v, step + 1, lr, weight_decay)
-    st.param_steps = dict.fromkeys(views, step + 1)
+    m, v = st.pack(views)
+    st.step += 1
+    optim.euclidean_step(flat, optim.pack(grads)[0], m, v, st.step, lr, weight_decay)
     return views
 
 
@@ -156,17 +156,17 @@ class TestPack:
     def test_moments_laid_out_like_params_and_zero_filled(self):
         params = {"a": np.ones((2, 2)), "b": np.ones(3)}
         st = optim.OptimizerState()
-        m, v, step = st.pack(params)
-        assert m.shape == v.shape == (7,) and not m.any() and step == 0
+        m, v = st.pack(params)
+        assert m.shape == v.shape == (7,) and not m.any() and st.step == 0
         assert st.first_moment["a"].shape == (2, 2)
         assert np.shares_memory(st.second_moment["b"], v)
 
     def test_stored_moments_copied_in(self):
-        st = optim.OptimizerState({"a": np.full(2, 3.0)}, {"a": np.full(2, 4.0)}, {"a": 5})
-        m, v, step = st.pack({"a": np.zeros(2)})
+        st = optim.OptimizerState({"a": np.full(2, 3.0)}, {"a": np.full(2, 4.0)}, 5)
+        m, v = st.pack({"a": np.zeros(2)})
         np.testing.assert_array_equal(m, [3.0, 3.0])
         np.testing.assert_array_equal(v, [4.0, 4.0])
-        assert step == 5
+        assert st.step == 5
 
 
 class TestStateCheck:
@@ -174,32 +174,50 @@ class TestStateCheck:
 
     def full_state(self):
         return optim.OptimizerState({k: np.zeros_like(p) for k, p in self.PARAMS.items()},
-                                    {k: np.zeros_like(p) for k, p in self.PARAMS.items()},
-                                    {"a": 4, "b": 4})
+                                    {k: np.zeros_like(p) for k, p in self.PARAMS.items()}, 4)
 
     def test_empty_and_full_states_pass(self):
         optim.OptimizerState().check(self.PARAMS)
         self.full_state().check(self.PARAMS)
 
     def test_unequal_step_counts(self):
-        st = self.full_state()
-        st.param_steps["b"] = 3
+        # an older checkpoint's per-tensor counts must agree on one value
+        doc = jsonio.plain(self.full_state())
+        del doc["step"]
+        doc["param_steps"] = {"a": 4, "b": 3}
         with pytest.raises(ParameterError, match="step counts differ"):
-            st.check(self.PARAMS)
+            optim.OptimizerState.from_dict(doc)
 
-    @pytest.mark.parametrize("field", ["first_moment", "second_moment", "param_steps"])
+    @pytest.mark.parametrize("steps, step", [({"a": 4, "b": 4}, 4), ({}, 0)])
+    def test_older_per_tensor_counts_read_as_one(self, steps, step):
+        doc = {"first_moment": {}, "second_moment": {}, "param_steps": steps,
+               "learning_rate": 0.01}
+        assert optim.OptimizerState.from_dict(doc).step == step
+
+    @pytest.mark.parametrize("field", ["first_moment", "second_moment"])
     def test_some_names_missing(self, field):
         st = self.full_state()
         del getattr(st, field)["a"]
-        with pytest.raises(ParameterError, match="all of"):
+        with pytest.raises(ParameterError, match="must hold moments"):
             st.check(self.PARAMS)
+
+    def test_moments_need_a_step(self):
+        st = self.full_state()
+        st.step = 0
+        with pytest.raises(ParameterError, match="must hold moments for no tensor"):
+            st.check(self.PARAMS)
+        with pytest.raises(ParameterError, match="must hold moments"):
+            optim.OptimizerState(step=4).check(self.PARAMS)
+
+    def test_negative_step(self):
+        with pytest.raises(ParameterError, match="after -1 Adam steps"):
+            optim.OptimizerState(step=-1).check({})
 
     def test_extra_name(self):
         st = self.full_state()
         for d in (st.first_moment, st.second_moment):
             d["c"] = np.zeros(1)
-        st.param_steps["c"] = 4
-        with pytest.raises(ParameterError, match="all of"):
+        with pytest.raises(ParameterError, match="must hold moments"):
             st.check(self.PARAMS)
 
     @pytest.mark.parametrize("field", ["first_moment", "second_moment"])
@@ -207,6 +225,17 @@ class TestStateCheck:
         st = self.full_state()
         getattr(st, field)["b"] = np.zeros((3, 2))
         with pytest.raises(ParameterError, match="shape"):
+            st.check(self.PARAMS)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("first_moment", np.nan, "first moment .* must be finite"),
+        ("second_moment", np.inf, "second moment .* must be finite"),
+        ("second_moment", -1.0, ">= 0"),
+    ])
+    def test_moment_values(self, field, value, match):
+        st = self.full_state()
+        getattr(st, field)["b"][1, 2] = value
+        with pytest.raises(ParameterError, match=match):
             st.check(self.PARAMS)
 
 

@@ -77,6 +77,16 @@ class TestConfig:
         with pytest.raises(ParameterError, match=key):
             T.ExperimentConfig.from_dict({key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 2.5), ("batch_size", 32.0), ("encoder", 1), ("head_mode", None),
+    ])
+    def test_wrong_type_rejected_however_built(self, key, value):
+        # the type check runs in the constructor, not only on a JSON file
+        with pytest.raises(ParameterError, match=key):
+            T.ExperimentConfig(**{key: value})
+        with pytest.raises(ParameterError, match=key):
+            dataclasses.replace(T.ExperimentConfig(), **{key: value})
+
     def test_json_number_types_accepted(self):
         cfg = T.ExperimentConfig.from_dict(
             {"learning_rate": 1, "grad_clip_norm": None, "prototype_learning_rate": 0.5})
@@ -384,11 +394,36 @@ class TestCheckpoints:
         cfg = quick_config(embed_dim=8, epochs=2, eval_every=2, weight_decay=1e-3)
         T.train(cfg, ds, out_dir=tmp_path)
         payload = json.loads((tmp_path / "checkpoint.json").read_text())
-        assert set(payload["optimizer"]) == {"first_moment", "second_moment", "param_steps"}
+        assert set(payload["optimizer"]) == {"first_moment", "second_moment", "step"}
         payload["config"]["epochs"] = 4
         old = json.loads(json.dumps(payload))
         old["optimizer"].update(learning_rate=cfg.learning_rate, weight_decay=1e-3,
                                 beta1=0.9, beta2=0.999, eps=1e-8)
+        for name, doc in (("new", payload), ("old", old)):
+            (tmp_path / name).mkdir()
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            state = T.load_checkpoint(tmp_path / f"{name}.json")
+            T.train(state.config, ds, out_dir=tmp_path / name, state=state)
+        assert ((tmp_path / "new" / "checkpoint.json").read_bytes()
+                == (tmp_path / "old" / "checkpoint.json").read_bytes())
+
+    @pytest.mark.parametrize("mode", [H.MODE_LINEAR, "zero-shot"])
+    def test_older_format_resumes_to_the_same_bytes(self, tmp_path, mode):
+        # older checkpoints kept one Adam step count per tensor and wrote the
+        # bank's d_min, which no load reads
+        ds = tiny_dataset()
+        cfg = quick_config(embed_dim=8, epochs=2, eval_every=2)
+        if mode == "zero-shot":
+            T.train(cfg, ds, out_dir=tmp_path, state=T.start(cfg, ds, frozen_means_bank(ds)))
+        else:
+            T.train(dataclasses.replace(cfg, head_mode=mode), ds, out_dir=tmp_path)
+        payload = json.loads((tmp_path / "checkpoint.json").read_text())
+        payload["config"]["epochs"] = 4
+        old = json.loads(json.dumps(payload))
+        step = old["optimizer"].pop("step")
+        assert step > 0
+        old["optimizer"]["param_steps"] = dict.fromkeys(old["optimizer"]["first_moment"], step)
+        old["bank"]["d_min"] = 123.0
         for name, doc in (("new", payload), ("old", old)):
             (tmp_path / name).mkdir()
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -451,15 +486,14 @@ class TestZeroShot:
         assert set(rep.bucket_accuracy) == {"frequent", "common", "rare"}
 
 
-def reference_adam(p, g, opt, lr, weight_decay, name):
-    """Adam on one tensor with its own moments and step count: the update
-    `train` made per tensor before it stepped one buffer."""
+def reference_adam(p, g, opt, lr, weight_decay, name, steps):
+    """Adam on one tensor with its own moments and its own step count in
+    `steps`: the update `train` made per tensor before it stepped one buffer."""
     if name not in opt.first_moment:
         opt.first_moment[name] = np.zeros_like(p)
         opt.second_moment[name] = np.zeros_like(p)
-        opt.param_steps[name] = 0
-    opt.param_steps[name] += 1
-    t = opt.param_steps[name]
+    # a tensor's count starts from the state's one count (0, or a resumed run's)
+    t = steps[name] = steps.get(name, opt.step) + 1
     m, v = opt.first_moment[name], opt.second_moment[name]
     m[...] = optim.BETA1 * m + (1.0 - optim.BETA1) * g
     v[...] = optim.BETA2 * v + (1.0 - optim.BETA2) * g * g
@@ -473,6 +507,7 @@ def reference_train(state: T.RunState, dataset) -> T.RunState:
     the state at `state.config.epochs`."""
     config, epoch, encoder, bank, opt, rng, loss_hist = state
     dataset = data.holdout_unseen(dataset, config.unseen_classes)
+    steps = {}   # each tensor's own Adam step count
     for _ in range(epoch, config.epochs):
         perm = rng.permutation(dataset.train_idx)
         total = 0.0
@@ -492,12 +527,15 @@ def reference_train(state: T.RunState, dataset) -> T.RunState:
                     bank.prototypes = optim.riemannian_step(p, grads[name], config.proto_lr)
                 elif name == "prototypes":
                     bank.prototypes = reference_adam(p, grads[name], opt, config.learning_rate,
-                                                     config.weight_decay, name)
+                                                     config.weight_decay, name, steps)
                 else:
                     encoder.set_param(name, reference_adam(
-                        p, grads[name], opt, config.learning_rate, config.weight_decay, name))
+                        p, grads[name], opt, config.learning_rate, config.weight_decay, name,
+                        steps))
             total += loss * len(batch)
         loss_hist.append(total / len(perm))
+    if steps:
+        opt.step, = set(steps.values())   # the counts agree, or this unpacking fails
     return state._replace(epoch=config.epochs)
 
 
@@ -594,19 +632,23 @@ class TestOneAdamBuffer:
         ds = tiny_dataset()
         T.train(quick_config(head_mode=H.MODE_COSINE, embed_dim=8, epochs=2), ds,
                 out_dir=tmp_path)
-        steps = json.loads((tmp_path / "checkpoint.json").read_text())["optimizer"]["param_steps"]
+        optimizer = json.loads((tmp_path / "checkpoint.json").read_text())["optimizer"]
         batches = -(-len(ds.train_idx) // 64)
-        assert steps == dict.fromkeys(["enc.W1", "enc.W2", "enc.b1", "enc.b2", "prototypes"],
-                                      2 * batches)
+        assert optimizer["step"] == 2 * batches
+        assert set(optimizer["first_moment"]) == {"enc.W1", "enc.W2", "enc.b1", "enc.b2",
+                                                  "prototypes"}
 
     @pytest.mark.parametrize("edit, match", [
-        pytest.param(lambda o: o.param_steps.update({"enc.b1": 1}), "step counts differ",
-                     id="unequal-steps"),
-        pytest.param(lambda o: o.first_moment.pop("enc.W2"), "all of", id="missing-moment"),
+        pytest.param(lambda o: setattr(o, "step", 0), "moments for no tensor",
+                     id="moments-before-a-step"),
+        pytest.param(lambda o: o.first_moment.pop("enc.W2"), "must hold moments",
+                     id="missing-moment"),
         pytest.param(lambda o: o.second_moment.update({"enc.b2": np.zeros(3)}), "shape",
                      id="moment-shape"),
         pytest.param(lambda o: o.first_moment.update({"prototypes": np.zeros((4, 8))}),
-                     "all of", id="rsgd-tensor-moment"),
+                     "must hold moments", id="rsgd-tensor-moment"),
+        pytest.param(lambda o: o.second_moment["enc.b1"].__setitem__(0, -1.0), ">= 0",
+                     id="negative-second-moment"),
     ])
     def test_prepare_refuses_an_unsteppable_state(self, tmp_path, edit, match):
         ds = tiny_dataset()
