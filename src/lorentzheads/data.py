@@ -148,6 +148,11 @@ def generate(
     seed: int = 0,
 ) -> SyntheticDataset:
     """Deterministically generate a labeled hierarchical dataset."""
+    # zero feature columns reach SyntheticDataset.validate, which refuses them
+    for name, value, low in (("num_features", num_features, 0), ("num_super", num_super, 2),
+                             ("num_samples", num_samples, 1), ("seed", seed, 0)):
+        if value < low:
+            raise ParameterError(f"{name} must be >= {low}, not {value}")
     if num_classes < num_super:
         raise ParameterError("num_classes must be >= num_super")
     if not (0.0 <= background_fraction < 1.0):

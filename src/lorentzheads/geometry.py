@@ -14,7 +14,10 @@ project_to_manifold, tangent_project, exp_map_at) take either one point
 (n+1,) or a row matrix (m, n+1) and work along the last axis, so a whole
 prototype bank is checked or updated in one call.  exp_map_origin,
 hyperbolic_distance and log_map_at stay single-point; the batch_* helpers
-below are their all-pairs and row-wise forms.
+below are their all-pairs and row-wise forms.  A public primitive checks its
+inputs, then runs a private unchecked kernel (_tangent_project, _exp_map_at,
+_exp0_rows, _grad_exp0), which the training step calls directly on arrays it
+has already checked.
 """
 
 from __future__ import annotations
@@ -100,22 +103,34 @@ def assert_tangent(x, u, atol: float = EPS_TANGENT) -> None:
         raise ContractError(f"vector is not tangent at base point: <x,u>_l = {ip[bad][0]:.3e}")
 
 
-def project_to_manifold(raw) -> np.ndarray:
-    """Repair numerical drift: keep the spatial part, recompute x0 (per row)."""
-    raw = _as_array(raw, "raw", _POINTS)
-    out = raw.copy()
+def _recompute_x0(out: np.ndarray) -> np.ndarray:
+    """Recompute the time coordinate of each row of `out` in place."""
     out[..., 0] = np.sqrt(1.0 + _spatial_dot(out, out))
     return out
+
+
+def project_to_manifold(raw) -> np.ndarray:
+    """Repair numerical drift: keep the spatial part, recompute x0 (per row)."""
+    return _recompute_x0(_as_array(raw, "raw", _POINTS).copy())
+
+
+def _as_pair(x, g):
+    """x and g as finite float64 points or row matrices of one shape."""
+    x = _as_array(x, "x", _POINTS)
+    g = _as_array(g, "g", _POINTS)
+    if x.shape != g.shape:
+        raise DimensionError(f"incompatible shapes {x.shape} vs {g.shape}")
+    return x, g
+
+
+def _tangent_project(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g + _inner(x, g)[..., None] * x
 
 
 def tangent_project(x, g) -> np.ndarray:
     """Lorentz-orthogonal projection of an ambient vector onto T_x H^n,
     row by row for matrices: proj_x(g) = g + <x,g>_l * x."""
-    x = _as_array(x, "x", _POINTS)
-    g = _as_array(g, "g", _POINTS)
-    if x.shape != g.shape:
-        raise DimensionError(f"incompatible shapes {x.shape} vs {g.shape}")
-    return g + _inner(x, g)[..., None] * x
+    return _tangent_project(*_as_pair(x, g))
 
 
 def _sinh_over_t(t: np.ndarray) -> np.ndarray:
@@ -149,11 +164,20 @@ def exp_map_at(x, u, check: bool = True) -> np.ndarray:
     if check:
         assert_on_manifold(x)
         assert_tangent(x, u)
+    return _exp_map_at(x, u)
+
+
+def _exp_map_at(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """exp_map_at on validated float64 arrays; ContractError if the step
+    overflows."""
     sq = _inner(u, u)
     nrm = np.sqrt(np.maximum(sq, 0.0))
     # series below _EPS_SMALL: cosh(t) ~ 1 + t^2/2; _sinh_over_t has its own
     cosh = np.where(nrm < _EPS_SMALL, 1.0 + sq / 2.0, np.cosh(nrm))
-    return project_to_manifold(cosh[..., None] * x + _sinh_over_t(nrm)[..., None] * u)
+    raw = cosh[..., None] * x + _sinh_over_t(nrm)[..., None] * u
+    if not np.isfinite(raw).all():
+        raise ContractError("raw contains non-finite entries")
+    return _recompute_x0(raw)
 
 
 def hyperbolic_distance(x, y) -> float:
@@ -197,14 +221,23 @@ def log_map_at(x, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _exp0_rows(V: np.ndarray):
+    """Row-wise exp0 of a float64 (m, n) matrix, with the per-row terms its
+    Jacobian reuses: (X (m, n+1), (r, sinh(r)/r, sinh(r), cosh(r)))."""
+    r = np.linalg.norm(V, axis=1)
+    sinh, cosh = np.sinh(r), np.cosh(r)
+    small = r < _EPS_SMALL
+    # _sinh_over_t(r): the quotient is read only where r is the divisor
+    f = np.where(small, 1.0 + r * r / 6.0, sinh / np.where(small, 1.0, r))
+    X = np.empty((V.shape[0], V.shape[1] + 1))
+    X[:, 0] = cosh
+    X[:, 1:] = f[:, None] * V
+    return X, (r, f, sinh, cosh)
+
+
 def batch_exp_map_origin(V: np.ndarray) -> np.ndarray:
     """Row-wise exp_map_origin for an (m, n) matrix; returns (m, n+1)."""
-    V = np.asarray(V, dtype=np.float64)
-    r = np.linalg.norm(V, axis=1)
-    out = np.empty((V.shape[0], V.shape[1] + 1))
-    out[:, 0] = np.cosh(r)
-    out[:, 1:] = _sinh_over_t(r)[:, None] * V
-    return out
+    return _exp0_rows(np.asarray(V, dtype=np.float64))[0]
 
 
 def batch_minkowski_inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -228,17 +261,15 @@ def grad_exp_map_origin(V: np.ndarray, G: np.ndarray) -> np.ndarray:
     (m, n+1); returns (m, n).
     """
     V = np.asarray(V, dtype=np.float64)
-    G = np.asarray(G, dtype=np.float64)
-    r = np.linalg.norm(V, axis=1)
-    f = _sinh_over_t(r)                       # sinh(r)/r
+    return _grad_exp0(V, np.asarray(G, dtype=np.float64), *_exp0_rows(V)[1])
+
+
+def _grad_exp0(V, G, r, f, sinh, cosh) -> np.ndarray:
+    """grad_exp_map_origin given the _exp0_rows terms of V."""
     small = r < _EPS_SMALL
     safe = np.where(small, 1.0, r)
     # h = (r*cosh(r) - sinh(r)) / r^3, series 1/3 + r^2/30 near zero
-    h = np.where(
-        small,
-        1.0 / 3.0 + r * r / 30.0,
-        (safe * np.cosh(safe) - np.sinh(safe)) / safe**3,
-    )
+    h = np.where(small, 1.0 / 3.0 + r * r / 30.0, (safe * cosh - sinh) / safe**3)
     g0 = G[:, 0]
     Gs = G[:, 1:]
     dot = np.einsum("ij,ij->i", V, Gs)

@@ -207,16 +207,19 @@ def classify(feature, bank: PrototypeBank, k: int | None = None, tau: float = DE
 # ---------------------------------------------------------------------------
 
 
-def _focal_terms(logits: np.ndarray, targets_onehot: np.ndarray, gamma: float, alpha: float):
-    """Per-entry focal loss values and d(loss)/d(logit), numerically stable."""
+def _focal_terms(logits: np.ndarray, positive: np.ndarray, gamma: float, alpha: float):
+    """Per-entry focal loss values and d(loss)/d(logit), numerically stable;
+    `positive` is the boolean one-hot target matrix."""
     s = np.asarray(logits, dtype=np.float64)
-    t = np.asarray(targets_onehot, dtype=np.float64)
-    sign = 2.0 * t - 1.0
-    # q = p_t = sigmoid(sign * s); log q = -softplus(-sign*s)
-    q = sigmoid(sign * s)
-    log_q = -np.logaddexp(0.0, -sign * s)
-    a_t = alpha * t + (1.0 - alpha) * (1.0 - t)
-    one_m_q = sigmoid(-sign * s)
+    sign = np.where(positive, 1.0, -1.0)
+    z = sign * s
+    # q = p_t = sigmoid(z) and 1 - q = sigmoid(-z) from one tanh, which is
+    # odd; log q = -softplus(-z)
+    th = np.tanh(0.5 * z)
+    q = 0.5 * (1.0 + th)
+    one_m_q = 0.5 * (1.0 - th)
+    log_q = -np.logaddexp(0.0, -z)
+    a_t = np.where(positive, alpha, 1.0 - alpha)
     w = one_m_q**gamma
     loss = -a_t * w * log_q
     grad = sign * (a_t * gamma * q * w * log_q - a_t * one_m_q ** (gamma + 1.0))
@@ -230,9 +233,9 @@ def batch_focal_loss(logits: np.ndarray, targets: np.ndarray, gamma: float, alph
     Returns (mean_loss, gradient (m, C) of the mean loss).
     """
     m, C = logits.shape
-    onehot = np.zeros((m, C))
+    onehot = np.zeros((m, C), dtype=bool)
     fg = targets != BACKGROUND
-    onehot[np.nonzero(fg)[0], targets[fg]] = 1.0
+    onehot[np.nonzero(fg)[0], targets[fg]] = True
     loss, grad = _focal_terms(logits, onehot, gamma, alpha)
     return float(loss.sum() / m), grad / m
 
@@ -254,7 +257,7 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
         raise ContractError("hyperbolic head required")
     F = np.asarray(features, dtype=np.float64)
     T = bank.prototypes
-    X = geometry.batch_exp_map_origin(F)              # (m, n+1)
+    X, exp0_terms = geometry._exp0_rows(F)            # (m, n+1)
     cosh_d = np.maximum(-geometry.batch_minkowski_inner(X, T), 1.0)
     D = np.arccosh(cosh_d)                            # (m, C)
     S = shift_logits(D, bank.delta, bank.d_min)
@@ -268,7 +271,7 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
     grad_X[:, 0] = -grad_X[:, 0]
     grad_T = -(W.T @ X)
     grad_T[:, 0] = -grad_T[:, 0]
-    grad_F = geometry.grad_exp_map_origin(F, grad_X)
+    grad_F = geometry._grad_exp0(F, grad_X, *exp0_terms)
     return loss, grad_F, grad_T
 
 

@@ -4,13 +4,15 @@ Hyperbolic prototypes follow Riemannian SGD: the ambient Euclidean gradient
 is metric-scaled (inverse metric negates the time component), projected onto
 the tangent space, and the step is retracted with the exponential map plus a
 final manifold projection.  One call updates a single point or the whole
-(C, n+1) prototype matrix, row by row.  Euclidean parameters use Adam with
-decoupled weight decay.  Adam is elementwise, so a run packs every tensor it
-steps into one flat buffer (`pack`), lays the moments out the same way
-(`OptimizerState.pack`), and makes one `euclidean_step` call per batch; the
-tensors share one step count.  Gradient clipping scales the whole gradient
-collection by a single global-norm factor.  Both steps take their rates as
-arguments; `OptimizerState` holds only what Adam accumulates.
+(C, n+1) prototype matrix, row by row, checking its inputs once.  Euclidean
+parameters use Adam with decoupled weight decay.  Adam is elementwise, so a
+run packs every tensor it steps into one flat buffer (`pack`), lays the
+moments out the same way (`OptimizerState.pack`), writes the gradients into
+one more buffer of that layout, and makes one `euclidean_step` call per batch;
+the tensors share one step count.
+Gradient clipping scales the whole gradient collection by a single
+global-norm factor, in place.  Both steps take their rates as arguments;
+`OptimizerState` holds only what Adam accumulates.
 """
 
 from __future__ import annotations
@@ -35,22 +37,24 @@ def riemannian_step(x, ambient_grad, lr: float) -> np.ndarray:
     ambient_grad is the plain Euclidean gradient dL/dx in ambient
     coordinates, shaped like x.  The result satisfies the manifold constraint.
     """
-    x = np.asarray(x, dtype=np.float64)
-    g = np.array(ambient_grad, dtype=np.float64)
+    # checked once here; the geometry kernels below take the arrays as given
+    x, g = geometry._as_pair(x, np.array(ambient_grad, dtype=np.float64))
     g[..., 0] = -g[..., 0]             # inverse-metric scaling g_l^{-1} grad
-    u = geometry.tangent_project(x, g)
-    return geometry.exp_map_at(x, -lr * u, check=False)
+    u = geometry._tangent_project(x, g)
+    return geometry._exp_map_at(x, -lr * u)
 
 
 def clip_gradients(grads: dict, max_norm: float) -> dict:
-    """Jointly rescale a named gradient collection to global L2 norm <= max_norm."""
+    """Jointly rescale a named gradient collection, in place, to global L2
+    norm <= max_norm; returns it."""
     if max_norm <= 0:
         raise ParameterError("max_norm must be > 0")
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total <= max_norm:
-        return grads
-    scale = max_norm / total
-    return {k: g * scale for k, g in grads.items()}
+    if total > max_norm:
+        scale = max_norm / total
+        for g in grads.values():
+            g *= scale
+    return grads
 
 
 def pack(tensors: dict) -> tuple[np.ndarray, dict]:
@@ -78,7 +82,15 @@ class OptimizerState:
     def from_dict(cls, d: dict) -> "OptimizerState":
         """Other keys (older checkpoints also stored the rates) are ignored; an
         older checkpoint's per-tensor counts, `param_steps`, load as their one value."""
-        steps = set(map(int, d["param_steps"].values() if "param_steps" in d else [d["step"]]))
+        for key in ("first_moment", "second_moment", "param_steps"):
+            if key in d and not isinstance(d[key], dict):
+                raise ParameterError(f"optimizer {key} must be an object by tensor name, "
+                                     f"not {type(d[key]).__name__}")
+        counts = list(d["param_steps"].values()) if "param_steps" in d else [d["step"]]
+        # JSON true would pass as a count of 1
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
+            raise ParameterError(f"Adam step counts must be integers, not {counts}")
+        steps = set(counts)
         if len(steps) > 1:
             raise ParameterError(f"Adam step counts differ between tensors: {d['param_steps']}")
         return cls({k: np.asarray(v, dtype=np.float64) for k, v in d["first_moment"].items()},

@@ -3,7 +3,8 @@
 A small Euclidean encoder (optional 2-layer perceptron with rectified-linear
 activation) feeds one of the classification heads; training minimizes the
 sigmoid focal loss with Adam on Euclidean parameters (one step per batch
-over one buffer holding them all) and Riemannian SGD on hyperbolic
+over one buffer holding them all, with their gradients written straight into
+a second buffer of the same layout) and Riemannian SGD on hyperbolic
 prototypes.  Evaluation reports accuracy, supercategory accuracy
 (a prediction also counts if it shares the groundtruth's parent category),
 per-class precision/recall, seen/unseen splits with their harmonic mean, and
@@ -140,15 +141,18 @@ class Encoder:
         E = H @ self.W2 + self.b2
         return E, (X, pre, H)
 
-    def backward(self, cache, dE: np.ndarray) -> dict:
+    def backward(self, cache, dE: np.ndarray, out: dict | None = None) -> dict:
+        """The weight gradients by name, written into `out`'s arrays (in
+        `train`, views of its gradient buffer) or into new ones; returns them."""
         X, pre, H = cache
+        if out is None:
+            out = {name: np.empty_like(w) for name, w in self.params().items()}
         dH = (dE @ self.W2.T) * (pre > 0.0)
-        return {
-            "enc.W1": X.T @ dH,
-            "enc.b1": dH.sum(axis=0),
-            "enc.W2": H.T @ dE,
-            "enc.b2": dE.sum(axis=0),
-        }
+        np.matmul(X.T, dH, out=out["enc.W1"])
+        dH.sum(axis=0, out=out["enc.b1"])
+        np.matmul(H.T, dE, out=out["enc.W2"])
+        dE.sum(axis=0, out=out["enc.b2"])
+        return out
 
     def params(self) -> dict:
         return {"enc.W1": self.W1, "enc.b1": self.b1, "enc.W2": self.W2, "enc.b2": self.b2}
@@ -158,6 +162,9 @@ class Encoder:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Encoder":
+        if not isinstance(d, dict):
+            raise ParameterError(f"encoder must be an object of weights by name, "
+                                 f"not {type(d).__name__}")
         return cls(**{k: np.asarray(v, dtype=np.float64) for k, v in d.items()})
 
 
@@ -217,9 +224,8 @@ def evaluate(bank: PrototypeBank, encoder: Encoder | None, features: np.ndarray,
     labels = np.asarray(labels)
     emb = embed(encoder, features)
     S = heads.batch_bank_logits(emb, bank, tau=tau)
-    conf = heads.sigmoid(S)
     pred = np.argmax(S, axis=1)
-    max_conf = conf[np.arange(len(pred)), pred]
+    max_conf = heads.sigmoid(S[np.arange(len(pred)), pred])
     gated = np.where(max_conf > 0.5, pred, BACKGROUND)
 
     fg = labels != BACKGROUND
@@ -310,13 +316,20 @@ def save_checkpoint(path, config: ExperimentConfig, epoch: int, encoder: Encoder
 
 def _decode_checkpoint(payload: dict) -> RunState:
     config = ExperimentConfig.from_dict(payload["config"])
-    encoder = Encoder.from_dict(payload["encoder"]) if payload["encoder"] else None
+    epoch, train_loss = payload["epoch"], payload.get("train_loss", [])
+    # JSON true would pass as epoch 1
+    if not isinstance(epoch, int) or isinstance(epoch, bool) or not 0 <= epoch <= config.epochs:
+        raise ParameterError(f"epoch must be an integer in [0, {config.epochs}], not {epoch!r}")
+    if not isinstance(train_loss, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
+            for v in train_loss):
+        raise ParameterError(f"train_loss must be a list of finite numbers, not {train_loss!r}")
+    encoder = Encoder.from_dict(payload["encoder"]) if payload["encoder"] is not None else None
     bank = PrototypeBank.from_dict(payload["bank"])
     opt = optim.OptimizerState.from_dict(payload["optimizer"])
     rng = np.random.default_rng(0)
     rng.bit_generator.state = payload["rng_state"]
-    return RunState(config, payload["epoch"], encoder, bank, opt, rng,
-                    payload.get("train_loss", []))
+    return RunState(config, epoch, encoder, bank, opt, rng, train_loss)
 
 
 def load_checkpoint(path) -> RunState:
@@ -429,6 +442,9 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
         else:
             encoder.set_param(name, view)
     first_moment, second_moment = opt.pack(views)
+    # the gradients land in views of a fourth buffer laid out like the
+    # others, so Adam reads them with no per-batch copy
+    grad, grads = optim.pack({name: np.zeros_like(v) for name, v in views.items()})
     checkpoints = []
 
     for epoch in range(start_epoch, config.epochs):
@@ -446,11 +462,14 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
                 emb, bank, y, config.focal_gamma, config.focal_alpha, tau=config.cosine_tau)
             if not np.isfinite(loss):
                 raise _numerical_error("non-finite loss", epoch, batch, encoder, bank)
-            grads = encoder.backward(cache, grad_emb) if encoder is not None else {}
-            if not bank.frozen:
+            if encoder is not None:
+                encoder.backward(cache, grad_emb, out=grads)
+            if rsgd:   # the last key, as the clipping norm sums it
                 grads["prototypes"] = grad_proto
+            elif not bank.frozen:
+                grads["prototypes"][...] = grad_proto
             if config.grad_clip_norm is not None:
-                grads = optim.clip_gradients(grads, config.grad_clip_norm)
+                optim.clip_gradients(grads, config.grad_clip_norm)
             if rsgd:
                 # before Adam, so a breakdown reports the norms before the update
                 try:
@@ -463,7 +482,6 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
                                            encoder, bank) from e
             if views:   # a run with no Adam-stepped tensor counts no Adam step
                 opt.step += 1
-                grad = optim.pack({name: grads[name] for name in views})[0]
                 optim.euclidean_step(flat, grad, first_moment, second_moment, opt.step,
                                      config.learning_rate, config.weight_decay)
             if not (np.isfinite(flat).all()

@@ -496,11 +496,45 @@ ENCODER_EDITS = {
 ENCODER_CASES = [f"{command}-encoder-{edit}" for command in ("eval", "train-resume")
                  for edit in ENCODER_EDITS]
 
+
+def _as_list(field):
+    """An edit that turns the object `payload[field]` into the list of its values."""
+    return lambda payload: payload.update({field: list(payload[field].values())})
+
+
+# edits to other checkpoint fields, each refused when `eval` or `train --resume`
+# loads the checkpoint
+CHECKPOINT_EDITS = {
+    "encoder-list": _as_list("encoder"),
+    "first-moment-list": lambda c: _as_list("first_moment")(c["optimizer"]),
+    "second-moment-list": lambda c: _as_list("second_moment")(c["optimizer"]),
+    "param-steps-list": lambda c: _as_list("param_steps")(older_optimizer(c["optimizer"])),
+    "step-float": lambda c: c["optimizer"].update(step=2.5),
+    "step-string": lambda c: c["optimizer"].update(step="3"),
+    "step-bool": lambda c: c["optimizer"].update(step=True),
+    "epoch-string": lambda c: c.update(epoch="1"),
+    "epoch-float": lambda c: c.update(epoch=1.5),
+    "epoch-bool": lambda c: c.update(epoch=True),
+    "epoch-negative": lambda c: c.update(epoch=-1),
+    "epoch-beyond-config": lambda c: c.update(epoch=5, config={**c["config"], "epochs": 1}),
+    "train-loss-string": lambda c: c.update(train_loss=["x"]),
+    "train-loss-nan": lambda c: c.update(train_loss=[float("nan")]),
+    "train-loss-not-list": lambda c: c.update(train_loss="x"),
+}
+CHECKPOINT_CASES = [f"{command}-checkpoint-{edit}" for command in ("eval", "train-resume")
+                    for edit in CHECKPOINT_EDITS]
+
 # generate flags refused before any file is written
 GENERATE_CASES = {
     "generate": ["--classes", "2", "--super", "4"],
     "generate-zero-features": ["--n-features", "0"],
     "generate-imbalance-nan": ["--imbalance-exponent", "nan"],
+    "generate-negative-features": ["--n-features", "-1"],
+    "generate-negative-samples": ["--samples", "-5"],
+    "generate-no-samples": ["--samples", "0"],
+    "generate-no-classes": ["--classes", "0", "--super", "0"],
+    "generate-no-super": ["--super", "0"],
+    "generate-negative-seed": ["--seed", "-1"],
 }
 
 
@@ -563,9 +597,12 @@ def _refused_argv(kind, tmp_path, trained):
         return _bad_setting_argv(kind, tmp_path, trained)
     if kind in GENERATE_CASES:
         return ["generate", "--out", str(out / "ds.json")] + GENERATE_CASES[kind]
-    if kind in ENCODER_CASES:
+    if kind in ENCODER_CASES or kind in CHECKPOINT_CASES:
         payload = json.loads((run / "checkpoint.json").read_text())
-        ENCODER_EDITS[kind.split("-encoder-")[1]](payload["encoder"])
+        if kind in ENCODER_CASES:
+            ENCODER_EDITS[kind.split("-encoder-")[1]](payload["encoder"])
+        else:
+            CHECKPOINT_EDITS[kind.split("-checkpoint-")[1]](payload)
         ck = tmp_path / "ck.json"
         ck.write_text(json.dumps(payload))
         if kind.startswith("eval"):
@@ -642,6 +679,7 @@ def _refused_argv(kind, tmp_path, trained):
                                   "train-resume-encoder-hidden", "eval-features",
                                   "eval-class-count", "train-dataset-unseen-name"]
                          + sorted(RESUMED_OPTIMIZER) + ENCODER_CASES + sorted(GENERATE_CASES)
+                         + CHECKPOINT_CASES
                          + BAD_SETTING_CASES)
 def test_refused_run_writes_nothing(trained, tmp_path, kind):
     assert main(_refused_argv(kind, tmp_path, trained)) == 2

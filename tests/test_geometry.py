@@ -246,3 +246,24 @@ def test_batch_matches_scalar_ops(rng):
             assert D[i, j] == pytest.approx(
                 G.hyperbolic_distance(X[i], X[j]), abs=1e-12
             )
+
+
+def test_exp0_kernel_matches_its_definitions(rng):
+    # exp0 and its Jacobian share one r, sinh(r) and cosh(r); each equals
+    # its formula with the series taken below the cut-off, bit for bit
+    V = rng.normal(0.0, 1.0, (64, 8)) * np.geomspace(1e-12, 30.0, 64)[:, None]
+    V[0] = 0.0
+    Cot = rng.normal(0.0, 1.0, (64, 9))
+    r = np.linalg.norm(V, axis=1)
+    f = G._sinh_over_t(r)
+    np.testing.assert_array_equal(G.batch_exp_map_origin(V),
+                                  np.column_stack([np.cosh(r), f[:, None] * V]))
+    small = r < 1e-6
+    assert small.any() and not small.all()
+    safe = np.where(small, 1.0, r)
+    h = np.where(small, 1.0 / 3.0 + r * r / 30.0,
+                 (safe * np.cosh(safe) - np.sinh(safe)) / safe**3)
+    dot = np.einsum("ij,ij->i", V, Cot[:, 1:])
+    np.testing.assert_array_equal(
+        G.grad_exp_map_origin(V, Cot),
+        (Cot[:, 0] * f)[:, None] * V + f[:, None] * Cot[:, 1:] + (h * dot)[:, None] * V)

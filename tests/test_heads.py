@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lorentzheads import geometry as G
 from lorentzheads import heads as H
@@ -313,8 +316,70 @@ class TestLossDispatch:
             np.testing.assert_array_equal(a, b)
 
 
+def two_sigmoid_focal_terms(logits, positive, gamma, alpha):
+    """_focal_terms as two sigmoids of a float one-hot target."""
+    t = positive.astype(np.float64)
+    sign = 2.0 * t - 1.0
+    q = H.sigmoid(sign * logits)
+    log_q = -np.logaddexp(0.0, -sign * logits)
+    a_t = alpha * t + (1.0 - alpha) * (1.0 - t)
+    one_m_q = H.sigmoid(-sign * logits)
+    w = one_m_q**gamma
+    loss = -a_t * w * log_q
+    grad = sign * (a_t * gamma * q * w * log_q - a_t * one_m_q ** (gamma + 1.0))
+    return loss, grad
+
+
+class TestFocalTerms:
+    """The one-tanh focal terms equal the two-sigmoid formula bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1e3, 30.0, 1e-8])
+    @pytest.mark.parametrize("gamma, alpha", [FOCAL, (0.0, 1.0), (1.5, 0.6)])
+    def test_equals_two_sigmoids(self, rng, scale, gamma, alpha):
+        logits = rng.uniform(-scale, scale, (64, 16))
+        logits[0, :4] = [scale, -scale, 0.0, -0.0]
+        positive = rng.random((64, 16)) < 0.3
+        for got, want in zip(H._focal_terms(logits, positive, gamma, alpha),
+                             two_sigmoid_focal_terms(logits, positive, gamma, alpha)):
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, (4, 3), elements=st.floats(-1e3, 1e3)),
+           arrays(np.bool_, (4, 3)))
+    def test_equals_two_sigmoids_anywhere(self, logits, positive):
+        for got, want in zip(H._focal_terms(logits, positive, *FOCAL),
+                             two_sigmoid_focal_terms(logits, positive, *FOCAL)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestHeadGradients:
     """Analytic gradients of focal(shift(distances)) vs central differences."""
+
+    def test_equal_the_public_composition(self, rng):
+        # the head's exp0 terms, computed once, give the bits that
+        # batch_exp_map_origin and grad_exp_map_origin give composed
+        F = rng.normal(0.0, 1.5, (64, 8))
+        F[0] = 0.0
+        F[1] *= 1e-9                                    # the series branch
+        bank = make_hyperbolic_bank(rng.normal(0.0, 1.0, (5, 8)))
+        targets = rng.integers(-1, 5, 64)
+        loss, gF, gT = H.hyperbolic_loss_and_grads(F, bank, targets, *FOCAL)
+        T = bank.prototypes
+        X = G.batch_exp_map_origin(F)
+        cosh_d = np.maximum(-G.batch_minkowski_inner(X, T), 1.0)
+        D = np.arccosh(cosh_d)
+        S = H.shift_logits(D, bank.delta, bank.d_min)
+        want_loss, G_S = H.batch_focal_loss(S, targets, *FOCAL)
+        G_D = G_S * (-bank.delta / bank.d_min)
+        denom = np.sqrt(np.maximum(cosh_d * cosh_d - 1.0, 0.0))
+        W = np.where(D < 1e-7, 0.0, G_D / np.where(denom == 0.0, 1.0, denom))
+        grad_X = -(W @ T)
+        grad_X[:, 0] = -grad_X[:, 0]
+        grad_T = -(W.T @ X)
+        grad_T[:, 0] = -grad_T[:, 0]
+        assert loss == want_loss
+        np.testing.assert_array_equal(gF, G.grad_exp_map_origin(F, grad_X))
+        np.testing.assert_array_equal(gT, grad_T)
 
     def _loss(self, feature, spatial, targets, cfg):
         bank = make_hyperbolic_bank(spatial)

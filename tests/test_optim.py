@@ -4,7 +4,7 @@ import pytest
 from lorentzheads import geometry as G
 from lorentzheads import heads as H
 from lorentzheads import jsonio, optim
-from lorentzheads.errors import DimensionError, ParameterError
+from lorentzheads.errors import ContractError, DimensionError, ParameterError
 
 from conftest import random_manifold_point
 
@@ -85,6 +85,38 @@ class TestRiemannianStep:
         np.testing.assert_allclose(batched, rows, rtol=0.0, atol=1e-12)
         assert np.all(G.manifold_violation(batched) < 1e-9)
         G.assert_on_manifold(batched)
+
+    @pytest.mark.parametrize("row", [None, 3, 7, 11], ids=["bank", "zero-row", "series-row",
+                                                            "row"])
+    def test_equals_the_public_primitives(self, rng, row):
+        # checked once, stepped on the unchecked kernels: the bits of the
+        # checked primitives composed
+        P = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (16, 16)))
+        grads = rng.normal(0.0, 1.0, (16, 17))
+        grads[3] = 0.0                                  # a zero-gradient row
+        grads[7] *= 1e-9                                # the series branch
+        x, g = (P, grads) if row is None else (P[row], grads[row])
+        metric = g.copy()
+        metric[..., 0] = -metric[..., 0]
+        want = G.exp_map_at(x, -0.05 * G.tangent_project(x, metric), check=False)
+        np.testing.assert_array_equal(optim.riemannian_step(x, g, 0.05), want)
+        assert g is not metric and np.array_equal(g, grads if row is None else grads[row])
+
+    @pytest.mark.parametrize("x, g, error, match", [
+        (np.ones((3, 5)), np.full((3, 5), np.nan), ContractError, "g contains non-finite"),
+        (np.full((3, 5), np.inf), np.zeros((3, 5)), ContractError, "x contains non-finite"),
+        (np.ones((3, 5)), np.zeros((2, 5)), DimensionError, r"incompatible shapes \(3, 5\)"),
+        (np.ones((1, 3, 5)), np.zeros((1, 3, 5)), DimensionError, "x must be a vector or"),
+    ])
+    def test_inputs_refused_as_the_primitives_refuse_them(self, x, g, error, match):
+        with pytest.raises(error, match=match):
+            optim.riemannian_step(x, g, 0.05)
+
+    def test_overflow_is_a_contract_error(self):
+        # train reports this as a numerical breakdown
+        P = G.batch_exp_map_origin(np.ones((3, 4)))
+        with pytest.raises(ContractError, match="non-finite"), np.errstate(all="ignore"):
+            optim.riemannian_step(P, np.full((3, 5), 1e3), 1.0)
 
 
 def adam(params: dict, grads: dict, st: optim.OptimizerState, lr, weight_decay) -> dict:
@@ -255,6 +287,14 @@ class TestClipGradients:
         out = optim.clip_gradients(grads, 1.0)
         total = np.sqrt(sum(np.sum(g * g) for g in out.values()))
         assert total <= 1.0 + 1e-12
+
+    def test_scales_in_place(self):
+        a, b = np.array([3.0, 0.0]), np.array([0.0, 4.0])
+        grads = {"a": a, "b": b}
+        assert optim.clip_gradients(grads, 1.0) is grads
+        assert grads["a"] is a and grads["b"] is b
+        np.testing.assert_array_equal(a, [3.0 * (1.0 / 5.0), 0.0])
+        np.testing.assert_array_equal(b, [0.0, 4.0 * (1.0 / 5.0)])
 
     def test_invalid_max_norm(self):
         with pytest.raises(ParameterError):

@@ -674,3 +674,78 @@ class TestOneAdamBuffer:
         with pytest.raises(NumericalError, match="numerical breakdown") as err:
             T.train(cfg, ds, state=state)
         assert str(before) in str(err.value)
+
+
+class _NoEncoder:
+    """reference_train's encoder for a run without one: features pass through."""
+
+    def forward(self, X):
+        return X, None
+
+    def backward(self, cache, dE):
+        return {}
+
+    def params(self):
+        return {}
+
+
+class TestGradientBuffer:
+    def test_backward_into_views_equals_new_arrays(self, rng):
+        enc = T.Encoder.init(rng, 8, 16, 4)
+        cache = enc.forward(rng.normal(0.0, 1.0, (64, 8)))[1]
+        dE = rng.normal(0.0, 1.0, (64, 4))
+        fresh = enc.backward(cache, dE)
+        buffer, views = optim.pack({name: np.zeros_like(w) for name, w in enc.params().items()})
+        into = enc.backward(cache, dE, out=views)
+        assert into is views and list(into) == list(fresh) == list(enc.params())
+        for name in fresh:
+            np.testing.assert_array_equal(into[name], fresh[name])
+            assert into[name].base is buffer
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    @pytest.mark.parametrize("mode", H.MODES)
+    def test_no_encoder_matches_per_tensor_adam(self, tmp_path, mode, setting):
+        ds = tiny_dataset()
+        cfg = quick_config(head_mode=mode, embed_dim=8, epochs=2, encoder=False,
+                           **SETTINGS[setting])
+        T.train(cfg, ds, out_dir=tmp_path)
+        ref = reference_train(T.start(cfg, ds)._replace(encoder=_NoEncoder()), ds)
+        T.save_checkpoint(tmp_path / "ref.json", *ref._replace(encoder=None))
+        assert (tmp_path / "checkpoint.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("frozen, overrides", [
+        pytest.param(False, {"head_mode": H.MODE_COSINE}, id="cosine"),
+        pytest.param(False, {"head_mode": H.MODE_LINEAR, "encoder": False}, id="no-encoder"),
+        pytest.param(True, {}, id="zero-shot"),
+        pytest.param(True, {"head_mode": H.MODE_COSINE}, id="zero-shot-cosine"),
+    ])
+    def test_every_batch_steps_from_one_gradient_buffer(self, monkeypatch, frozen, overrides):
+        # Adam gets the same gradient buffer every batch, laid out like the
+        # parameter buffer, and no buffer is packed per batch
+        ds = tiny_dataset()
+        seen, packed = [], []
+        step, pack = optim.euclidean_step, optim.pack
+
+        def recorded(param, grad, *args):
+            seen.append((param, grad))
+            return step(param, grad, *args)
+
+        def counted(tensors):
+            packed.append(list(tensors))
+            return pack(tensors)
+
+        monkeypatch.setattr(optim, "euclidean_step", recorded)
+        monkeypatch.setattr(optim, "pack", counted)
+        for epochs in (1, 2):
+            cfg = quick_config(embed_dim=8, epochs=epochs, **overrides)
+            bank = frozen_means_bank(ds, cfg.head_mode) if frozen else None
+            T.train(cfg, ds, state=T.start(cfg, ds, bank))
+        batches = -(-len(ds.train_idx) // 64)
+        assert len(seen) == 3 * batches
+        # four buffers a run, however long: parameters, two moments, gradients
+        names = ["enc.W1", "enc.b1", "enc.W2", "enc.b2"] * cfg.encoder + ["prototypes"] * (
+            not frozen)
+        assert packed == [names] * 8
+        assert len({id(grad) for _, grad in seen[:batches]}) == 1
+        param, grad = seen[0]
+        assert grad.shape == param.shape and grad is not param
