@@ -1,6 +1,8 @@
 """Command-line surface.
 
 Subcommands: generate, train, eval, zeroshot, hubness, import-prototypes.
+The `generate` flags are `data.generate`'s keywords under the spellings of
+GENERATE_FLAGS, with the defaults and types of its signature.
 Every command but eval writes a manifest (resolved config, input/output
 digests, seed, timestamps) into its output directory.  Each reads every
 input before the manifest creates that directory, so a run refused for a
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -29,19 +32,18 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+# data.generate keyword -> its `generate` flag; the default and type of each
+# flag are the keyword's, read from the signature
+GENERATE_FLAGS = {
+    "num_features": "--n-features", "num_super": "--super", "num_classes": "--classes",
+    "num_samples": "--samples", "sigma_super": "--sigma-super", "sigma_leaf": "--sigma-leaf",
+    "sigma_x": "--sigma-x", "background_fraction": "--background-fraction",
+    "train_fraction": "--train-fraction", "seed": "--seed",
+}
+
+
 def cmd_generate(args) -> int:
-    params = {
-        "num_features": args.n_features,
-        "num_super": args.super,
-        "num_classes": args.classes,
-        "num_samples": args.samples,
-        "sigma_super": args.sigma_super,
-        "sigma_leaf": args.sigma_leaf,
-        "sigma_x": args.sigma_x,
-        "background_fraction": args.background_fraction,
-        "train_fraction": args.train_fraction,
-        "seed": args.seed,
-    }
+    params = {name: getattr(args, name) for name in GENERATE_FLAGS}
     unseen = [u for u in (args.unseen or "").split(",") if u]
     ds = data.generate(**params)
     if args.imbalance_exponent is not None:
@@ -206,16 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a synthetic hierarchical dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--n-features", type=int, default=16)
-    g.add_argument("--super", type=int, default=4)
-    g.add_argument("--classes", type=int, default=16)
-    g.add_argument("--samples", type=int, default=8000)
-    g.add_argument("--sigma-super", type=float, default=4.0)
-    g.add_argument("--sigma-leaf", type=float, default=1.0)
-    g.add_argument("--sigma-x", type=float, default=0.5)
-    g.add_argument("--background-fraction", type=float, default=0.2)
-    g.add_argument("--train-fraction", type=float, default=0.8)
-    g.add_argument("--seed", type=int, default=0)
+    for name, param in inspect.signature(data.generate).parameters.items():
+        g.add_argument(GENERATE_FLAGS[name], dest=name, type=type(param.default),
+                       default=param.default, help="default %(default)s")
     g.add_argument("--unseen", help="comma-separated leaf names held out of the train split")
     g.add_argument("--imbalance-exponent", type=float)
     g.set_defaults(func=cmd_generate)

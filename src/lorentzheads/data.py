@@ -4,8 +4,9 @@ Samples stand in for detector proposal features: supercategory means are
 drawn from a broad isotropic Gaussian, leaf-class means scatter around their
 parent mean, and individual samples scatter around their leaf mean.  An
 optional fraction of background samples comes from a diffuse Gaussian
-covering the feature range.  Generation is a pure function of the parameters
-and the seed.
+covering the feature range.  Generation is a pure function of the parameters,
+which `generate`'s signature alone declares, and the seed.  Decoding is strict:
+parent indices and the seed must be JSON integers, not floats or true/false.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class ClassTree:
             raise ParameterError("need at least 2 supercategories")
         if C < S:
             raise ParameterError("need at least as many leaf classes as supercategories")
-        if len(self.parents) != C or any(not (0 <= p < S) for p in self.parents):
+        if len(self.parents) != C or any(
+                not jsonio.is_a(p, "int") or not 0 <= p < S for p in self.parents):
             raise ParameterError("invalid parent assignment")
 
     @classmethod
@@ -85,8 +87,8 @@ class SyntheticDataset:
         if not (self.unseen_classes or power_law) and len(tr) + len(va) != N:
             raise ContractError("train/val split must cover the dataset")
         for u in self.unseen_classes:
-            # evaluation scores them by index; JSON true would pass as index 1
-            if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < self.num_classes:
+            # evaluation scores them by index
+            if not jsonio.is_a(u, "int") or not 0 <= u < self.num_classes:
                 raise ContractError(f"unseen_classes must be class indices in "
                                     f"[0, {self.num_classes}), not {u!r}")
         floor = 1 if power_law else 10
@@ -123,7 +125,7 @@ class SyntheticDataset:
             train_idx=np.asarray(d["splits"]["train"], dtype=np.int64),
             val_idx=np.asarray(d["splits"]["val"], dtype=np.int64),
             tree=ClassTree.from_dict(d["tree"]),
-            seed=int(d["seed"]),
+            seed=jsonio.typed(d["seed"], "int", "seed"),
             params=d.get("params", {}),
             buckets=d.get("buckets", {}),
             unseen_classes=list(d.get("unseen_classes", [])),
@@ -143,11 +145,16 @@ def generate(
     sigma_leaf: float = 1.0,
     sigma_x: float = 0.5,
     background_fraction: float = 0.2,
-    background_sigma: float | None = None,
     train_fraction: float = 0.8,
     seed: int = 0,
 ) -> SyntheticDataset:
-    """Deterministically generate a labeled hierarchical dataset."""
+    """Deterministically generate a labeled hierarchical dataset.
+
+    The one declaration of the generator's parameters: the `generate` flags
+    take their defaults and types from it, and the dataset's `params` record
+    its arguments but `seed`, a field of its own.
+    """
+    params = {k: v for k, v in locals().items() if k != "seed"}   # only arguments yet
     # zero feature columns reach SyntheticDataset.validate, which refuses them
     for name, value, low in (("num_features", num_features, 0), ("num_super", num_super, 2),
                              ("num_samples", num_samples, 1), ("seed", seed, 0)):
@@ -161,8 +168,6 @@ def generate(
         raise ParameterError("train_fraction must be in (0, 1)")
     if sigma_leaf < 0 or sigma_super <= 0 or sigma_x < 0:
         raise ParameterError("sigmas must be non-negative (sigma_super > 0)")
-    if background_sigma is None:
-        background_sigma = sigma_super
 
     rng = np.random.default_rng(seed)
     super_means = rng.normal(0.0, sigma_super, size=(num_super, num_features))
@@ -181,7 +186,7 @@ def generate(
         feats.append(leaf_means[c] + rng.normal(0.0, sigma_x, size=(cnt, num_features)))
         labels.append(np.full(cnt, c, dtype=np.int64))
     if n_bg:
-        feats.append(rng.normal(0.0, background_sigma, size=(n_bg, num_features)))
+        feats.append(rng.normal(0.0, sigma_super, size=(n_bg, num_features)))
         labels.append(np.full(n_bg, BACKGROUND, dtype=np.int64))
     features = np.concatenate(feats)
     labels = np.concatenate(labels)
@@ -211,18 +216,8 @@ def generate(
         val_idx=val_idx,
         tree=tree,
         seed=seed,
-        params={
-            "num_features": num_features,
-            "num_super": num_super,
-            "num_classes": num_classes,
-            "num_samples": num_samples,
-            "sigma_super": sigma_super,
-            "sigma_leaf": sigma_leaf,
-            "sigma_x": sigma_x,
-            "background_fraction": background_fraction,
-            "background_sigma": background_sigma,
-            "train_fraction": train_fraction,
-        },
+        # background rows are drawn with sigma_super; the record names it too
+        params={**params, "background_sigma": sigma_super},
     )
 
 

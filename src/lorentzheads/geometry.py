@@ -145,25 +145,19 @@ def exp_map_origin(v) -> np.ndarray:
     """Map an n-vector of tangent coordinates at the origin onto H^n.
 
     Spatial part sinh(||v||) * v/||v||, time coordinate cosh(||v||); the
-    zero vector maps to the origin.
+    zero vector maps to the origin.  The one-row case of _exp0_rows.
     """
-    v = _as_array(v, "v")
-    r = np.linalg.norm(v)
-    out = np.empty(v.shape[0] + 1)
-    out[0] = np.cosh(r)
-    out[1:] = _sinh_over_t(r) * v
-    return out
+    return _exp0_rows(_as_array(v, "v")[None])[0][0]
 
 
-def exp_map_at(x, u, check: bool = True) -> np.ndarray:
+def exp_map_at(x, u) -> np.ndarray:
     """Exponential map at x applied to a tangent vector u, row by row for
     matrices: cosh(||u||_l) x + sinh(||u||_l) u/||u||_l, re-projected to the
     manifold."""
     x = _as_array(x, "x", _POINTS)
     u = _as_array(u, "u", _POINTS)
-    if check:
-        assert_on_manifold(x)
-        assert_tangent(x, u)
+    assert_on_manifold(x)
+    assert_tangent(x, u)
     return _exp_map_at(x, u)
 
 

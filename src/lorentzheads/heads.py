@@ -118,8 +118,8 @@ class PrototypeBank:
             mode=d["mode"],
             prototypes=np.asarray(d["prototypes"], dtype=np.float64),
             class_names=list(d["class_names"]),
-            delta=float(d["delta"]),
-            frozen=bool(d["frozen"]),
+            delta=jsonio.typed(d["delta"], "float", "delta"),
+            frozen=jsonio.typed(d["frozen"], "bool", "frozen"),
         )
 
     def save(self, path) -> None:

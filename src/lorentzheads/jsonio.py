@@ -16,6 +16,25 @@ from .errors import ContractError, ParameterError
 
 # json.dumps' own encoder: with indent=None it runs the C implementation
 _encode = json.JSONEncoder(sort_keys=True).encode
+# JSON type name -> the Python types json decodes it to
+_TYPES = {"str": str, "float": (int, float), "int": int, "bool": bool, "list": list,
+          "None": type(None)}
+
+
+def is_a(value, types: str) -> bool:
+    """Whether the decoded JSON `value` has one of `types`, written like an
+    annotation ("float | None").  JSON true/false is no number, although a
+    Python bool is an int."""
+    allowed = types.split(" | ")
+    return isinstance(value, tuple(_TYPES[t] for t in allowed)) and (
+        not isinstance(value, bool) or "bool" in allowed)
+
+
+def typed(value, types: str, name: str):
+    """`value`, refused with ParameterError unless `is_a(value, types)`."""
+    if not is_a(value, types):
+        raise ParameterError(f"{name} must be {types}, not {value!r}")
+    return value
 
 
 def plain(obj):

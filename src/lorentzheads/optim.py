@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import geometry, jsonio
 from .errors import DimensionError, ParameterError
 
 # Adam's decay rates and denominator guard (Kingma & Ba's defaults)
@@ -87,8 +87,7 @@ class OptimizerState:
                 raise ParameterError(f"optimizer {key} must be an object by tensor name, "
                                      f"not {type(d[key]).__name__}")
         counts = list(d["param_steps"].values()) if "param_steps" in d else [d["step"]]
-        # JSON true would pass as a count of 1
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
+        if not all(jsonio.is_a(c, "int") for c in counts):
             raise ParameterError(f"Adam step counts must be integers, not {counts}")
         steps = set(counts)
         if len(steps) > 1:

@@ -34,9 +34,6 @@ from .data import ClassTree, SyntheticDataset, holdout_unseen
 from .errors import ContractError, NumericalError, ParameterError
 from .heads import BACKGROUND, PrototypeBank
 
-# field annotation -> accepted JSON value types
-_JSON_TYPES = {"str": str, "float": (int, float), "int": int, "bool": bool, "list": list,
-               "None": type(None)}
 # number field -> (its range in words, the test a value must pass)
 _RANGES = {
     **dict.fromkeys(("learning_rate", "prototype_learning_rate", "grad_clip_norm", "delta",
@@ -76,10 +73,8 @@ class ExperimentConfig:
         """The one type and range check of a run's settings, however the
         config is built, so a bad setting is refused before any output."""
         for f in dataclasses.fields(self):
-            value, allowed = getattr(self, f.name), f.type.split(" | ")
-            # JSON true/false must not pass as a number
-            if not isinstance(value, tuple(_JSON_TYPES[t] for t in allowed)) or (
-                    isinstance(value, bool) and "bool" not in allowed):
+            value = getattr(self, f.name)
+            if not jsonio.is_a(value, f.type):
                 raise ParameterError(f"config key {f.name!r} must be {f.type}, "
                                      f"not {type(value).__name__}")
         if self.head_mode not in heads.MODES:
@@ -90,8 +85,7 @@ class ExperimentConfig:
             if value is not None and not (ok(value) and abs(value) < math.inf):
                 raise ParameterError(f"{name} must be finite and {rule}, not {value}")
         for u in self.unseen_classes:
-            # a leaf name or a class index; JSON true would pass as index 1
-            if not isinstance(u, (str, int)) or isinstance(u, bool):
+            if not jsonio.is_a(u, "str | int"):   # a leaf name or a class index
                 raise ParameterError(f"unseen_classes holds class names or indices, not {u!r}")
 
     @property
@@ -317,13 +311,14 @@ def save_checkpoint(path, config: ExperimentConfig, epoch: int, encoder: Encoder
 def _decode_checkpoint(payload: dict) -> RunState:
     config = ExperimentConfig.from_dict(payload["config"])
     epoch, train_loss = payload["epoch"], payload.get("train_loss", [])
-    # JSON true would pass as epoch 1
-    if not isinstance(epoch, int) or isinstance(epoch, bool) or not 0 <= epoch <= config.epochs:
+    if not jsonio.is_a(epoch, "int") or not 0 <= epoch <= config.epochs:
         raise ParameterError(f"epoch must be an integer in [0, {config.epochs}], not {epoch!r}")
     if not isinstance(train_loss, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
-            for v in train_loss):
+            jsonio.is_a(v, "float") and abs(v) < math.inf for v in train_loss):
         raise ParameterError(f"train_loss must be a list of finite numbers, not {train_loss!r}")
+    # one mean loss per finished epoch, or a resumed run's history is wrong
+    if len(train_loss) != epoch:
+        raise ParameterError(f"train_loss holds {len(train_loss)} values for epoch {epoch}")
     encoder = Encoder.from_dict(payload["encoder"]) if payload["encoder"] is not None else None
     bank = PrototypeBank.from_dict(payload["bank"])
     opt = optim.OptimizerState.from_dict(payload["optimizer"])

@@ -1,10 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from lorentzheads import data, geometry as G, heads as H, training
-from lorentzheads.cli import main
+from lorentzheads.cli import GENERATE_FLAGS, build_parser, main
 from lorentzheads.manifest import sha256_file
 from lorentzheads.schemas import validate_file
 
@@ -81,6 +82,35 @@ class TestGenerate:
         ds = data.SyntheticDataset.load(ds_path)
         assert ds.unseen_classes == [1]
         assert set(ds.buckets.values()) == {"frequent", "common", "rare"}
+
+    def test_default_dataset_equals_generate(self, tmp_path):
+        assert main(["generate", "--out", str(tmp_path / "cli.json")]) == 0
+        data.generate().save(tmp_path / "direct.json")
+        assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
+
+    def test_every_keyword_has_one_flag(self):
+        parser = build_parser()
+        actions = parser._subparsers._group_actions[0].choices["generate"]._actions
+        params = inspect.signature(data.generate).parameters
+        assert set(GENERATE_FLAGS) == set(params)
+        for name, param in params.items():
+            (action,) = [a for a in actions if a.dest == name]
+            assert action.option_strings == [GENERATE_FLAGS[name]]
+            assert action.default == param.default
+            assert action.type is type(param.default)
+            assert action.type.__name__ == param.annotation
+
+    def test_every_flag_reaches_its_keyword(self, tmp_path):
+        kwargs = {"num_features": 6, "num_super": 3, "num_classes": 5, "num_samples": 700,
+                  "sigma_super": 3.5, "sigma_leaf": 0.9, "sigma_x": 0.4,
+                  "background_fraction": 0.1, "train_fraction": 0.7, "seed": 3}
+        argv = [str(v) for name, value in kwargs.items()
+                for v in (GENERATE_FLAGS[name], value)]
+        assert main(["generate", "--out", str(tmp_path / "cli.json")] + argv) == 0
+        data.generate(**kwargs).save(tmp_path / "direct.json")
+        assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"] == {**kwargs, "unseen": [], "imbalance_exponent": None}
 
     def test_bad_params_exit_2(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "x.json"),
@@ -520,9 +550,27 @@ CHECKPOINT_EDITS = {
     "train-loss-string": lambda c: c.update(train_loss=["x"]),
     "train-loss-nan": lambda c: c.update(train_loss=[float("nan")]),
     "train-loss-not-list": lambda c: c.update(train_loss="x"),
+    # a loss history must hold one value per finished epoch
+    "train-loss-short": lambda c: c.update(train_loss=[], config={**c["config"], "epochs": 3}),
+    "train-loss-long": lambda c: c.update(train_loss=c["train_loss"] * 2),
 }
 CHECKPOINT_CASES = [f"{command}-checkpoint-{edit}" for command in ("eval", "train-resume")
                     for edit in CHECKPOINT_EDITS]
+
+# edits to a frozen bank's file that `zeroshot` refuses: JSON true/false is no
+# number and a string no bool; the config's delta matches the value a cast reads
+BANK_EDITS = {
+    "zeroshot-frozen-string": ({"frozen": "false"}, {}),
+    "zeroshot-frozen-number": ({"frozen": 1}, {}),
+    "zeroshot-delta-string": ({"delta": "1.4"}, {}),
+    "zeroshot-delta-bool": ({"delta": True}, {"delta": 1.0}),
+}
+# edits to a dataset's file that `train` refuses
+DATASET_EDITS = {
+    "train-dataset-seed-float": lambda d: d.update(seed=2.9),
+    "train-dataset-seed-bool": lambda d: d.update(seed=True),
+    "train-dataset-parent-float": lambda d: d["tree"]["parents"].__setitem__(0, 0.5),
+}
 
 # generate flags refused before any file is written
 GENERATE_CASES = {
@@ -624,6 +672,12 @@ def _refused_argv(kind, tmp_path, trained):
             ds_path = tmp_path / "ds_named.json"
             ds_path.write_text(json.dumps({**payload, "unseen_classes": ["leaf_1"]}))
             argv = ["--config", cfg_path]
+        elif kind in DATASET_EDITS:
+            payload = json.loads(ds_path.read_text())
+            DATASET_EDITS[kind](payload)
+            ds_path = tmp_path / "ds_edited.json"
+            ds_path.write_text(json.dumps(payload))
+            argv = ["--config", cfg_path]
         elif kind in RESUMED_OPTIMIZER:
             payload = json.loads((run / "checkpoint.json").read_text())
             RESUMED_OPTIMIZER[kind](payload["optimizer"])
@@ -652,6 +706,10 @@ def _refused_argv(kind, tmp_path, trained):
         else:
             write_bank(bank, rows[:, :2] if kind == "zeroshot-width" else rows,
                        frozen=kind != "zeroshot-learnable-bank")
+        if kind in BANK_EDITS:
+            bank_edit, config_edit = BANK_EDITS[kind]
+            bank.write_text(json.dumps({**json.loads(bank.read_text()), **bank_edit}))
+            cfg = write_config(tmp_path / "c.json", unseen_classes=[3], **config_edit)
         if kind == "zeroshot-unseen-index":
             cfg = write_config(tmp_path / "c.json", unseen_classes=[9])
         elif kind == "zeroshot-delta":   # the bank keeps the default delta 1.4
@@ -679,6 +737,7 @@ def _refused_argv(kind, tmp_path, trained):
                                   "train-resume-encoder-hidden", "eval-features",
                                   "eval-class-count", "train-dataset-unseen-name"]
                          + sorted(RESUMED_OPTIMIZER) + ENCODER_CASES + sorted(GENERATE_CASES)
+                         + sorted(BANK_EDITS) + sorted(DATASET_EDITS)
                          + CHECKPOINT_CASES
                          + BAD_SETTING_CASES)
 def test_refused_run_writes_nothing(trained, tmp_path, kind):

@@ -161,6 +161,36 @@ class TestDatasetUnseenClasses:
         assert data.SyntheticDataset.load(tmp_path / "ds.json").unseen_classes == [1, 3]
 
 
+class TestStrictTypes:
+    @pytest.mark.parametrize("seed", [2.9, True, "2"])
+    def test_non_integer_seed_refused(self, tmp_path, seed):
+        path = tmp_path / "ds.json"
+        data.generate(num_samples=600, num_classes=4, num_super=2, seed=2).save(path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "seed": seed}))
+        with pytest.raises(ParameterError, match="seed"):
+            data.SyntheticDataset.load(path)
+
+    @pytest.mark.parametrize("parent", [0.5, 1.0, True])
+    def test_non_integer_parent_refused(self, parent):
+        with pytest.raises(ParameterError, match="parent"):
+            data.ClassTree(["s0", "s1"], ["l0", "l1", "l2"], [0, parent, 1])
+
+
+class TestGenerateRecord:
+    def test_params_are_the_arguments_less_seed(self):
+        ds = data.generate(num_features=4, num_samples=300, sigma_x=0.25, seed=3)
+        assert ds.seed == 3
+        assert ds.params == {
+            "num_features": 4, "num_super": 4, "num_classes": 16, "num_samples": 300,
+            "sigma_super": 4.0, "sigma_leaf": 1.0, "sigma_x": 0.25,
+            "background_fraction": 0.2, "train_fraction": 0.8, "background_sigma": 4.0}
+
+    def test_background_sigma_is_no_keyword(self):
+        with pytest.raises(TypeError):
+            data.generate(num_samples=300, background_sigma=1.0)
+
+
 class TestHoldoutUnseen:
     def test_empty_list_is_identity(self):
         ds = data.generate(num_samples=500, seed=0)

@@ -58,10 +58,25 @@ class TestExpMapOrigin:
             assert G.manifold_violation(p) < 1e-9
 
 
+    def test_one_formula_with_the_batch_map(self, rng):
+        # one row of batch_exp_map_origin, bit for bit, on both branches
+        V = rng.normal(0.0, 1.2, (5, 6))
+        V[2] *= 1e-9
+        for v, row in zip(V, G.batch_exp_map_origin(V)):
+            np.testing.assert_array_equal(G.exp_map_origin(v), row)
+
+
 class TestExpMapAt:
     def test_zero_step(self, rng):
         x = random_manifold_point(rng, 4)
         np.testing.assert_allclose(G.exp_map_at(x, np.zeros(5)), x, rtol=1e-15)
+
+    def test_always_checks_its_inputs(self, rng):
+        x = random_manifold_point(rng, 2)
+        with pytest.raises(ContractError, match="off the hyperboloid"):
+            G.exp_map_at(2.0 * x, np.zeros(3))
+        with pytest.raises(TypeError):
+            G.exp_map_at(x, np.zeros(3), check=False)
 
     def test_matches_origin_map(self):
         out = G.exp_map_at(G.origin(2), [0.0, 1.0, 0.0])

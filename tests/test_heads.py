@@ -88,6 +88,14 @@ class TestPrototypeBank:
             np.testing.assert_array_equal(H.batch_bank_logits(F, read),
                                           H.shift_logits(D, 1.4, read.d_min))
 
+    @pytest.mark.parametrize("key, value", [("frozen", "false"), ("frozen", 0),
+                                            ("delta", True), ("delta", "1.4")])
+    def test_decoded_fields_strictly_typed(self, key, value):
+        # bool("false") is True, float(True) is 1.0: neither may decide a bank
+        bank = make_hyperbolic_bank([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ParameterError, match=key):
+            H.PrototypeBank.from_dict({**bank.to_dict(), key: value})
+
     @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
     def test_delta_must_be_finite_and_positive(self, delta):
         with pytest.raises(ParameterError, match="delta"):

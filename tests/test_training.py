@@ -344,6 +344,13 @@ class TestCheckpoints:
                           loaded[4], loaded[5], loaded[6])
         assert path.read_bytes() == resaved.read_bytes()
 
+    def test_integer_delta_round_trip_is_byte_stable(self, tmp_path):
+        # a bank keeps the delta it was given: 1 stays 1, not 1.0
+        T.train(quick_config(embed_dim=8, delta=1), tiny_dataset(), out_dir=tmp_path)
+        path = tmp_path / "checkpoint.json"
+        T.save_checkpoint(tmp_path / "resaved.json", *T.load_checkpoint(path))
+        assert path.read_bytes() == (tmp_path / "resaved.json").read_bytes()
+
     def test_checkpoint_path_listed_once(self, tmp_path):
         # epochs 2 and 4 both save, to the same file
         _, _, _, paths = T.train(quick_config(epochs=4, eval_every=2, embed_dim=8),
