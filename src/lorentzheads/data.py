@@ -20,6 +20,9 @@ from . import jsonio
 from .errors import ContractError, ParameterError
 from .heads import BACKGROUND
 
+# the frequency buckets of an imbalanced dataset, most frequent first
+BUCKETS = ("frequent", "common", "rare")
+
 
 @dataclass
 class ClassTree:
@@ -81,6 +84,8 @@ class SyntheticDataset:
         tr, va = set(self.train_idx.tolist()), set(self.val_idx.tolist())
         if tr & va:
             raise ContractError("train/val split must be disjoint")
+        if not va:
+            raise ContractError("the val split is empty: nothing to evaluate")
         # holdout/imbalance datasets deliberately drop train rows, and a
         # power-law profile keeps its rare classes below the usual 10-row floor
         power_law = "power_law_exponent" in self.params
@@ -91,6 +96,12 @@ class SyntheticDataset:
             if not jsonio.is_a(u, "int") or not 0 <= u < self.num_classes:
                 raise ContractError(f"unseen_classes must be class indices in "
                                     f"[0, {self.num_classes}), not {u!r}")
+        if not isinstance(self.buckets, dict):
+            raise ContractError("buckets must be an object of class name -> bucket")
+        for name, bucket in self.buckets.items():
+            if name not in self.tree.leaf_classes or bucket not in BUCKETS:
+                raise ContractError(f"buckets must map leaf class names to one of "
+                                    f"{', '.join(BUCKETS)}, not {name!r}: {bucket!r}")
         floor = 1 if power_law else 10
         counts = self.class_counts("train")
         active = [c for c in range(self.num_classes) if c not in self.unseen_classes]

@@ -24,6 +24,11 @@ KIND_COSINE = "cosine"
 
 DEFAULT_K = 5
 DEFAULT_BINS = 20
+# Rows per block.  Every array but the N x N distance matrix is at most a
+# block of its rows (1 MiB at N = 2,000) or a square tile of them.  The
+# distance and ranking loops reuse buffers made once: a fresh 1 MiB array
+# per block pays its page faults again.
+_BLOCK_ROWS = 64
 
 
 def sample_skewness(values) -> float:
@@ -37,20 +42,49 @@ def sample_skewness(values) -> float:
     return float(m3 / m2**1.5)
 
 
+def _row_blocks(n: int):
+    """(start, stop) of the _BLOCK_ROWS-row blocks that cover n rows."""
+    return [(s, min(s + _BLOCK_ROWS, n)) for s in range(0, n, _BLOCK_ROWS)]
+
+
 def pairwise_distances(points, kind: str) -> np.ndarray:
-    """Symmetric all-pairs distance matrix with zero diagonal."""
+    """Symmetric all-pairs distance matrix with zero diagonal.
+
+    The result is the one N x N array: it is built in place, with row-block
+    temporaries beside it, and holds the bits of batch_distance (or
+    1 - U U^T for cosine) symmetrised as 0.5 * (D + D^T).
+    """
     P = np.asarray(points, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] < 2:
         raise ParameterError("need at least 2 points")
     if kind == KIND_HYPERBOLIC:
         geometry.assert_on_manifold(P)
-        D = geometry.batch_distance(P, P)
+        # one full product: numpy's symmetric A A^T path, whose bits
+        # per-block products would not reproduce
+        D = P[:, 1:] @ P[:, 1:].T
+        x0 = P[:, 0]
+        outer = np.empty((_BLOCK_ROWS, len(D)))
+        for s, e in _row_blocks(len(D)):
+            rows = D[s:e]
+            # outer - product has the bits of -(-outer + product)
+            np.multiply.outer(x0[s:e], x0, out=outer[:e - s])
+            np.subtract(outer[:e - s], rows, out=rows)
+            np.maximum(rows, 1.0, out=rows)
+            np.arccosh(rows, out=rows)
     elif kind == KIND_COSINE:
         U, _ = unit_rows(P)
-        D = 1.0 - U @ U.T
+        D = U @ U.T
+        np.subtract(1.0, D, out=D)
     else:
         raise ContractError(f"unknown distance kind {kind!r}")
-    D = 0.5 * (D + D.T)
+    blocks = _row_blocks(len(D))
+    for i, (s, e) in enumerate(blocks):
+        for t, u in blocks[i:]:
+            # 0.5 * (a + b^T) for a tile and its mirror image, written to both
+            half = D[s:e, t:u] + D[t:u, s:e].T
+            half *= 0.5
+            D[s:e, t:u] = half
+            D[t:u, s:e] = half.T
     np.fill_diagonal(D, 0.0)
     return D
 
@@ -73,7 +107,8 @@ def k_occurrence(dist: np.ndarray, k: int) -> KOccurrence:
     """In-degree counts of the directed k-NN graph and their skewness.
 
     Each point emits edges to its k nearest others; ties break toward the
-    lower point index.
+    lower point index.  Rows are ranked a block at a time, without a copy
+    of `dist`; a NaN distance raises ParameterError.
     """
     D = np.asarray(dist, dtype=np.float64)
     N = D.shape[0]
@@ -81,20 +116,51 @@ def k_occurrence(dist: np.ndarray, k: int) -> KOccurrence:
         raise ParameterError("k must be >= 1")
     if k >= N:
         raise ParameterError(f"k={k} must be < number of points {N}")
-    D = D.copy()
-    np.fill_diagonal(D, np.inf)
-    # a stable sort keeps equal distances in index order
-    neighbors = np.argsort(D, axis=1, kind="stable")[:, :k]
-    counts = np.bincount(neighbors.ravel(), minlength=N)
+    counts = np.zeros(N, dtype=np.intp)
+    buffers = np.empty((2, _BLOCK_ROWS, N))
+    for s, e in _row_blocks(N):
+        rows, part = buffers[:, :e - s]
+        rows[...] = D[s:e]
+        rows[np.arange(e - s), np.arange(s, e)] = np.inf
+        if np.isnan(rows).any():
+            raise ParameterError("distances contain NaN, which has no rank")
+        part[...] = rows
+        part.partition(k - 1, axis=1)
+        kth = part[:, [k - 1]]
+        near = rows <= kth
+        # a row with more ties at its k-th value than places keeps the
+        # entries below it and the first ties in index order, as a stable
+        # sort does
+        over = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
+        below, tied = rows[over] < kth[over], rows[over] == kth[over]
+        room = k - np.count_nonzero(below, axis=1, keepdims=True)
+        near[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        counts += np.count_nonzero(near, axis=0)
     return KOccurrence(k=k, counts=counts, skewness=sample_skewness(counts))
 
 
+def _upper_triangle(D: np.ndarray):
+    """The entries above the diagonal of D in pieces, a row block at a time:
+    those of the block's diagonal tile (a flat copy), then the block's
+    columns right of that tile (a view)."""
+    for s, e in _row_blocks(D.shape[0]):
+        yield D[s:e, s:e][~np.tri(e - s, dtype=bool)]
+        yield D[s:e, e:]
+
+
 def distance_histogram(dist: np.ndarray, kind: str) -> DistanceHistogram:
-    """Histogram over the N(N-1)/2 unordered pairwise distances."""
+    """Histogram over the N(N-1)/2 unordered pairwise distances: one pass
+    over the upper triangle for the range, one for the summed counts."""
     D = np.asarray(dist, dtype=np.float64)
-    iu = np.triu_indices(D.shape[0], k=1)
-    vals = D[iu]
-    counts, edges = np.histogram(vals, bins=DEFAULT_BINS)
+    if D.ndim != 2 or D.shape[0] < 2:
+        raise ParameterError("need at least 2 points")
+    ends = np.array([(b.min(initial=np.inf), b.max(initial=-np.inf))
+                     for b in _upper_triangle(D)])
+    span = (ends[:, 0].min(), ends[:, 1].max())
+    counts = np.zeros(DEFAULT_BINS, dtype=np.intp)
+    for block in _upper_triangle(D):
+        block_counts, edges = np.histogram(block, bins=DEFAULT_BINS, range=span)
+        counts += block_counts
     return DistanceHistogram(kind=kind, edges=edges, counts=counts)
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry, heads, jsonio, optim
-from .data import ClassTree, SyntheticDataset, holdout_unseen
+from .data import BUCKETS, ClassTree, SyntheticDataset, holdout_unseen
 from .errors import ContractError, NumericalError, ParameterError
 from .heads import BACKGROUND, PrototypeBank
 
@@ -258,7 +258,7 @@ def evaluate(bank: PrototypeBank, encoder: Encoder | None, features: np.ndarray,
     if buckets:
         name_to_idx = {n: i for i, n in enumerate(tree.leaf_classes)}
         acc = {}
-        for bucket in ("frequent", "common", "rare"):
+        for bucket in BUCKETS:
             members = [name_to_idx[n] for n, b in buckets.items() if b == bucket]
             rows = np.isin(labels, members)
             acc[bucket] = float(correct[rows].mean()) if rows.any() else 0.0

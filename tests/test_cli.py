@@ -82,6 +82,7 @@ class TestGenerate:
         ds = data.SyntheticDataset.load(ds_path)
         assert ds.unseen_classes == [1]
         assert set(ds.buckets.values()) == {"frequent", "common", "rare"}
+        validate_file(ds_path, "dataset")
 
     def test_default_dataset_equals_generate(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "cli.json")]) == 0
@@ -292,6 +293,16 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
                      "--dataset", str(ds_path), "--split", "train"]) == 0
         assert "val_accuracy" in capsys.readouterr().out
+
+    def test_empty_val_split_exit_2(self, trained, tmp_path):
+        _, ds_path, _, out = trained
+        payload = json.loads(ds_path.read_text())
+        DATASET_EDITS["train-dataset-empty-val"](payload)
+        (tmp_path / "ds.json").write_text(json.dumps(payload))
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                     "--dataset", str(tmp_path / "ds.json"),
+                     "--out", str(tmp_path / "o" / "metrics.json")]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestHubness:
@@ -570,6 +581,11 @@ DATASET_EDITS = {
     "train-dataset-seed-float": lambda d: d.update(seed=2.9),
     "train-dataset-seed-bool": lambda d: d.update(seed=True),
     "train-dataset-parent-float": lambda d: d["tree"]["parents"].__setitem__(0, 0.5),
+    "train-dataset-empty-val": lambda d: d["splits"].update(
+        train=sorted(d["splits"]["train"] + d["splits"]["val"]), val=[]),
+    "train-dataset-bucket-name": lambda d: d.update(buckets={"leaf_9": "rare"}),
+    "train-dataset-bucket-value": lambda d: d.update(buckets={"leaf_0": "bogus"}),
+    "train-dataset-buckets-array": lambda d: d.update(buckets=["leaf_0"]),
 }
 
 # generate flags refused before any file is written
@@ -583,6 +599,9 @@ GENERATE_CASES = {
     "generate-no-classes": ["--classes", "0", "--super", "0"],
     "generate-no-super": ["--super", "0"],
     "generate-negative-seed": ["--seed", "-1"],
+    # every row of every class rounds into train
+    "generate-empty-val": ["--samples", "200", "--classes", "4", "--super", "2",
+                           "--train-fraction", "0.99", "--background-fraction", "0"],
 }
 
 

@@ -161,6 +161,20 @@ class TestDatasetUnseenClasses:
         assert data.SyntheticDataset.load(tmp_path / "ds.json").unseen_classes == [1, 3]
 
 
+class TestDatasetChecks:
+    def test_empty_val_split_refused(self):
+        with pytest.raises(ContractError, match="val split is empty"):
+            data.generate(num_samples=200, num_classes=4, num_super=2,
+                          train_fraction=0.99, background_fraction=0.0)
+
+    @pytest.mark.parametrize("buckets", [{"leaf_9": "rare"}, {"leaf_0": "bogus"},
+                                         {"leaf_0": ["rare"]}, ["leaf_0"], None])
+    def test_bad_buckets_refused(self, buckets):
+        ds = data.generate(num_samples=600, num_classes=4, num_super=2, seed=0)
+        with pytest.raises(ContractError, match="buckets"):
+            dataclasses.replace(ds, buckets=buckets)
+
+
 class TestStrictTypes:
     @pytest.mark.parametrize("seed", [2.9, True, "2"])
     def test_non_integer_seed_refused(self, tmp_path, seed):

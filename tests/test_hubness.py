@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,93 @@ def brute_force_k_occurrence(D, k):
     return np.asarray(counts)
 
 
+def whole_matrix_distances(P, kind):
+    """The all-at-once composition the row-block code must reproduce."""
+    if kind == "hyperbolic":
+        D = G.batch_distance(P, P)
+    else:
+        U = P / np.linalg.norm(P, axis=1, keepdims=True)
+        D = 1.0 - U @ U.T
+    D = 0.5 * (D + D.T)
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def whole_matrix_histogram(D):
+    return np.histogram(D[np.triu_indices(len(D), k=1)], bins=hubness.DEFAULT_BINS)
+
+
+def stable_sort_k_occurrence(D, k):
+    D = D.copy()
+    np.fill_diagonal(D, np.inf)
+    neighbors = np.argsort(D, axis=1, kind="stable")[:, :k]
+    return np.bincount(neighbors.ravel(), minlength=len(D))
+
+
+class TestRowBlocks:
+    """The row-block kernels against the whole-matrix ones, bit for bit,
+    with N spanning several full blocks and a partial one."""
+
+    @pytest.fixture(params=[(700, None), (50, 7)], ids=["module-blocks", "7-row-blocks"])
+    def n_points(self, request, monkeypatch):
+        N, rows = request.param
+        if rows is not None:
+            monkeypatch.setattr(hubness, "_BLOCK_ROWS", rows)
+        blocks = hubness._row_blocks(N)
+        assert len(blocks) >= 4 and blocks[0][1] > blocks[-1][1] - blocks[-1][0]
+        return N
+
+    @pytest.mark.parametrize("kind", ["hyperbolic", "cosine"])
+    @pytest.mark.parametrize("rounded", [False, True], ids=["exact", "ties"])
+    def test_same_bits_as_whole_matrix(self, rng, n_points, kind, rounded):
+        V = rng.normal(0.0, 1.0, (n_points, 6))
+        if rounded:   # lattice points: many tied distances and some duplicates
+            V = np.round(V)
+            V[:, 0] += 0.5
+        P = G.batch_exp_map_origin(V) if kind == "hyperbolic" else V
+        D = hubness.pairwise_distances(P, kind)
+        np.testing.assert_array_equal(D, whole_matrix_distances(P, kind))
+        for M in (D, np.round(D, 1)):
+            hist = hubness.distance_histogram(M, kind)
+            counts, edges = whole_matrix_histogram(M)
+            np.testing.assert_array_equal(hist.edges, edges)
+            np.testing.assert_array_equal(hist.counts, counts)
+            for k in (1, 5, n_points - 1):
+                np.testing.assert_array_equal(hubness.k_occurrence(M, k).counts,
+                                              stable_sort_k_occurrence(M, k))
+
+    def test_asymmetric_matrix(self, rng, n_points):
+        # k_occurrence ranks each row on its own; it needs no symmetry
+        D = np.round(rng.uniform(0.0, 3.0, (n_points, n_points)), 1)
+        np.testing.assert_array_equal(hubness.k_occurrence(D, 3).counts,
+                                      stable_sort_k_occurrence(D, 3))
+
+    def test_nan_refused(self, rng, n_points):
+        D = rng.uniform(0.0, 1.0, (n_points, n_points))
+        D[n_points - 1, 0] = np.nan    # in the last, partial block
+        with pytest.raises(ParameterError, match="NaN"):
+            hubness.k_occurrence(D, 2)
+
+    def test_nan_on_the_diagonal_is_never_ranked(self, rng, n_points):
+        D = rng.uniform(0.0, 1.0, (n_points, n_points))
+        np.fill_diagonal(D, np.nan)
+        np.testing.assert_array_equal(hubness.k_occurrence(D, 2).counts,
+                                      stable_sort_k_occurrence(D, 2))
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "cosine"])
+def test_analysis_holds_one_distance_matrix(rng, kind):
+    N = 2000
+    P = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (N, 8)))
+    tracemalloc.start()
+    try:
+        hubness.analyze_points(P, kind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * N * N * 8
+
+
 class TestPairwiseDistances:
     def test_identical_points(self):
         P = np.stack([G.exp_map_origin([0.5, 0.5])] * 2)
@@ -36,11 +125,8 @@ class TestPairwiseDistances:
     def test_cosine_rows_normalised_once(self, rng):
         # the same bits as dividing each row by its norm; a zero row is refused
         P = rng.normal(0.0, 1.0, (6, 4))
-        U = P / np.linalg.norm(P, axis=1)[:, None]
-        D = 1.0 - U @ U.T
-        D = 0.5 * (D + D.T)
-        np.fill_diagonal(D, 0.0)
-        np.testing.assert_array_equal(hubness.pairwise_distances(P, "cosine"), D)
+        np.testing.assert_array_equal(hubness.pairwise_distances(P, "cosine"),
+                                      whole_matrix_distances(P, "cosine"))
         with pytest.raises(ContractError, match="nonzero"):
             hubness.pairwise_distances(np.vstack([P, np.zeros(4)]), "cosine")
 
@@ -141,6 +227,8 @@ class TestReports:
         P = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (10, 4)))
         rep = hubness.analyze_points(P, "hyperbolic", k=3)
         assert rep.histogram.counts.sum() == 10 * 9 // 2
+        with pytest.raises(ParameterError, match="2 points"):
+            hubness.distance_histogram(np.zeros((1, 1)), "hyperbolic")
 
     def test_bank_dispatch(self, rng):
         hyp = H.PrototypeBank(
