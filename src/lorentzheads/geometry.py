@@ -225,7 +225,7 @@ def _exp0_rows(V: np.ndarray):
     f = np.where(small, 1.0 + r * r / 6.0, sinh / np.where(small, 1.0, r))
     X = np.empty((V.shape[0], V.shape[1] + 1))
     X[:, 0] = cosh
-    X[:, 1:] = f[:, None] * V
+    np.multiply(f[:, None], V, out=X[:, 1:])
     return X, (r, f, sinh, cosh)
 
 
@@ -238,13 +238,24 @@ def batch_minkowski_inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """All-pairs Lorentzian products: (m, n+1) x (C, n+1) -> (m, C)."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    return -np.outer(X[:, 0], Y[:, 0]) + X[:, 1:] @ Y[:, 1:].T
+    M = X[:, 1:] @ Y[:, 1:].T
+    # spatial - x0*y0 has the bits of -x0*y0 + spatial: IEEE addition commutes
+    M -= np.multiply.outer(X[:, 0], Y[:, 0])
+    return M
+
+
+def _cosh_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """max(-<x, y>_l, 1) for all pairs, the cosh of their geodesic distance,
+    in the one (m, C) array batch_minkowski_inner returns."""
+    A = batch_minkowski_inner(X, Y)
+    np.negative(A, out=A)
+    return np.maximum(A, 1.0, out=A)
 
 
 def batch_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """All-pairs geodesic distances between point sets."""
-    arg = np.maximum(-batch_minkowski_inner(X, Y), 1.0)
-    return np.arccosh(arg)
+    A = _cosh_distance(X, Y)
+    return np.arccosh(A, out=A)
 
 
 def grad_exp_map_origin(V: np.ndarray, G: np.ndarray) -> np.ndarray:

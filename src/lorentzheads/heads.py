@@ -145,15 +145,23 @@ def random_bank(mode, class_names, dim, rng, delta=DEFAULT_DELTA) -> PrototypeBa
 
 
 def shift_logits(distances, delta: float, d_min: float) -> np.ndarray:
-    """s_c = delta - (delta / d_min) * d_c."""
+    """s_c = delta - (delta / d_min) * d_c, in a new array."""
+    return _shift_logits(np.array(distances, dtype=np.float64), delta, d_min)
+
+
+def _shift_logits(D: np.ndarray, delta: float, d_min: float) -> np.ndarray:
+    """shift_logits written over the float64 distance array D, which the
+    caller owns; returns D."""
     if d_min <= 0:
         raise ParameterError("d_min must be > 0")
     if delta <= 0:
         raise ParameterError("delta must be > 0")
-    d = np.asarray(distances, dtype=np.float64)
-    # algebraically delta - (delta/d_min) d; this form is exactly delta at
-    # d = 0 and exactly 0 at d = d_min regardless of rounding
-    return delta * (1.0 - d / d_min)
+    # algebraically delta - (delta/d_min) d; the form delta * (1 - d/d_min)
+    # is exactly delta at d = 0 and exactly 0 at d = d_min regardless of rounding
+    D /= d_min
+    np.subtract(1.0, D, out=D)
+    D *= delta
+    return D
 
 
 def unit_rows(A: np.ndarray):
@@ -172,12 +180,14 @@ def batch_bank_logits(features: np.ndarray, bank: PrototypeBank,
     if bank.mode == MODE_HYPERBOLIC:
         X = geometry.batch_exp_map_origin(F)
         D = geometry.batch_distance(X, bank.prototypes)
-        return shift_logits(D, bank.delta, bank.d_min)
+        return _shift_logits(D, bank.delta, bank.d_min)
     if bank.mode == MODE_LINEAR:
         return F @ bank.prototypes.T
     U, _ = unit_rows(F)
     Q, _ = unit_rows(bank.prototypes)
-    return (U @ Q.T) / tau
+    S = U @ Q.T
+    S /= tau
+    return S
 
 
 def classify(feature, bank: PrototypeBank, k: int | None = None, tau: float = DEFAULT_TAU):
@@ -258,14 +268,15 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
     F = np.asarray(features, dtype=np.float64)
     T = bank.prototypes
     X, exp0_terms = geometry._exp0_rows(F)            # (m, n+1)
-    cosh_d = np.maximum(-geometry.batch_minkowski_inner(X, T), 1.0)
-    D = np.arccosh(cosh_d)                            # (m, C)
-    S = shift_logits(D, bank.delta, bank.d_min)
+    cosh_d = geometry._cosh_distance(X, T)            # (m, C)
+    D = np.arccosh(cosh_d)
+    near = D < _EPS_DIST
+    S = _shift_logits(D, bank.delta, bank.d_min)      # D becomes the logits
     loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
     G_D = G_S * (-bank.delta / bank.d_min)
     # d(arccosh)/d(cosh_d) = 1/sqrt(cosh_d^2-1); zeroed at coincidence
     denom = np.sqrt(np.maximum(cosh_d * cosh_d - 1.0, 0.0))
-    W = np.where(D < _EPS_DIST, 0.0, G_D / np.where(denom == 0.0, 1.0, denom))
+    W = np.where(near, 0.0, G_D / np.where(denom == 0.0, 1.0, denom))
     # cosh_d = -<x,t>_l = -x^T g_l t, so dL/dX = -g_l (W T), dL/dT = -g_l (W^T X)
     grad_X = -(W @ T)
     grad_X[:, 0] = -grad_X[:, 0]
@@ -299,7 +310,8 @@ def euclidean_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
         raise ContractError("euclidean head required")
     U, fn = unit_rows(F)
     Q, pn = unit_rows(P)
-    S = (U @ Q.T) / tau
+    S = U @ Q.T
+    S /= tau
     loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
     G_U = (G_S @ Q) / tau
     G_Q = (G_S.T @ U) / tau

@@ -130,18 +130,24 @@ class Encoder:
         )
 
     def forward(self, X: np.ndarray):
-        pre = X @ self.W1 + self.b1
-        H = np.maximum(pre, 0.0)
-        E = H @ self.W2 + self.b2
-        return E, (X, pre, H)
+        """(E, cache): the embeddings of the rows of X, and the (X, H) pair
+        `backward` reads, H the hidden activations."""
+        H = X @ self.W1
+        H += self.b1
+        np.maximum(H, 0.0, out=H)
+        E = H @ self.W2
+        E += self.b2
+        return E, (X, H)
 
     def backward(self, cache, dE: np.ndarray, out: dict | None = None) -> dict:
         """The weight gradients by name, written into `out`'s arrays (in
         `train`, views of its gradient buffer) or into new ones; returns them."""
-        X, pre, H = cache
+        X, H = cache
         if out is None:
             out = {name: np.empty_like(w) for name, w in self.params().items()}
-        dH = (dE @ self.W2.T) * (pre > 0.0)
+        # H > 0 exactly where the pre-activation is > 0
+        dH = dE @ self.W2.T
+        dH *= H > 0.0
         np.matmul(X.T, dH, out=out["enc.W1"])
         dH.sum(axis=0, out=out["enc.b1"])
         np.matmul(H.T, dE, out=out["enc.W2"])
@@ -203,6 +209,15 @@ class MetricsReport:
                 f.write(f"{e},{m},{v!r}\n")
 
 
+def _label_rows(labels: np.ndarray, classes, C: int) -> np.ndarray:
+    """Whether each label in [BACKGROUND, C) is one of `classes`, indices in
+    [0, C), as np.isin would say: a lookup table whose last entry, the one
+    BACKGROUND indexes, stays False."""
+    table = np.zeros(C + 1, dtype=bool)
+    table[list(classes)] = True
+    return table[labels]
+
+
 def evaluate(bank: PrototypeBank, encoder: Encoder | None, features: np.ndarray,
              labels: np.ndarray, tree: ClassTree, tau: float = heads.DEFAULT_TAU,
              unseen_classes=(), buckets=None) -> MetricsReport:
@@ -236,9 +251,9 @@ def evaluate(bank: PrototypeBank, encoder: Encoder | None, features: np.ndarray,
     precision = hits / np.maximum(predicted, 1)
     recall = hits / np.maximum(support, 1)
     per_class = {
-        name: {"precision": float(precision[c]), "recall": float(recall[c]),
-               "support": int(support[c])}
-        for c, name in enumerate(tree.leaf_classes)
+        name: {"precision": p, "recall": r, "support": n}
+        for name, p, r, n in zip(tree.leaf_classes, precision.tolist(), recall.tolist(),
+                                 support.tolist())
     }
 
     report = MetricsReport(
@@ -249,7 +264,7 @@ def evaluate(bank: PrototypeBank, encoder: Encoder | None, features: np.ndarray,
 
     unseen_classes = sorted(int(u) for u in unseen_classes)
     if unseen_classes:
-        unseen_mask = np.isin(labels, unseen_classes)
+        unseen_mask = _label_rows(labels, unseen_classes, C)
         seen_fg = fg & ~unseen_mask
         report.seen_accuracy = float(correct[seen_fg].mean()) if seen_fg.any() else 0.0
         report.unseen_accuracy = float(correct[unseen_mask].mean()) if unseen_mask.any() else 0.0
@@ -260,7 +275,7 @@ def evaluate(bank: PrototypeBank, encoder: Encoder | None, features: np.ndarray,
         acc = {}
         for bucket in BUCKETS:
             members = [name_to_idx[n] for n, b in buckets.items() if b == bucket]
-            rows = np.isin(labels, members)
+            rows = _label_rows(labels, members, C)
             acc[bucket] = float(correct[rows].mean()) if rows.any() else 0.0
         report.bucket_accuracy = acc
 

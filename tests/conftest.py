@@ -21,6 +21,13 @@ def random_tangent(rng, x, scale=1.0, max_norm=3.0):
     return u
 
 
+def read_only(*arrays):
+    """The arrays, each flagged read-only, so that any write into them raises."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 # filled by tests/test_acceptance.py; echoed after the run so the
 # per-criterion verdicts survive output capturing
 acceptance_lines: list[str] = []

@@ -586,6 +586,21 @@ DATASET_EDITS = {
     "train-dataset-bucket-name": lambda d: d.update(buckets={"leaf_9": "rare"}),
     "train-dataset-bucket-value": lambda d: d.update(buckets={"leaf_0": "bogus"}),
     "train-dataset-buckets-array": lambda d: d.update(buckets=["leaf_0"]),
+    # class names are distinct strings: integers, a string read as its
+    # characters and a repeated name are refused
+    "train-dataset-leaf-int": lambda d: d["tree"].update(leaf_classes=[1, 2, 3, 4]),
+    "train-dataset-super-string": lambda d: d["tree"].update(supercategories="ab"),
+    "eval-dataset-leaf-repeated": lambda d: d["tree"]["leaf_classes"].__setitem__(3, "leaf_0"),
+    # a power-law record turns two split checks off, so it must be a real one
+    "train-dataset-params-list": lambda d: d.update(params=[]),
+    "train-dataset-power-law-string": lambda d: d["params"].update(power_law_exponent="x"),
+    "train-dataset-power-law-zero": lambda d: d["params"].update(power_law_exponent=0),
+    # labels and split indices are JSON integers, not numbers that round to one
+    "train-dataset-label-fraction": lambda d: d["labels"].__setitem__(d["labels"].index(2), 2.7),
+    "eval-dataset-label-string": lambda d: d["labels"].__setitem__(d["labels"].index(3), "3"),
+    "train-dataset-label-bool": lambda d: d["labels"].__setitem__(d["labels"].index(1), True),
+    "train-dataset-split-float": lambda d: d["splits"]["train"].__setitem__(
+        0, float(d["splits"]["train"][0])),
 }
 
 # generate flags refused before any file is written
@@ -656,6 +671,15 @@ def _dataset(path, **shape):
     return path
 
 
+def _edited_dataset(kind, tmp_path, ds_path):
+    """A copy of the dataset at ds_path with the DATASET_EDITS edit `kind` applied."""
+    payload = json.loads(ds_path.read_text())
+    DATASET_EDITS[kind](payload)
+    edited = tmp_path / "ds_edited.json"
+    edited.write_text(json.dumps(payload))
+    return edited
+
+
 def _refused_argv(kind, tmp_path, trained):
     """argv of a `kind` run whose input is bad; every output goes under tmp_path/o"""
     _, ds_path, cfg_path, run = trained
@@ -692,10 +716,7 @@ def _refused_argv(kind, tmp_path, trained):
             ds_path.write_text(json.dumps({**payload, "unseen_classes": ["leaf_1"]}))
             argv = ["--config", cfg_path]
         elif kind in DATASET_EDITS:
-            payload = json.loads(ds_path.read_text())
-            DATASET_EDITS[kind](payload)
-            ds_path = tmp_path / "ds_edited.json"
-            ds_path.write_text(json.dumps(payload))
+            ds_path = _edited_dataset(kind, tmp_path, ds_path)
             argv = ["--config", cfg_path]
         elif kind in RESUMED_OPTIMIZER:
             payload = json.loads((run / "checkpoint.json").read_text())
@@ -738,9 +759,13 @@ def _refused_argv(kind, tmp_path, trained):
     if kind == "hubness":
         return ["hubness", str(run / "metrics.json"), "--out", str(out)]
     if kind.startswith("eval"):
-        shape = {"eval-features": {"num_features": 12}, "eval-class-count": {"num_classes": 6}}
-        return ["eval", "--checkpoint", str(run / "checkpoint.json"), "--dataset",
-                str(_dataset(tmp_path / "ds_other.json", **shape[kind])),
+        if kind in DATASET_EDITS:
+            ds = _edited_dataset(kind, tmp_path, ds_path)
+        else:
+            shape = {"eval-features": {"num_features": 12},
+                     "eval-class-count": {"num_classes": 6}}
+            ds = _dataset(tmp_path / "ds_other.json", **shape[kind])
+        return ["eval", "--checkpoint", str(run / "checkpoint.json"), "--dataset", str(ds),
                 "--out", str(out / "metrics.json")]
     emb = tmp_path / "emb.txt"
     emb.write_text("a 1 0\nb 1\n")

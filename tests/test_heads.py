@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from lorentzheads import geometry as G
 from lorentzheads import heads as H
 from lorentzheads.errors import ContractError, ParameterError
 
-from conftest import random_manifold_point
+from conftest import random_manifold_point, read_only
 
 
 def make_hyperbolic_bank(spatial_rows, delta=1.4, frozen=False):
@@ -322,6 +323,124 @@ class TestLossDispatch:
         assert got[0] == want[0]
         for a, b in zip(got[1:], want[1:]):
             np.testing.assert_array_equal(a, b)
+
+
+def old_minkowski_inner(X, Y):
+    """batch_minkowski_inner as the allocating formula it replaces."""
+    return -np.outer(X[:, 0], Y[:, 0]) + X[:, 1:] @ Y[:, 1:].T
+
+
+def old_logits(F, bank, tau):
+    """batch_bank_logits of every mode as the allocating formulas it replaces."""
+    if bank.mode == H.MODE_HYPERBOLIC:
+        M = old_minkowski_inner(G.batch_exp_map_origin(F), bank.prototypes)
+        d = np.arccosh(np.maximum(-M, 1.0))
+        return bank.delta * (1.0 - d / bank.d_min)
+    if bank.mode == H.MODE_LINEAR:
+        return F @ bank.prototypes.T
+    U = F / np.linalg.norm(F, axis=1, keepdims=True)
+    Q = bank.prototypes / np.linalg.norm(bank.prototypes, axis=1, keepdims=True)
+    return (U @ Q.T) / tau
+
+
+def scoring_inputs(rng):
+    """(features, spatial prototype rows): prototype 2 is the origin, which
+    the zero feature row maps onto (D = 0); row 1 maps onto prototype 3 up to
+    rounding; rows 3-5 lie far out and row 2 in the series branch."""
+    spatial = rng.normal(0.0, 1.0, (6, 4))
+    spatial[2] = 0.0
+    F = rng.normal(0.0, 1.5, (40, 4))
+    F[0] = 0.0
+    F[1] = spatial[3]
+    F[2] *= 1e-9                                      # r below the series cut
+    F[3:6] *= 15.0                                    # cosh(r) near 1e10
+    return F, spatial
+
+
+class TestInPlaceScoring:
+    """Scoring writes only into arrays it allocated, with the bits of the
+    allocating formulas."""
+
+    def test_exp0_products_and_distances_keep_their_bits(self, rng):
+        F, spatial = read_only(*scoring_inputs(rng))
+        X, (r, f, sinh, cosh) = G._exp0_rows(F)
+        assert X[:, 0].tobytes() == cosh.tobytes()
+        assert X[:, 1:].tobytes() == (f[:, None] * F).tobytes()
+        X, P = read_only(X, G.batch_exp_map_origin(spatial))
+        M = old_minkowski_inner(X, P)
+        assert G.batch_minkowski_inner(X, P).tobytes() == M.tobytes()
+        assert G._cosh_distance(X, P).tobytes() == np.maximum(-M, 1.0).tobytes()
+        D = G.batch_distance(X, P)
+        assert D.tobytes() == np.arccosh(np.maximum(-M, 1.0)).tobytes()
+        assert D[0, 2] == 0.0 and D[3:6].min() > 10.0
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("mode", H.MODES)
+    def test_logits_keep_their_bits(self, rng, mode, frozen):
+        F, spatial = scoring_inputs(rng)
+        if mode == H.MODE_COSINE:
+            F = F[1:]                                 # cosine refuses the zero row
+        # cosine refuses the zero prototype row
+        rows = G.batch_exp_map_origin(spatial) if mode == H.MODE_HYPERBOLIC else F[6:12]
+        bank = H.PrototypeBank(mode, rows, [f"c{i}" for i in range(6)], delta=1.7,
+                               frozen=frozen)
+        read_only(F, bank.prototypes)
+        got = H.batch_bank_logits(F, bank, tau=0.3)
+        assert got.tobytes() == old_logits(F, bank, 0.3).tobytes()
+        if mode == H.MODE_HYPERBOLIC:
+            assert got[0, 2] == bank.delta            # the zero row, on prototype 2
+
+    def test_shift_kernel_writes_into_its_argument(self, rng):
+        d = np.concatenate([[0.0, 0.7, 1e-300], rng.uniform(0.0, 30.0, 50)])
+        D = d.copy()
+        assert H._shift_logits(D, 1.4, 0.7) is D
+        assert D.tobytes() == (1.4 * (1.0 - d / 0.7)).tobytes()
+        # the public form leaves its argument as it was
+        (kept,) = read_only(d.copy())
+        assert H.shift_logits(kept, 1.4, 0.7).tobytes() == D.tobytes()
+        assert kept.tobytes() == d.tobytes()
+
+    @pytest.mark.parametrize("delta, d_min", [(1.4, 0.0), (1.4, -1.0), (0.0, 1.0), (-2.0, 1.0)])
+    def test_shift_range_checks_on_every_path(self, rng, delta, d_min):
+        F, spatial = scoring_inputs(rng)
+        bank = make_hyperbolic_bank(spatial)
+        bank.delta, bank.d_min = delta, d_min         # past the bank's own checks
+        for score in (lambda: H.shift_logits(np.ones(3), delta, d_min),
+                      lambda: H._shift_logits(np.ones(3), delta, d_min),
+                      lambda: H.batch_bank_logits(F, bank),
+                      lambda: H.loss_and_grads(F, bank, np.zeros(40, dtype=int), *FOCAL)):
+            with pytest.raises(ParameterError):
+                score()
+
+    @pytest.mark.parametrize("mode", H.MODES)
+    def test_scoring_writes_no_input(self, rng, mode):
+        F, spatial = scoring_inputs(rng)
+        F = F[1:]
+        # cosine refuses the zero prototype row
+        rows = G.batch_exp_map_origin(spatial) if mode == H.MODE_HYPERBOLIC else F[6:12]
+        bank = H.PrototypeBank(mode, rows, [f"c{i}" for i in range(6)])
+        before = F.copy(), bank.prototypes.copy()
+        read_only(F, bank.prototypes)
+        H.batch_bank_logits(F, bank)
+        H.loss_and_grads(F, bank, rng.integers(-1, 6, len(F)), *FOCAL)
+        H.classify(F[0], bank)
+        assert F.tobytes() == before[0].tobytes()
+        assert bank.prototypes.tobytes() == before[1].tobytes()
+
+    def test_one_scoring_call_holds_two_m_by_c_arrays(self, rng):
+        # the (m, C) product and the x0*y0 outer product; every later pass
+        # (negate, clamp, arccosh, shift) writes into the product
+        m, C = 1000, 64
+        F = rng.normal(0.0, 1.0, (m, 4))
+        bank = make_hyperbolic_bank(rng.normal(0.0, 1.0, (C, 4)), frozen=True)
+        tracemalloc.start()
+        try:
+            S = H.batch_bank_logits(F, bank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.shape == (m, C)
+        assert peak < 2.5 * S.nbytes
 
 
 def two_sigmoid_focal_terms(logits, positive, gamma, alpha):

@@ -8,6 +8,8 @@ from lorentzheads import data, geometry as G, heads as H, optim, training as T
 from lorentzheads.errors import ContractError, NumericalError, ParameterError
 from lorentzheads.heads import BACKGROUND
 
+from conftest import read_only
+
 
 def strip_wall_clock(d: dict) -> dict:
     d = dict(d)
@@ -204,6 +206,81 @@ class TestEvaluate:
         assert T.harmonic_mean(0.5, 1.0) == pytest.approx(2.0 / 3.0)
         assert T.harmonic_mean(0.0, 0.9) == 0.0
         assert T.harmonic_mean(0.9, 0.0) == 0.0
+
+
+class TestInPlaceEncoderAndReport:
+    """The encoder and evaluate write only into arrays they allocated, with
+    the bits and values of the allocating formulas."""
+
+    def encoder(self, rng):
+        enc = T.Encoder.init(rng, 4, 16, 3)
+        enc.b1[8:] = rng.normal(0.0, 0.5, 8)          # b1[:8] = 0: the zero row's pre is 0
+        enc.b2[:] = rng.normal(0.0, 0.5, 3)
+        return enc
+
+    def test_forward_and_backward_keep_their_bits(self, rng):
+        enc = self.encoder(rng)
+        X = rng.normal(0.0, 1.5, (30, 4))
+        X[0] = 0.0
+        X[1] *= 40.0
+        read_only(X, *enc.params().values())
+        E, cache = enc.forward(X)
+        pre = X @ enc.W1 + enc.b1
+        H_ = np.maximum(pre, 0.0)
+        assert len(cache) == 2 and cache[0] is X
+        assert cache[1].tobytes() == H_.tobytes()
+        assert E.tobytes() == (H_ @ enc.W2 + enc.b2).tobytes()
+        dE = rng.normal(0.0, 1.0, E.shape)
+        dH = (dE @ enc.W2.T) * (pre > 0.0)
+        want = {"enc.W1": X.T @ dH, "enc.b1": dH.sum(axis=0), "enc.W2": H_.T @ dE,
+                "enc.b2": dE.sum(axis=0)}
+        got = enc.backward(cache, dE)
+        assert {k: v.tobytes() for k, v in got.items()} == {
+            k: v.tobytes() for k, v in want.items()}
+
+    def test_label_rows_is_isin(self, rng):
+        labels = rng.integers(-1, 6, 200)
+        for classes in ([], [0], [5], [1, 3, 4], list(range(6))):
+            np.testing.assert_array_equal(T._label_rows(labels, classes, 6),
+                                          np.isin(labels, classes))
+
+    @pytest.mark.parametrize("mode", H.MODES)
+    def test_report_keeps_its_values(self, rng, mode):
+        C = 6
+        tree = data.ClassTree(["s0", "s1"], [f"l{c}" for c in range(C)], [0, 0, 0, 1, 1, 1])
+        rows = rng.normal(0.0, 1.0, (C, 3))
+        if mode == H.MODE_HYPERBOLIC:
+            rows = G.batch_exp_map_origin(rows)
+        bank = H.PrototypeBank(mode, rows, tree.leaf_classes, frozen=True)
+        enc = self.encoder(rng)
+        features = rng.normal(0.0, 1.5, (300, 4))
+        labels = rng.integers(-1, C, 300)
+        buckets = {"l0": "frequent", "l1": "frequent", "l2": "common", "l4": "rare"}
+        unseen = [4, 1]
+        read_only(features, bank.prototypes, *enc.params().values())
+        got = T.evaluate(bank, enc, features, labels, tree, tau=0.2, unseen_classes=unseen,
+                         buckets=buckets)
+        # the report as evaluate built it with np.isin and per-entry float()
+        S = H.batch_bank_logits(enc.forward(features)[0], bank, tau=0.2)
+        pred = np.argmax(S, axis=1)
+        conf = H.sigmoid(S.max(axis=1))
+        gated = np.where(conf > 0.5, pred, BACKGROUND)
+        fg = labels != BACKGROUND
+        correct = np.where(fg, pred == labels, conf <= 0.5)
+        support = np.bincount(labels[fg], minlength=C)
+        hits = np.bincount(labels[fg & (gated == labels)], minlength=C)
+        precision = hits / np.maximum(np.bincount(gated[gated >= 0], minlength=C), 1)
+        recall = hits / np.maximum(support, 1)
+        assert got.per_class == {
+            name: {"precision": float(precision[c]), "recall": float(recall[c]),
+                   "support": int(support[c])} for c, name in enumerate(tree.leaf_classes)}
+        unseen_mask = np.isin(labels, sorted(unseen))
+        assert got.seen_accuracy == float(correct[fg & ~unseen_mask].mean())
+        assert got.unseen_accuracy == float(correct[unseen_mask].mean())
+        assert got.bucket_accuracy == {
+            b: float(correct[np.isin(labels, members)].mean()) if members else 0.0
+            for b, members in (("frequent", [0, 1]), ("common", [2]), ("rare", [4]))}
+        assert got.val_accuracy == float(correct.mean())
 
 
 class TestTrain:
