@@ -82,6 +82,8 @@ class PrototypeBank:
             raise ParameterError("need at least 2 prototype rows")
         if len(self.class_names) != self.prototypes.shape[0]:
             raise ParameterError("class_names length must match prototype count")
+        if set(map(type, self.class_names)) - {str}:
+            raise ParameterError(f"class names must be strings, not {self.class_names}")
         if len(set(self.class_names)) != len(self.class_names):
             raise ParameterError("duplicate class names")
         if not 0.0 < self.delta < np.inf:
@@ -217,6 +219,23 @@ def classify(feature, bank: PrototypeBank, k: int | None = None, tau: float = DE
 # ---------------------------------------------------------------------------
 
 
+def _log_sigmoid(z: np.ndarray) -> np.ndarray:
+    """log sigmoid(z) = -(max(-z, 0) + log1p(exp(-|z|))), in one new array.
+
+    The branches of numpy's logaddexp(0, -z), negated, but from the SIMD
+    exp and log1p ufuncs where logaddexp runs a scalar libm loop; within
+    one float64 step of the correctly rounded value, and -0.0 where
+    exp(-z) underflows.
+    """
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    # t - min(z, 0) is max(-z, 0) + t bit for bit, signed zeros included
+    t -= np.minimum(z, 0.0)
+    return np.negative(t, out=t)
+
+
 def _focal_terms(logits: np.ndarray, positive: np.ndarray, gamma: float, alpha: float):
     """Per-entry focal loss values and d(loss)/d(logit), numerically stable;
     `positive` is the boolean one-hot target matrix."""
@@ -228,7 +247,7 @@ def _focal_terms(logits: np.ndarray, positive: np.ndarray, gamma: float, alpha: 
     th = np.tanh(0.5 * z)
     q = 0.5 * (1.0 + th)
     one_m_q = 0.5 * (1.0 - th)
-    log_q = -np.logaddexp(0.0, -z)
+    log_q = _log_sigmoid(z)
     a_t = np.where(positive, alpha, 1.0 - alpha)
     w = one_m_q**gamma
     loss = -a_t * w * log_q
@@ -247,7 +266,8 @@ def batch_focal_loss(logits: np.ndarray, targets: np.ndarray, gamma: float, alph
     fg = targets != BACKGROUND
     onehot[np.nonzero(fg)[0], targets[fg]] = True
     loss, grad = _focal_terms(logits, onehot, gamma, alpha)
-    return float(loss.sum() / m), grad / m
+    grad /= m
+    return float(loss.sum() / m), grad
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +292,15 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
     D = np.arccosh(cosh_d)
     near = D < _EPS_DIST
     S = _shift_logits(D, bank.delta, bank.d_min)      # D becomes the logits
-    loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
-    G_D = G_S * (-bank.delta / bank.d_min)
-    # d(arccosh)/d(cosh_d) = 1/sqrt(cosh_d^2-1); zeroed at coincidence
-    denom = np.sqrt(np.maximum(cosh_d * cosh_d - 1.0, 0.0))
-    W = np.where(near, 0.0, G_D / np.where(denom == 0.0, 1.0, denom))
+    loss, G_D = batch_focal_loss(S, targets, gamma, alpha)
+    G_D *= -bank.delta / bank.d_min                   # dL/dS becomes dL/dD
+    # d(arccosh)/d(cosh_d) = 1/sqrt(cosh_d^2-1), written over cosh_d; zeroed
+    # at coincidence, which covers every denom == 0 (cosh_d == 1 means D == 0)
+    denom = np.multiply(cosh_d, cosh_d, out=cosh_d)
+    denom -= 1.0
+    np.maximum(denom, 0.0, out=denom)
+    np.sqrt(denom, out=denom)
+    W = np.divide(G_D, denom, out=np.zeros_like(G_D), where=~near)
     # cosh_d = -<x,t>_l = -x^T g_l t, so dL/dX = -g_l (W T), dL/dT = -g_l (W^T X)
     grad_X = -(W @ T)
     grad_X[:, 0] = -grad_X[:, 0]

@@ -136,8 +136,22 @@ def euclidean_step(param: np.ndarray, grad, first_moment: np.ndarray,
     if not param.shape == g.shape == first_moment.shape == second_moment.shape:
         raise DimensionError(f"param shape {param.shape} vs grad shape {g.shape}, moment "
                              f"shapes {first_moment.shape}, {second_moment.shape}")
-    first_moment[...] = BETA1 * first_moment + (1.0 - BETA1) * g
-    second_moment[...] = BETA2 * second_moment + (1.0 - BETA2) * g * g
+    # in place, in the operand order of m = b1 m + (1 - b1) g,
+    # v = b2 v + (1 - b2) g g and p -= lr (m^ / (sqrt(v^) + eps) + wd p), so
+    # the bits are that formula's; wd p is formed even at wd = 0, where it
+    # keeps the signed zeros the formula gives
+    t = (1.0 - BETA1) * g
+    first_moment *= BETA1
+    first_moment += t
+    np.multiply(1.0 - BETA2, g, out=t)
+    t *= g
+    second_moment *= BETA2
+    second_moment += t
     m_hat = first_moment / (1.0 - BETA1**step)
     v_hat = second_moment / (1.0 - BETA2**step)
-    param -= lr * (m_hat / (np.sqrt(v_hat) + EPS) + weight_decay * param)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += EPS
+    m_hat /= v_hat
+    m_hat += np.multiply(weight_decay, param, out=t)
+    m_hat *= lr
+    param -= m_hat

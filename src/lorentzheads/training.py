@@ -15,7 +15,7 @@ Every run trains a `RunState`, the seven fields of a checkpoint: `start`
 builds a fresh one and `load_checkpoint` reads a saved one.  `prepare` makes
 every check a state must pass on a dataset, so a caller can refuse a run
 before writing anything, and holds the config's unseen classes out of train;
-`check_fit`, its shape checks, also guards `eval`.
+`check_fit`, its shape and class-name checks, also guards `eval`.
 """
 
 from __future__ import annotations
@@ -389,8 +389,11 @@ def check_fit(state: RunState, dataset: SyntheticDataset) -> None:
         raise ParameterError("encoder weights contain non-finite entries")
     if encoder is None and config.embed_dim != dataset.num_features:
         raise ParameterError("without an encoder, embed_dim must equal the feature dim")
-    if bank.num_classes != dataset.num_classes:
-        raise ParameterError("bank class count does not match dataset")
+    if list(bank.class_names) != list(dataset.tree.leaf_classes):
+        # row c scores the dataset's class c: a permuted bank would score
+        # every class against another class's prototype
+        raise ParameterError(f"bank classes {list(bank.class_names)} are not the dataset's "
+                             f"leaf classes {list(dataset.tree.leaf_classes)} in order")
     if bank.feature_dim != config.embed_dim:
         raise ParameterError(f"{bank.mode} prototypes of width {bank.prototypes.shape[1]} "
                              f"do not fit embed_dim {config.embed_dim}")

@@ -564,6 +564,10 @@ CHECKPOINT_EDITS = {
     # a loss history must hold one value per finished epoch
     "train-loss-short": lambda c: c.update(train_loss=[], config={**c["config"], "epochs": 3}),
     "train-loss-long": lambda c: c.update(train_loss=c["train_loss"] * 2),
+    # bank row c scores the dataset's class c: names must be its leaf classes,
+    # as strings and in order
+    "bank-names-int": lambda c: c["bank"].update(class_names=[10, 11, 12, 13]),
+    "bank-names-reversed": lambda c: c["bank"]["class_names"].reverse(),
 }
 CHECKPOINT_CASES = [f"{command}-checkpoint-{edit}" for command in ("eval", "train-resume")
                     for edit in CHECKPOINT_EDITS]
@@ -575,6 +579,7 @@ BANK_EDITS = {
     "zeroshot-frozen-number": ({"frozen": 1}, {}),
     "zeroshot-delta-string": ({"delta": "1.4"}, {}),
     "zeroshot-delta-bool": ({"delta": True}, {"delta": 1.0}),
+    "zeroshot-names-permuted": ({"class_names": ["leaf_1", "leaf_0", "leaf_2", "leaf_3"]}, {}),
 }
 # edits to a dataset's file that `train` refuses
 DATASET_EDITS = {

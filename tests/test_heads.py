@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -448,7 +449,7 @@ def two_sigmoid_focal_terms(logits, positive, gamma, alpha):
     t = positive.astype(np.float64)
     sign = 2.0 * t - 1.0
     q = H.sigmoid(sign * logits)
-    log_q = -np.logaddexp(0.0, -sign * logits)
+    log_q = H._log_sigmoid(sign * logits)
     a_t = alpha * t + (1.0 - alpha) * (1.0 - t)
     one_m_q = H.sigmoid(-sign * logits)
     w = one_m_q**gamma
@@ -477,6 +478,38 @@ class TestFocalTerms:
         for got, want in zip(H._focal_terms(logits, positive, *FOCAL),
                              two_sigmoid_focal_terms(logits, positive, *FOCAL)):
             np.testing.assert_array_equal(got, want)
+
+
+def exact_log_sigmoid(z):
+    """log sigmoid(z) = -ln(1 + e^-z) to 400 digits: 1 + e^-745 needs 324."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        d = Decimal(float(z))
+        return -(1 + (-d).exp()).ln()
+
+
+class TestLogSigmoid:
+    """The SIMD kernel against a 400-digit oracle and numpy's logaddexp."""
+
+    def test_against_the_exact_value(self, rng):
+        scales = (1e3, 30.0, 5.0, 1.0, 1e-8)
+        z = np.concatenate([rng.uniform(-scale, scale, 60) for scale in scales]
+                           + [sign * rng.uniform(700.0, 745.0, 60) for sign in (1.0, -1.0)]
+                           + [[0.0, -0.0, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0,
+                               1e3, -1e3]])
+        before = z.copy()
+        got = H._log_sigmoid(z)
+        np.testing.assert_array_equal(z, before)
+        exact = np.array([float(exact_log_sigmoid(v)) for v in z])  # correctly rounded
+        normal = np.abs(exact) >= np.finfo(np.float64).tiny
+        # one float64 step from the correctly rounded value where it is
+        # normal, that value itself where it is subnormal or zero; against
+        # the unrounded value logaddexp too can be 1.06 ULP off (z = 2.0657...)
+        assert np.all(np.abs(got - exact)[normal] <= np.abs(np.spacing(exact[normal])))
+        np.testing.assert_array_equal(got[~normal], exact[~normal])
+        old = -np.logaddexp(0.0, -z)
+        assert np.all(np.abs(got - old) <= 2 * np.abs(np.spacing(old)))
+        assert np.signbit(H._log_sigmoid(np.array([1e3]))[0])  # -0.0, as logaddexp gives
 
 
 class TestHeadGradients:

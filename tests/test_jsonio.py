@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def test_artifacts_match_dumps(tmp_path, monkeypatch):
     def checked(path, doc, indent=None):
         real(path, doc, indent)
         # checked at once: training goes on to change the saved state in place
-        assert open(path).read() == _dumps(doc)
+        assert Path(path).read_text() == _dumps(doc)
         written.append(os.path.basename(path))
 
     monkeypatch.setattr(jsonio, "write", checked)

@@ -155,6 +155,25 @@ class TestEuclideanStep:
         out = adam({"p": np.array([2.0])}, {"p": np.zeros(1)}, st, 0.1, 0.5)["p"]
         assert out[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_equals_the_out_of_place_formula(self, rng, weight_decay):
+        # the in-place step gives the bits of Adam written out, signed zeros too
+        p, m, v = rng.normal(size=40), np.zeros(40), np.zeros(40)
+        p[:4] = [0.0, -0.0, 0.0, -0.0]
+        want_p, want_m, want_v = p.copy(), m.copy(), v.copy()
+        for step in range(1, 51):
+            g = rng.normal(size=40)
+            g[:2] = [0.0, -0.0]
+            optim.euclidean_step(p, g, m, v, step, 0.01, weight_decay)
+            want_m[...] = optim.BETA1 * want_m + (1.0 - optim.BETA1) * g
+            want_v[...] = optim.BETA2 * want_v + (1.0 - optim.BETA2) * g * g
+            m_hat = want_m / (1.0 - optim.BETA1**step)
+            v_hat = want_v / (1.0 - optim.BETA2**step)
+            want_p -= 0.01 * (m_hat / (np.sqrt(v_hat) + optim.EPS) + weight_decay * want_p)
+            for got, want in ((p, want_p), (m, want_m), (v, want_v)):
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             optim.euclidean_step(np.ones(3), np.ones(2), np.zeros(3), np.zeros(3), 1, 0.1, 0.0)
