@@ -5,9 +5,8 @@ drawn from a broad isotropic Gaussian, leaf-class means scatter around their
 parent mean, and individual samples scatter around their leaf mean.  An
 optional fraction of background samples comes from a diffuse Gaussian
 covering the feature range.  Generation is a pure function of the parameters,
-which `generate`'s signature alone declares, and the seed.  Decoding is strict:
-parent indices, labels, split indices and the seed must be JSON integers, not
-floats, strings or true/false, and class names distinct strings.
+which `generate`'s signature alone declares, and the seed.  A file is decoded
+once it passes the shipped `dataset` schema; `validate` checks what no schema can.
 """
 
 from __future__ import annotations
@@ -25,19 +24,6 @@ from .heads import BACKGROUND
 BUCKETS = ("frequent", "common", "rare")
 
 
-def _int_array(value, name: str) -> np.ndarray:
-    """A JSON list of integers as an int64 array.  One pass over the entries'
-    types refuses a fraction, a numeric string or true/false, which the
-    conversion would otherwise read as a class or row index."""
-    if not isinstance(value, list):
-        raise ParameterError(f"{name} must be a list of integers, not {type(value).__name__}")
-    other = set(map(type, value)) - {int}
-    if other:
-        raise ParameterError(f"{name} must hold integers only, not "
-                             f"{', '.join(sorted(t.__name__ for t in other))}")
-    return np.asarray(value, dtype=np.int64)
-
-
 @dataclass
 class ClassTree:
     """Depth-2 hierarchy: leaf classes grouped under supercategories."""
@@ -47,25 +33,13 @@ class ClassTree:
     parents: list[int]  # parent supercategory index per leaf
 
     def __post_init__(self):
-        for what, names in (("supercategories", self.supercategories),
-                            ("leaf_classes", self.leaf_classes)):
-            # a JSON string would read as its characters, a repeated name
-            # would merge two classes' report entries
-            if (not jsonio.is_a(names, "list") or set(map(type, names)) - {str}
-                    or len(set(names)) != len(names)):
-                raise ParameterError(f"{what} must be a list of distinct strings")
         S, C = len(self.supercategories), len(self.leaf_classes)
         if S < 2:
             raise ParameterError("need at least 2 supercategories")
         if C < S:
             raise ParameterError("need at least as many leaf classes as supercategories")
-        if len(self.parents) != C or any(
-                not jsonio.is_a(p, "int") or not 0 <= p < S for p in self.parents):
+        if len(self.parents) != C or any(not 0 <= p < S for p in self.parents):
             raise ParameterError("invalid parent assignment")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassTree":
-        return cls(d["supercategories"], d["leaf_classes"], list(d["parents"]))
 
 
 @dataclass
@@ -107,25 +81,16 @@ class SyntheticDataset:
             raise ContractError("train/val split must be disjoint")
         if not va:
             raise ContractError("the val split is empty: nothing to evaluate")
-        if not isinstance(self.params, dict):
-            raise ContractError(f"params must be an object, not {type(self.params).__name__}")
         # holdout/imbalance datasets deliberately drop train rows, and a
         # power-law profile keeps its rare classes below the usual 10-row floor
         power_law = "power_law_exponent" in self.params
-        if power_law:
-            a = self.params["power_law_exponent"]
-            if not (jsonio.is_a(a, "float") and 0 < a < np.inf):
-                raise ContractError(f"power_law_exponent must be a finite number > 0, "
-                                    f"not {a!r}")
+        if power_law and not 0 < self.params["power_law_exponent"] < np.inf:
+            raise ContractError("power_law_exponent must be finite and > 0")
         if not (self.unseen_classes or power_law) and len(tr) + len(va) != N:
             raise ContractError("train/val split must cover the dataset")
-        for u in self.unseen_classes:
-            # evaluation scores them by index
-            if not jsonio.is_a(u, "int") or not 0 <= u < self.num_classes:
-                raise ContractError(f"unseen_classes must be class indices in "
-                                    f"[0, {self.num_classes}), not {u!r}")
-        if not isinstance(self.buckets, dict):
-            raise ContractError("buckets must be an object of class name -> bucket")
+        if not all(0 <= u < self.num_classes for u in self.unseen_classes):   # scored by index
+            raise ContractError(f"unseen_classes must be class indices in "
+                                f"[0, {self.num_classes}), not {self.unseen_classes}")
         for name, bucket in self.buckets.items():
             if name not in self.tree.leaf_classes or bucket not in BUCKETS:
                 raise ContractError(f"buckets must map leaf class names to one of "
@@ -158,14 +123,15 @@ class SyntheticDataset:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticDataset":
+        jsonio.validate(d, "dataset")
         return cls(
             features=np.asarray(d["features"], dtype=np.float64),
-            labels=_int_array(d["labels"], "labels"),
-            train_idx=_int_array(d["splits"]["train"], "splits.train"),
-            val_idx=_int_array(d["splits"]["val"], "splits.val"),
-            tree=ClassTree.from_dict(d["tree"]),
-            seed=jsonio.typed(d["seed"], "int", "seed"),
-            params=d.get("params", {}),
+            labels=np.asarray(d["labels"], dtype=np.int64),
+            train_idx=np.asarray(d["splits"]["train"], dtype=np.int64),
+            val_idx=np.asarray(d["splits"]["val"], dtype=np.int64),
+            tree=ClassTree(**d["tree"]),
+            seed=d["seed"],
+            params=d["params"],
             buckets=d.get("buckets", {}),
             unseen_classes=list(d.get("unseen_classes", [])),
         )

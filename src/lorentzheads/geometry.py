@@ -89,9 +89,13 @@ def assert_on_manifold(x, atol: float = _CHECK_ATOL) -> None:
     x0 = x[..., 0]
     if np.any(x0 <= 0.0):
         raise ContractError("point is not on the upper sheet (x0 <= 0)")
-    v = np.atleast_1d(manifold_violation(x))
-    # the constraint residual scales like x0^2 * machine eps for far points
-    bad = v > atol * np.maximum(1.0, x0 * x0)
+    with np.errstate(over="ignore"):   # an overflow is refused below, not warned about
+        # the constraint residual scales like x0^2 * machine eps for far points
+        tol = atol * np.maximum(1.0, x0 * x0)
+        v = np.atleast_1d(manifold_violation(x))
+    if not np.isfinite(tol).all():   # no residual exceeds inf
+        raise ContractError("point is too far out to check: x0 * x0 overflows")
+    bad = v > tol
     if np.any(bad):
         raise ContractError(f"point is off the hyperboloid: |<x,x>_l + 1| = {v[bad][0]:.3e}")
 

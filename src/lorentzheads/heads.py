@@ -82,10 +82,6 @@ class PrototypeBank:
             raise ParameterError("need at least 2 prototype rows")
         if len(self.class_names) != self.prototypes.shape[0]:
             raise ParameterError("class_names length must match prototype count")
-        if set(map(type, self.class_names)) - {str}:
-            raise ParameterError(f"class names must be strings, not {self.class_names}")
-        if len(set(self.class_names)) != len(self.class_names):
-            raise ParameterError("duplicate class names")
         if not 0.0 < self.delta < np.inf:
             raise ParameterError(f"delta must be finite and > 0, not {self.delta}")
         if not np.all(np.isfinite(self.prototypes)):
@@ -116,13 +112,9 @@ class PrototypeBank:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrototypeBank":
-        return cls(
-            mode=d["mode"],
-            prototypes=np.asarray(d["prototypes"], dtype=np.float64),
-            class_names=list(d["class_names"]),
-            delta=jsonio.typed(d["delta"], "float", "delta"),
-            frozen=jsonio.typed(d["frozen"], "bool", "frozen"),
-        )
+        """The bank a `prototype_bank` document holds; a d_min is not read."""
+        jsonio.validate(d, "prototype_bank")
+        return cls(**{k: v for k, v in d.items() if k != "d_min"})
 
     def save(self, path) -> None:
         jsonio.write(path, self)

@@ -1,4 +1,5 @@
-"""The on-disk JSON format of every artifact: one writer, one reader.
+"""The on-disk JSON format of every artifact: one writer, one reader, and one
+validator that checks a decoded file against its shipped schema.
 
 `write` produces the bytes of `json.dumps(plain(doc), sort_keys=True)` plus a
 newline, but encodes them in pieces with the C encoder (`json.dump` always
@@ -7,34 +8,100 @@ a whole matrix.
 """
 
 import dataclasses
+import itertools
 import json
+import operator
 import os
 
 import numpy as np
 
+from . import schemas
 from .errors import ContractError, ParameterError
 
 # json.dumps' own encoder: with indent=None it runs the C implementation
 _encode = json.JSONEncoder(sort_keys=True).encode
-# JSON type name -> the Python types json decodes it to
-_TYPES = {"str": str, "float": (int, float), "int": int, "bool": bool, "list": list,
-          "None": type(None)}
+# each JSON type, by schema name and by annotation -> the Python types json decodes it to
+_TYPES = {name: t for *names, t in [("integer", "int", int), ("number", "float", (int, float)),
+                                    ("string", "str", str), ("boolean", "bool", bool),
+                                    ("array", "list", list), ("object", "dict", dict),
+                                    ("null", "None", type(None))] for name in names}
+# the schema keywords `validate` applies; a schema using another is refused
+_KEYWORDS = {"$schema", "type", "properties", "required", "additionalProperties", "items",
+             "minItems", "uniqueItems", "enum", "minimum", "maximum", "exclusiveMinimum"}
+# bound keyword -> whether a number breaks it; NaN breaks none
+_BOUNDS = {"minimum": operator.lt, "maximum": operator.gt, "exclusiveMinimum": operator.le}
 
 
-def is_a(value, types: str) -> bool:
-    """Whether the decoded JSON `value` has one of `types`, written like an
-    annotation ("float | None").  JSON true/false is no number, although a
-    Python bool is an int."""
-    allowed = types.split(" | ")
-    return isinstance(value, tuple(_TYPES[t] for t in allowed)) and (
-        not isinstance(value, bool) or "bool" in allowed)
+def of_type(t: type, types) -> bool:
+    """Whether decoded JSON values of type `t` have one of `types`, schema names
+    or an annotation ("float | None").  JSON true/false is no number, though a
+    Python bool is an int; a float is no integer."""
+    if isinstance(types, str):
+        types = types.split(" | ")
+    return any(issubclass(t, _TYPES[n]) and issubclass(t, bool) == (_TYPES[n] is bool)
+               for n in types)
 
 
-def typed(value, types: str, name: str):
-    """`value`, refused with ParameterError unless `is_a(value, types)`."""
-    if not is_a(value, types):
-        raise ParameterError(f"{name} must be {types}, not {value!r}")
-    return value
+def _breaks(value, schema: dict) -> bool:
+    """Whether the number `value` breaks a bound of `schema`."""
+    return any(_BOUNDS[k](value, schema[k]) for k in schema.keys() & _BOUNDS.keys())
+
+
+def _one_pass(rows: list, schema: dict) -> bool:
+    """Whether every item of `rows` matches `schema`, as far as one type pass
+    over scalars, or over the chained items of lists, can tell.  False where it
+    cannot; the caller then walks the items, which finds a refused one's path."""
+    found = set(map(type, rows))
+    if found == {list} and schema.keys() <= {"type", "items", "minItems"}:
+        return (of_type(list, schema.get("type", "array"))
+                and min(map(len, rows)) >= schema.get("minItems", 0)
+                and _one_pass(list(itertools.chain.from_iterable(rows)), schema.get("items", {})))
+    types = schema.get("type", list(_TYPES))
+    if "enum" in schema or found & {list, dict} or not all(of_type(t, types) for t in found):
+        return False
+    if not rows or not schema.keys() & _BOUNDS.keys():
+        return True
+    # bounds over ints alone: a NaN can make min and max miss a number
+    return found == {int} and not (_breaks(min(rows), schema) or _breaks(max(rows), schema))
+
+
+def _check(value, schema: dict, path: str) -> None:
+    """Refuse `value`, at JSON path `path`, unless it matches `schema`."""
+    where = path or "the document"
+    if schema.keys() - _KEYWORDS:
+        raise NotImplementedError(f"schema keywords {sorted(schema.keys() - _KEYWORDS)}")
+    if "type" in schema and not of_type(type(value), schema["type"]):
+        found = next((n for n in _TYPES if of_type(type(value), [n])), type(value).__name__)
+        raise ParameterError(f"{where} must be {schema['type']}, not {found}"
+                             + f" {value!r}" * (found not in ("array", "object")))
+    if "enum" in schema and value not in schema["enum"]:
+        raise ParameterError(f"{where} must be one of {schema['enum']}, not {value!r}")
+    if of_type(type(value), "number") and _breaks(value, schema):
+        bounds = {k: schema[k] for k in schema.keys() & _BOUNDS.keys()}
+        raise ParameterError(f"{where} is {value!r}, out of the bounds {bounds}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ParameterError(f"{where} lacks the key {key!r}")
+        for key, item in value.items():
+            sub = schema.get("properties", {}).get(key, schema.get("additionalProperties", {}))
+            if sub is False:
+                raise ParameterError(f"{where} holds the unknown key {key!r}")
+            _check(item, {} if sub is True else sub, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ParameterError(f"{where} must hold at least {schema['minItems']} items")
+        if "items" in schema and not _one_pass(value, schema["items"]):
+            for i, item in enumerate(value):
+                _check(item, schema["items"], f"{path}[{i}]")
+        if schema.get("uniqueItems") and len(set(map(_encode, value))) < len(value):
+            raise ParameterError(f"{where} must hold distinct items")
+
+
+def validate(doc, name: str) -> None:
+    """Refuse the decoded JSON `doc` with ParameterError unless it matches the
+    shipped schema `name` by JSON Schema's rules, but that 2.0 is no integer."""
+    _check(doc, schemas.load_schema(name), "")
 
 
 def plain(obj):
@@ -100,7 +167,7 @@ def read(path, decode):
             return decode(json.load(f))
     except (ParameterError, ContractError) as e:
         raise type(e)(f"{path}: {e}") from e
-    except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError) as e:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as e:
         raise ParameterError(f"{path}: malformed file ({type(e).__name__}: {e})") from e
 
 

@@ -74,7 +74,7 @@ class ExperimentConfig:
         config is built, so a bad setting is refused before any output."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not jsonio.is_a(value, f.type):
+            if not jsonio.of_type(type(value), f.type):
                 raise ParameterError(f"config key {f.name!r} must be {f.type}, "
                                      f"not {type(value).__name__}")
         if self.head_mode not in heads.MODES:
@@ -85,7 +85,7 @@ class ExperimentConfig:
             if value is not None and not (ok(value) and abs(value) < math.inf):
                 raise ParameterError(f"{name} must be finite and {rule}, not {value}")
         for u in self.unseen_classes:
-            if not jsonio.is_a(u, "str | int"):   # a leaf name or a class index
+            if not jsonio.of_type(type(u), "str | int"):   # a leaf name or a class index
                 raise ParameterError(f"unseen_classes holds class names or indices, not {u!r}")
 
     @property
@@ -162,9 +162,6 @@ class Encoder:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Encoder":
-        if not isinstance(d, dict):
-            raise ParameterError(f"encoder must be an object of weights by name, "
-                                 f"not {type(d).__name__}")
         return cls(**{k: np.asarray(v, dtype=np.float64) for k, v in d.items()})
 
 
@@ -324,13 +321,14 @@ def save_checkpoint(path, config: ExperimentConfig, epoch: int, encoder: Encoder
 
 
 def _decode_checkpoint(payload: dict) -> RunState:
+    """The run state a `checkpoint` document holds; decoding checks its bank."""
+    jsonio.validate(payload, "checkpoint")
     config = ExperimentConfig.from_dict(payload["config"])
-    epoch, train_loss = payload["epoch"], payload.get("train_loss", [])
-    if not jsonio.is_a(epoch, "int") or not 0 <= epoch <= config.epochs:
-        raise ParameterError(f"epoch must be an integer in [0, {config.epochs}], not {epoch!r}")
-    if not isinstance(train_loss, list) or not all(
-            jsonio.is_a(v, "float") and abs(v) < math.inf for v in train_loss):
-        raise ParameterError(f"train_loss must be a list of finite numbers, not {train_loss!r}")
+    epoch, train_loss = payload["epoch"], payload["train_loss"]
+    if epoch > config.epochs:
+        raise ParameterError(f"epoch must be in [0, {config.epochs}], not {epoch}")
+    if not all(abs(v) < math.inf for v in train_loss):
+        raise ParameterError(f"train_loss must be finite, not {train_loss}")
     # one mean loss per finished epoch, or a resumed run's history is wrong
     if len(train_loss) != epoch:
         raise ParameterError(f"train_loss holds {len(train_loss)} values for epoch {epoch}")

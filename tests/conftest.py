@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
+import jsonschema
 import numpy as np
 import pytest
 
-from lorentzheads import data, geometry
+from lorentzheads import data, geometry, jsonio, schemas
 
 
 @pytest.fixture
@@ -19,6 +23,14 @@ def random_tangent(rng, x, scale=1.0, max_norm=3.0):
     if nrm > max_norm:
         u = u * (max_norm / nrm)
     return u
+
+
+def validate_file(path, schema_name: str) -> None:
+    """Check the JSON file at `path` against the shipped schema `schema_name`
+    with both validators: jsonschema, the oracle, and the package's own."""
+    doc = json.loads(Path(path).read_text())
+    jsonschema.validate(doc, schemas.load_schema(schema_name))
+    jsonio.validate(doc, schema_name)
 
 
 def read_only(*arrays):

@@ -1,13 +1,16 @@
 import inspect
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
-from lorentzheads import data, geometry as G, heads as H, training
+from lorentzheads import data, geometry as G, heads as H, jsonio, schemas, training
 from lorentzheads.cli import GENERATE_FLAGS, build_parser, main
+from lorentzheads.errors import ParameterError
 from lorentzheads.manifest import sha256_file
-from lorentzheads.schemas import validate_file
+
+from conftest import validate_file
 
 GEN_ARGS = ["--n-features", "8", "--super", "2", "--classes", "4",
             "--samples", "600", "--seed", "0"]
@@ -568,6 +571,8 @@ CHECKPOINT_EDITS = {
     # as strings and in order
     "bank-names-int": lambda c: c["bank"].update(class_names=[10, 11, 12, 13]),
     "bank-names-reversed": lambda c: c["bank"]["class_names"].reverse(),
+    # x0 * x0 overflows, so no tolerance can be formed for the row
+    "bank-prototype-far": lambda c: c["bank"]["prototypes"][0].__setitem__(0, 1e308),
 }
 CHECKPOINT_CASES = [f"{command}-checkpoint-{edit}" for command in ("eval", "train-resume")
                     for edit in CHECKPOINT_EDITS]
@@ -580,6 +585,9 @@ BANK_EDITS = {
     "zeroshot-delta-string": ({"delta": "1.4"}, {}),
     "zeroshot-delta-bool": ({"delta": True}, {"delta": 1.0}),
     "zeroshot-names-permuted": ({"class_names": ["leaf_1", "leaf_0", "leaf_2", "leaf_3"]}, {}),
+    # a JSON integer beyond any float
+    "zeroshot-prototype-huge": ({"prototypes": [[10**400] + [0.0] * 8] + [[1.0] + [0.0] * 8] * 3},
+                                {}),
 }
 # edits to a dataset's file that `train` refuses
 DATASET_EDITS = {
@@ -606,6 +614,13 @@ DATASET_EDITS = {
     "train-dataset-label-bool": lambda d: d["labels"].__setitem__(d["labels"].index(1), True),
     "train-dataset-split-float": lambda d: d["splits"]["train"].__setitem__(
         0, float(d["splits"]["train"][0])),
+    # JSON integers beyond int64 and float64
+    "train-dataset-label-huge": lambda d: d["labels"].__setitem__(0, 2**70),
+    "train-dataset-split-huge": lambda d: d["splits"]["train"].__setitem__(0, 2**70),
+    "train-dataset-feature-huge": lambda d: d["features"][0].__setitem__(0, 10**400),
+    # features are JSON numbers, not strings or true/false that convert to one
+    "train-dataset-feature-string": lambda d: d["features"][0].__setitem__(0, "1.5"),
+    "train-dataset-feature-bool": lambda d: d["features"][1].__setitem__(1, True),
 }
 
 # generate flags refused before any file is written
@@ -793,3 +808,62 @@ def test_refused_run_writes_nothing(trained, tmp_path, kind):
     assert main(_refused_argv(kind, tmp_path, trained)) == 2
     assert not (tmp_path / "o").exists()
     assert not list(tmp_path.rglob("manifest.json"))
+
+
+# the older checkpoint formats a resume still reads
+OLDER_CHECKPOINTS = {
+    "rate-keys": lambda c: c["optimizer"].update(learning_rate=0.01, weight_decay=0.0,
+                                                 beta1=0.9, beta2=0.999, eps=1e-08),
+    "param-steps-d-min": lambda c: (older_optimizer(c["optimizer"]),
+                                    c["bank"].update(d_min=1.0)),
+}
+
+
+def _jsonschema(doc, name):
+    jsonschema.validate(doc, schemas.load_schema(name))
+
+
+def _accepts(validate, doc, name) -> bool:
+    """Whether `validate` takes `doc` as a `name` document; a checkpoint's
+    bank must be a `prototype_bank` document, as its decoder checks."""
+    try:
+        validate(doc, name)
+        if name == "checkpoint":
+            validate(doc["bank"], "prototype_bank")
+    except (jsonschema.ValidationError, ParameterError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(DATASET_EDITS) + sorted(BANK_EDITS)
+                         + [f"checkpoint-{edit}" for edit in CHECKPOINT_EDITS]
+                         + [f"encoder-{edit}" for edit in ENCODER_EDITS]
+                         + [f"older-{edit}" for edit in OLDER_CHECKPOINTS])
+def test_validators_agree_on_edited_files(trained, tmp_path, kind):
+    """jsonio.validate refuses an edited file exactly when jsonschema does, but
+    for the split index 3.0, which JSON Schema reads as the integer 3."""
+    _, ds_path, _, run = trained
+    if kind in DATASET_EDITS:
+        name, doc = "dataset", json.loads(ds_path.read_text())
+        DATASET_EDITS[kind](doc)
+    elif kind in BANK_EDITS:
+        write_bank(tmp_path / "bank.json", np.random.default_rng(0).normal(0.0, 1.0, (4, 8)))
+        name, doc = "prototype_bank", {**json.loads((tmp_path / "bank.json").read_text()),
+                                       **BANK_EDITS[kind][0]}
+    else:
+        name, doc = "checkpoint", json.loads((run / "checkpoint.json").read_text())
+        group, edit = kind.split("-", 1)
+        if group == "encoder":
+            ENCODER_EDITS[edit](doc["encoder"])
+        else:
+            {"checkpoint": CHECKPOINT_EDITS, "older": OLDER_CHECKPOINTS}[group][edit](doc)
+    doc = json.loads(json.dumps(doc))   # as a file decodes
+    ours, oracle = _accepts(jsonio.validate, doc, name), _accepts(_jsonschema, doc, name)
+    if kind == "train-dataset-split-float":
+        assert (ours, oracle) == (False, True)
+    else:
+        assert ours == oracle
+    if kind.startswith("older-"):
+        assert ours
+        (tmp_path / "ck.json").write_text(json.dumps(doc))
+        assert training.load_checkpoint(tmp_path / "ck.json").opt.step > 0

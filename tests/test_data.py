@@ -142,8 +142,11 @@ class TestImbalanceProfile:
 
 
 class TestDatasetUnseenClasses:
-    @pytest.mark.parametrize("entry", ["leaf_1", True, 1.0, 4, -1, None])
-    def test_non_index_refused(self, tmp_path, entry):
+    # the schema refuses what is no index at all, the dataset an index beyond C
+    @pytest.mark.parametrize("entry, error", [
+        pytest.param(entry, ParameterError if entry != 4 else ContractError, id=str(entry))
+        for entry in ["leaf_1", True, 1.0, 4, -1, None]])
+    def test_non_index_refused(self, tmp_path, entry, error):
         ds = data.holdout_unseen(data.generate(num_samples=600, num_classes=4, num_super=2,
                                                seed=0), [1])
         path = tmp_path / "ds.json"
@@ -151,7 +154,7 @@ class TestDatasetUnseenClasses:
         payload = json.loads(path.read_text())
         payload["unseen_classes"] = [entry]
         path.write_text(json.dumps(payload))
-        with pytest.raises(ContractError, match="unseen_classes"):
+        with pytest.raises(error, match="unseen_classes"):
             data.SyntheticDataset.load(path)
 
     def test_indices_accepted(self, tmp_path):
@@ -167,12 +170,22 @@ class TestDatasetChecks:
             data.generate(num_samples=200, num_classes=4, num_super=2,
                           train_fraction=0.99, background_fraction=0.0)
 
-    @pytest.mark.parametrize("buckets", [{"leaf_9": "rare"}, {"leaf_0": "bogus"},
-                                         {"leaf_0": ["rare"]}, ["leaf_0"], None])
-    def test_bad_buckets_refused(self, buckets):
+    # a file's buckets are typed by the schema, which states the bucket names
+    # as well; a dataset built in Python is refused a bad name or bucket too
+    @pytest.mark.parametrize("buckets, error", [
+        pytest.param(buckets, ContractError if i == 0 else ParameterError, id=f"buckets{i}")
+        for i, buckets in enumerate([{"leaf_9": "rare"}, {"leaf_0": "bogus"},
+                                     {"leaf_0": ["rare"]}, ["leaf_0"]])]
+        + [pytest.param(None, ParameterError, id="None")])
+    def test_bad_buckets_refused(self, tmp_path, buckets, error):
         ds = data.generate(num_samples=600, num_classes=4, num_super=2, seed=0)
-        with pytest.raises(ContractError, match="buckets"):
-            dataclasses.replace(ds, buckets=buckets)
+        if isinstance(buckets, dict):
+            with pytest.raises(ContractError, match="buckets"):
+                dataclasses.replace(ds, buckets=buckets)
+        ds.save(tmp_path / "ds.json")
+        doc = json.loads((tmp_path / "ds.json").read_text())
+        with pytest.raises(error, match="buckets"):
+            data.SyntheticDataset.from_dict({**doc, "buckets": buckets})
 
 
 class TestStrictTypes:
@@ -186,9 +199,14 @@ class TestStrictTypes:
             data.SyntheticDataset.load(path)
 
     @pytest.mark.parametrize("parent", [0.5, 1.0, True])
-    def test_non_integer_parent_refused(self, parent):
+    def test_non_integer_parent_refused(self, tmp_path, parent):
+        path = tmp_path / "ds.json"
+        data.generate(num_samples=600, num_classes=4, num_super=2, seed=2).save(path)
+        payload = json.loads(path.read_text())
+        payload["tree"]["parents"][1] = parent
+        path.write_text(json.dumps(payload))
         with pytest.raises(ParameterError, match="parent"):
-            data.ClassTree(["s0", "s1"], ["l0", "l1", "l2"], [0, parent, 1])
+            data.SyntheticDataset.load(path)
 
 
 class TestGenerateRecord:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -170,6 +172,15 @@ class TestAssertOnManifold:
         lower[2, 0] = 0.0
         with pytest.raises(ContractError, match="upper sheet"):
             G.assert_on_manifold(lower)
+
+    def test_overflowing_x0_rejected(self, rng):
+        # x0 * x0 = inf would make the tolerance inf, which no residual exceeds
+        X = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (3, 3)))
+        X[1, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="overflows"):
+                G.assert_on_manifold(X)
 
 
 class TestProjection:

@@ -252,5 +252,5 @@ class TestReports:
         total = sum(int(line.split(",")[1]) for line in csv_lines[1:])
         assert total == 8 * 7 // 2
 
-        from lorentzheads.schemas import validate_file
+        from conftest import validate_file
         validate_file(path, "hubness_report")

@@ -5,14 +5,17 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from importlib.resources import files
 from pathlib import Path
+from unittest import mock
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lorentzheads import data, hubness, jsonio, training
+from lorentzheads import data, hubness, jsonio, schemas, training
 from lorentzheads.errors import ContractError, ParameterError
 
 
@@ -137,7 +140,114 @@ def test_csv_path():
     assert jsonio.csv_path("out/report") == "out/report.csv"
 
 
-def test_package_import_skips_jsonschema():
-    code = "import sys, lorentzheads.cli; sys.exit('jsonschema' in sys.modules)"
+def test_package_import_skips_jsonschema(tmp_path):
+    """The CLI, the schemas and a dataset load, which validates, need no jsonschema."""
+    path = tmp_path / "ds.json"
+    data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600).save(path)
+    code = ("import sys, lorentzheads.cli, lorentzheads.schemas; "
+            "lorentzheads.data.SyntheticDataset.load(sys.argv[1]); "
+            "sys.exit('jsonschema' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code, str(path)], env=env).returncode == 0
+
+
+SCHEMA_NAMES = sorted(p.name.removesuffix(".schema.json")
+                      for p in files("lorentzheads.schemas").iterdir()
+                      if p.name.endswith(".schema.json"))
+
+
+def _subschemas(schema: dict):
+    """`schema` and every schema nested in it."""
+    yield schema
+    for sub in [*schema.get("properties", {}).values(), schema.get("items"),
+                schema.get("additionalProperties")]:
+        if isinstance(sub, dict):
+            yield from _subschemas(sub)
+
+
+SUBSCHEMAS = [sub for name in SCHEMA_NAMES for sub in _subschemas(schemas.load_schema(name))]
+
+
+def test_shipped_schemas_use_supported_keywords():
+    assert len(SCHEMA_NAMES) == 6
+    assert {key for sub in SUBSCHEMAS for key in sub} <= jsonio._KEYWORDS
+
+
+def test_unsupported_keyword_raises():
+    schema = {"type": "object", "properties": {"a": {"type": "string", "pattern": "x"}}}
+    with mock.patch.object(schemas, "load_schema", lambda name: schema):
+        with pytest.raises(NotImplementedError, match="pattern"):
+            jsonio.validate({"a": "x"}, "any")
+
+
+def _accepts(doc, schema) -> bool:
+    """Whether jsonio.validate takes `doc` under `schema`."""
+    with mock.patch.object(schemas, "load_schema", lambda name: schema):
+        try:
+            jsonio.validate(doc, "any")
+        except ParameterError:
+            return False
+    return True
+
+
+# jsonschema with its one difference from jsonio.validate taken out: an
+# integer is an int, not also a float with no fraction
+_IntOracle = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, v: type(v) is int))
+_KEYS = sorted({k for sub in SUBSCHEMAS for k in sub.get("properties", {})} | {"x"})
+_scalars = (st.none() | st.booleans() | st.integers(-3, 3) | st.integers(-2 ** 80, 2 ** 80)
+            | st.just(10 ** 400) | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([-1.0, -0.0, 0.0, 2.0, "frequent", "hyperbolic", "a", "a"])
+            | st.text(max_size=2))
+_values = st.recursive(
+    _scalars | st.lists(st.lists(st.integers(-2, 2) | st.floats(), max_size=3), max_size=3),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.sampled_from(_KEYS), children, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=600, deadline=None)
+@given(schema=st.sampled_from(SUBSCHEMAS), value=_values)
+@example(schema={"type": "array", "items": {"type": "integer", "minimum": 0}},
+         value=[float("nan"), -1.0])
+@example(schema={"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+         value=[float("nan"), -1.0])
+@example(schema={"type": "array", "items": {"type": "array", "minItems": 1,
+                                             "items": {"type": "number"}}},
+         value=[[1.0], [], [True]])
+def test_validate_agrees_with_jsonschema(schema, value):
+    """Every schema nested in a shipped one refuses a value here exactly when
+    jsonschema, integers aside, refuses it."""
+    assert _accepts(value, schema) == _IntOracle(schema).is_valid(value)
+
+
+def test_integral_float_is_no_integer(tmp_path):
+    """The one intended difference: JSON Schema reads a seed of 2.0 as the
+    integer 2, jsonio.validate refuses it as the decoders always have."""
+    data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600).save(
+        tmp_path / "ds.json")
+    doc = {**json.loads((tmp_path / "ds.json").read_text()), "seed": 2.0}
+    jsonschema.validate(doc, schemas.load_schema("dataset"))
+    with pytest.raises(ParameterError, match=re.escape("seed must be integer, not number 2.0")):
+        jsonio.validate(doc, "dataset")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["features"][3].__setitem__(1, True), "features[3][1] must be number, not boolean"),
+    (lambda d: d["labels"].__setitem__(7, -2), "labels[7] is -2, out of the bounds"),
+    (lambda d: d["tree"].update(depth=2), "tree holds the unknown key 'depth'"),
+    (lambda d: d["splits"].pop("val"), "splits lacks the key 'val'"),
+    (lambda d: d.update(buckets={"leaf_0": "rarest"}), "buckets.leaf_0 must be one of"),
+    (lambda d: d["tree"]["leaf_classes"].__setitem__(1, "leaf_0"),
+     "tree.leaf_classes must hold distinct items"),
+    (lambda d: d["features"].__setitem__(2, []), "features[2] must hold at least 1 items"),
+])
+def test_refusal_names_the_path(tmp_path, edit, message):
+    data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600).save(
+        tmp_path / "ds.json")
+    doc = json.loads((tmp_path / "ds.json").read_text())
+    edit(doc)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        jsonio.validate(doc, "dataset")
