@@ -36,6 +36,9 @@ _EPS_SMALL = 1e-6
 _CHECK_ATOL = 1e-6
 # Dimension counts accepted by the point primitives: one point or a row matrix.
 _POINTS = (1, 2)
+# Elements in one row block of an all-pairs temporary: 2^17 float64, 1 MiB.
+# A fresh block per step pays its page faults again, so loops reuse one.
+_BLOCK_ELEMENTS = 2**17
 
 
 def _as_array(a, name: str, ndims=(1,)) -> np.ndarray:
@@ -238,13 +241,25 @@ def batch_exp_map_origin(V: np.ndarray) -> np.ndarray:
     return _exp0_rows(np.asarray(V, dtype=np.float64))[0]
 
 
+def _row_blocks(rows: int, width: int):
+    """(start, stop) of the blocks of max(1, _BLOCK_ELEMENTS // width) rows
+    that cover `rows` rows of `width` columns; the first block is the largest."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    return [(s, min(s + step, rows)) for s in range(0, rows, step)]
+
+
 def batch_minkowski_inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """All-pairs Lorentzian products: (m, n+1) x (C, n+1) -> (m, C)."""
+    """All-pairs Lorentzian products: (m, n+1) x (C, n+1) -> (m, C).  The
+    x0*y0 outer product is formed a row block at a time in one buffer."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     M = X[:, 1:] @ Y[:, 1:].T
-    # spatial - x0*y0 has the bits of -x0*y0 + spatial: IEEE addition commutes
-    M -= np.multiply.outer(X[:, 0], Y[:, 0])
+    blocks = _row_blocks(*M.shape)
+    outer = np.empty((blocks[0][1] if blocks else 0, M.shape[1]))
+    for s, e in blocks:
+        np.multiply.outer(X[s:e, 0], Y[:, 0], out=outer[:e - s])
+        # spatial - x0*y0 has the bits of -x0*y0 + spatial: IEEE addition commutes
+        M[s:e] -= outer[:e - s]
     return M
 
 

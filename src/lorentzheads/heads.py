@@ -88,6 +88,8 @@ class PrototypeBank:
             raise ContractError("prototypes contain non-finite entries")
         if self.mode == MODE_HYPERBOLIC:
             geometry.assert_on_manifold(self.prototypes)
+        elif self.mode == MODE_COSINE:   # scoring's zero-row test, when the bank is built
+            unit_rows(self.prototypes)
 
     def min_pairwise_distance(self) -> float:
         """Brute-force minimum geodesic distance between hyperbolic prototypes."""

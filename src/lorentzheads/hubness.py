@@ -24,11 +24,6 @@ KIND_COSINE = "cosine"
 
 DEFAULT_K = 5
 DEFAULT_BINS = 20
-# Rows per block.  Every array but the N x N distance matrix is at most a
-# block of its rows (1 MiB at N = 2,000) or a square tile of them.  The
-# distance and ranking loops reuse buffers made once: a fresh 1 MiB array
-# per block pays its page faults again.
-_BLOCK_ROWS = 64
 
 
 def sample_skewness(values) -> float:
@@ -42,49 +37,24 @@ def sample_skewness(values) -> float:
     return float(m3 / m2**1.5)
 
 
-def _row_blocks(n: int):
-    """(start, stop) of the _BLOCK_ROWS-row blocks that cover n rows."""
-    return [(s, min(s + _BLOCK_ROWS, n)) for s in range(0, n, _BLOCK_ROWS)]
-
-
 def pairwise_distances(points, kind: str) -> np.ndarray:
-    """Symmetric all-pairs distance matrix with zero diagonal.
-
-    The result is the one N x N array: it is built in place, with row-block
-    temporaries beside it, and holds the bits of batch_distance (or
-    1 - U U^T for cosine) symmetrised as 0.5 * (D + D^T).
-    """
+    """Symmetric all-pairs distance matrix with zero diagonal:
+    geometry.batch_distance(P, P) for hyperbolic points, 1 - U U^T of the
+    unit rows U for cosine.  Both products take numpy's A A^T path, which
+    computes one triangle and mirrors it, and every later step is
+    elementwise, so the matrix is symmetric bit for bit."""
     P = np.asarray(points, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] < 2:
         raise ParameterError("need at least 2 points")
     if kind == KIND_HYPERBOLIC:
         geometry.assert_on_manifold(P)
-        # one full product: numpy's symmetric A A^T path, whose bits
-        # per-block products would not reproduce
-        D = P[:, 1:] @ P[:, 1:].T
-        x0 = P[:, 0]
-        outer = np.empty((_BLOCK_ROWS, len(D)))
-        for s, e in _row_blocks(len(D)):
-            rows = D[s:e]
-            # outer - product has the bits of -(-outer + product)
-            np.multiply.outer(x0[s:e], x0, out=outer[:e - s])
-            np.subtract(outer[:e - s], rows, out=rows)
-            np.maximum(rows, 1.0, out=rows)
-            np.arccosh(rows, out=rows)
+        D = geometry.batch_distance(P, P)
     elif kind == KIND_COSINE:
         U, _ = unit_rows(P)
         D = U @ U.T
         np.subtract(1.0, D, out=D)
     else:
         raise ContractError(f"unknown distance kind {kind!r}")
-    blocks = _row_blocks(len(D))
-    for i, (s, e) in enumerate(blocks):
-        for t, u in blocks[i:]:
-            # 0.5 * (a + b^T) for a tile and its mirror image, written to both
-            half = D[s:e, t:u] + D[t:u, s:e].T
-            half *= 0.5
-            D[s:e, t:u] = half
-            D[t:u, s:e] = half.T
     np.fill_diagonal(D, 0.0)
     return D
 
@@ -117,8 +87,9 @@ def k_occurrence(dist: np.ndarray, k: int) -> KOccurrence:
     if k >= N:
         raise ParameterError(f"k={k} must be < number of points {N}")
     counts = np.zeros(N, dtype=np.intp)
-    buffers = np.empty((2, _BLOCK_ROWS, N))
-    for s, e in _row_blocks(N):
+    blocks = geometry._row_blocks(N, N)
+    buffers = np.empty((2, blocks[0][1], N))
+    for s, e in blocks:
         rows, part = buffers[:, :e - s]
         rows[...] = D[s:e]
         rows[np.arange(e - s), np.arange(s, e)] = np.inf
@@ -143,7 +114,7 @@ def _upper_triangle(D: np.ndarray):
     """The entries above the diagonal of D in pieces, a row block at a time:
     those of the block's diagonal tile (a flat copy), then the block's
     columns right of that tile (a view)."""
-    for s, e in _row_blocks(D.shape[0]):
+    for s, e in geometry._row_blocks(*D.shape):
         yield D[s:e, s:e][~np.tri(e - s, dtype=bool)]
         yield D[s:e, e:]
 

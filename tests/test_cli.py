@@ -810,6 +810,44 @@ def test_refused_run_writes_nothing(trained, tmp_path, kind):
     assert not list(tmp_path.rglob("manifest.json"))
 
 
+@pytest.mark.parametrize("command", ["import-prototypes", "zeroshot", "train-resume"])
+def test_cosine_zero_row_refused_before_output(trained, tmp_path, command):
+    # cosine similarity is undefined on a zero row: a cosine bank holding one
+    # is refused as it is built or loaded, before any output exists
+    root, ds_path, cfg_path, _ = trained
+    out = tmp_path / "o"
+    names = [f"leaf_{c}" for c in range(4)]
+    rows = np.eye(4, 8)
+    rows[0] = 0.0
+    if command == "import-prototypes":
+        emb = tmp_path / "emb.txt"
+        emb.write_text("".join(f"{n} " + " ".join(map(str, r)) + "\n"
+                               for n, r in zip(names, rows)))
+        argv = ["import-prototypes", "--embeddings", str(emb), "--mode", H.MODE_COSINE,
+                "--out", str(out / "bank.json")]
+    elif command == "zeroshot":
+        bank = tmp_path / "bank.json"
+        bank.write_text(json.dumps({"mode": H.MODE_COSINE, "prototypes": rows.tolist(),
+                                    "class_names": names, "delta": H.DEFAULT_DELTA,
+                                    "frozen": True}))
+        cfg = write_config(tmp_path / "c.json", unseen_classes=[3], head_mode=H.MODE_COSINE)
+        argv = ["zeroshot", "--config", cfg, "--dataset", str(ds_path),
+                "--prototypes", str(bank), "--out", str(out)]
+    else:
+        cos = root / "cos"
+        if not cos.exists():
+            assert main(["train", "--config", cfg_path, "--dataset", str(ds_path),
+                         "--head", H.MODE_COSINE, "--out", str(cos)]) == 0
+        payload = json.loads((cos / "checkpoint.json").read_text())
+        payload["bank"]["prototypes"][0] = [0.0] * 8
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps(payload))
+        argv = ["train", "--resume", str(ck), "--dataset", str(ds_path), "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert not list(tmp_path.rglob("manifest.json"))
+
+
 # the older checkpoint formats a resume still reads
 OLDER_CHECKPOINTS = {
     "rate-keys": lambda c: c["optimizer"].update(learning_rate=0.01, weight_decay=0.0,

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -293,3 +294,31 @@ def test_exp0_kernel_matches_its_definitions(rng):
     np.testing.assert_array_equal(
         G.grad_exp_map_origin(V, Cot),
         (Cot[:, 0] * f)[:, None] * V + f[:, None] * Cot[:, 1:] + (h * dot)[:, None] * V)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7], ids=["module-blocks", "1-row", "7-row"])
+@pytest.mark.parametrize("same", [True, False], ids=["X-is-Y", "X-not-Y"])
+def test_blocked_minkowski_inner_keeps_its_bits(rng, monkeypatch, rows, same):
+    # the x0*y0 outer product a row block at a time gives the bits of the
+    # whole-matrix formula; 30 rows in 7-row blocks end with a partial one
+    X = G.batch_exp_map_origin(rng.normal(0.0, 1.5, (30, 5)))
+    Y = X if same else G.batch_exp_map_origin(rng.normal(0.0, 1.5, (20, 5)))
+    if rows is not None:
+        monkeypatch.setattr(G, "_BLOCK_ELEMENTS", rows * len(Y))
+    assert len(G._row_blocks(len(X), len(Y))) == {None: 1, 1: 30, 7: 5}[rows]
+    want = X[:, 1:] @ Y[:, 1:].T - np.multiply.outer(X[:, 0], Y[:, 0])
+    assert G.batch_minkowski_inner(X, Y).tobytes() == want.tobytes()
+    assert G.batch_minkowski_inner(X[:0], Y).shape == (0, len(Y))
+
+
+def test_all_pairs_distance_holds_one_matrix(rng):
+    # the product and one row block of the outer product, not a second N x N array
+    N = 2000
+    P = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (N, 8)))
+    tracemalloc.start()
+    try:
+        D = G.batch_distance(P, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * D.nbytes

@@ -219,8 +219,12 @@ class TestBaselineLogits:
     def test_cosine_zero_row_rejected_by_logits_and_loss(self, zero):
         F = np.array([[1.0, 1.0], [2.0, 0.0]])
         P = np.array([[1.0, 0.0], [0.0, 1.0]])
-        (F if zero == "feature" else P)[1] = 0.0
+        if zero == "prototype":   # a bank is refused a zero row when built
+            with pytest.raises(ContractError, match="nonzero"):
+                H.PrototypeBank(H.MODE_COSINE, np.array([[1.0, 0.0], [0.0, 0.0]]), ["a", "b"])
         bank = H.PrototypeBank(H.MODE_COSINE, P, ["a", "b"])
+        # a row zeroed after the bank's checks meets the scoring-time guard
+        (F if zero == "feature" else bank.prototypes)[1] = 0.0
         with pytest.raises(ContractError, match="nonzero"):
             H.batch_bank_logits(F, bank)
         with pytest.raises(ContractError, match="nonzero"):

@@ -21,9 +21,11 @@ def brute_force_k_occurrence(D, k):
 
 
 def whole_matrix_distances(P, kind):
-    """The all-at-once composition the row-block code must reproduce."""
+    """The all-at-once composition, symmetrised, that pairwise_distances must
+    reproduce; the Lorentz products are written out, not batch_distance's."""
     if kind == "hyperbolic":
-        D = G.batch_distance(P, P)
+        M = P[:, 1:] @ P[:, 1:].T - np.multiply.outer(P[:, 0], P[:, 0])
+        D = np.arccosh(np.maximum(-M, 1.0))
     else:
         U = P / np.linalg.norm(P, axis=1, keepdims=True)
         D = 1.0 - U @ U.T
@@ -43,6 +45,17 @@ def stable_sort_k_occurrence(D, k):
     return np.bincount(neighbors.ravel(), minlength=len(D))
 
 
+def row_block_points(rng, N, kind, rounded):
+    """N points for `kind`: exp0 images (hyperbolic) or plain rows (cosine) of
+    Gaussian vectors, or of lattice points, which give many tied distances
+    and some duplicate rows."""
+    V = rng.normal(0.0, 1.0, (N, 6))
+    if rounded:
+        V = np.round(V)
+        V[:, 0] += 0.5
+    return G.batch_exp_map_origin(V) if kind == "hyperbolic" else V
+
+
 class TestRowBlocks:
     """The row-block kernels against the whole-matrix ones, bit for bit,
     with N spanning several full blocks and a partial one."""
@@ -50,20 +63,16 @@ class TestRowBlocks:
     @pytest.fixture(params=[(700, None), (50, 7)], ids=["module-blocks", "7-row-blocks"])
     def n_points(self, request, monkeypatch):
         N, rows = request.param
-        if rows is not None:
-            monkeypatch.setattr(hubness, "_BLOCK_ROWS", rows)
-        blocks = hubness._row_blocks(N)
+        if rows is not None:   # blocks of `rows` rows of an N-column matrix
+            monkeypatch.setattr(G, "_BLOCK_ELEMENTS", rows * N)
+        blocks = G._row_blocks(N, N)
         assert len(blocks) >= 4 and blocks[0][1] > blocks[-1][1] - blocks[-1][0]
         return N
 
     @pytest.mark.parametrize("kind", ["hyperbolic", "cosine"])
     @pytest.mark.parametrize("rounded", [False, True], ids=["exact", "ties"])
     def test_same_bits_as_whole_matrix(self, rng, n_points, kind, rounded):
-        V = rng.normal(0.0, 1.0, (n_points, 6))
-        if rounded:   # lattice points: many tied distances and some duplicates
-            V = np.round(V)
-            V[:, 0] += 0.5
-        P = G.batch_exp_map_origin(V) if kind == "hyperbolic" else V
+        P = row_block_points(rng, n_points, kind, rounded)
         D = hubness.pairwise_distances(P, kind)
         np.testing.assert_array_equal(D, whole_matrix_distances(P, kind))
         for M in (D, np.round(D, 1)):
@@ -92,6 +101,23 @@ class TestRowBlocks:
         np.fill_diagonal(D, np.nan)
         np.testing.assert_array_equal(hubness.k_occurrence(D, 2).counts,
                                       stable_sort_k_occurrence(D, 2))
+
+
+@pytest.mark.parametrize("N", [2, 50, 700])
+@pytest.mark.parametrize("kind", ["hyperbolic", "cosine"])
+@pytest.mark.parametrize("rounded", [False, True], ids=["exact", "ties"])
+def test_distance_kernels_equal_their_transposes(rng, N, kind, rounded):
+    # numpy's A A^T product mirrors one triangle and every later step is
+    # elementwise, so pairwise_distances needs no symmetrisation pass
+    P = row_block_points(rng, N, kind, rounded)
+    if kind == "hyperbolic":
+        D = G.batch_distance(P, P)
+    else:
+        U, _ = H.unit_rows(P)
+        D = 1.0 - U @ U.T
+    assert D.tobytes() == D.T.tobytes()
+    D = hubness.pairwise_distances(P, kind)
+    assert D.tobytes() == D.T.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["hyperbolic", "cosine"])
