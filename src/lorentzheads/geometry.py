@@ -249,26 +249,34 @@ def _row_blocks(rows: int, width: int):
 
 
 def batch_minkowski_inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """All-pairs Lorentzian products: (m, n+1) x (C, n+1) -> (m, C).  The
-    x0*y0 outer product is formed a row block at a time in one buffer."""
+    """All-pairs Lorentzian products: (m, n+1) x (C, n+1) -> (m, C), the
+    negation of _cosh_distance's unclamped products."""
+    A = _cosh_distance(X, Y, clamp=False)
+    return np.negative(A, out=A)
+
+
+def _cosh_distance(X: np.ndarray, Y: np.ndarray, clamp: bool = True) -> np.ndarray:
+    """max(-<x, y>_l, 1) for all pairs, the cosh of their geodesic distance,
+    or -<x, y>_l itself when `clamp` is False.
+
+    x0*y0 - spatial is written over the (m, C) spatial product a row block at
+    a time, the outer product formed from contiguous copies of both time
+    columns in one buffer.  It has the bits of -(-x0*y0 + spatial): IEEE
+    subtraction is antisymmetric, so no negate pass is needed.
+    """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    M = X[:, 1:] @ Y[:, 1:].T
-    blocks = _row_blocks(*M.shape)
-    outer = np.empty((blocks[0][1] if blocks else 0, M.shape[1]))
+    A = X[:, 1:] @ Y[:, 1:].T
+    x0, y0 = X[:, 0].copy(), Y[:, 0].copy()
+    blocks = _row_blocks(*A.shape)
+    outer = np.empty((blocks[0][1] if blocks else 0, A.shape[1]))
     for s, e in blocks:
-        np.multiply.outer(X[s:e, 0], Y[:, 0], out=outer[:e - s])
-        # spatial - x0*y0 has the bits of -x0*y0 + spatial: IEEE addition commutes
-        M[s:e] -= outer[:e - s]
-    return M
-
-
-def _cosh_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """max(-<x, y>_l, 1) for all pairs, the cosh of their geodesic distance,
-    in the one (m, C) array batch_minkowski_inner returns."""
-    A = batch_minkowski_inner(X, Y)
-    np.negative(A, out=A)
-    return np.maximum(A, 1.0, out=A)
+        block, o = A[s:e], outer[:e - s]
+        np.multiply.outer(x0[s:e], y0, out=o)
+        np.subtract(o, block, out=block)
+        if clamp:
+            np.maximum(block, 1.0, out=block)
+    return A
 
 
 def batch_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

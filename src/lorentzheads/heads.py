@@ -37,6 +37,9 @@ DEFAULT_TAU = 0.07
 
 # Distance gradients are zeroed below this to avoid the d=0 singularity.
 _EPS_DIST = 1e-7
+# top_logits scores a row in full when another cosh distance lies within
+# this relative gap of the row's minimum.
+_TIE_BAND = 2.0**-40
 
 
 def sigmoid(x):
@@ -148,10 +151,9 @@ def shift_logits(distances, delta: float, d_min: float) -> np.ndarray:
 def _shift_logits(D: np.ndarray, delta: float, d_min: float) -> np.ndarray:
     """shift_logits written over the float64 distance array D, which the
     caller owns; returns D."""
-    if d_min <= 0:
-        raise ParameterError("d_min must be > 0")
-    if delta <= 0:
-        raise ParameterError("delta must be > 0")
+    for name, value in (("d_min", d_min), ("delta", delta)):
+        if not 0.0 < value < np.inf:                # NaN fails both comparisons
+            raise ParameterError(f"{name} must be finite and > 0, not {value}")
     # algebraically delta - (delta/d_min) d; the form delta * (1 - d/d_min)
     # is exactly delta at d = 0 and exactly 0 at d = d_min regardless of rounding
     D /= d_min
@@ -186,6 +188,41 @@ def batch_bank_logits(features: np.ndarray, bank: PrototypeBank,
     return S
 
 
+def top_logits(features: np.ndarray, bank: PrototypeBank,
+               tau: float = DEFAULT_TAU) -> tuple[np.ndarray, np.ndarray]:
+    """(pred, top): each row's first arg-max of batch_bank_logits and the
+    logit there, bit for bit.
+
+    A hyperbolic bank takes arccosh and the logit shift at each row's
+    nearest prototype only.  The logit falls monotonically with the cosh
+    distance but may round two near distances to one logit, where the
+    arg-max takes the lower column; so a row with another column within a
+    relative 2^-40 of its minimum (exact ties, duplicate prototypes, the
+    clamp at 1) is scored in full.  Outside that band the distances differ
+    by more than ln(1 + 2^-40) ~ 2^-40 (arccosh grows faster than log),
+    about 8 ULP of any distance whose cosh is finite (below ~710, where one
+    ULP is at most 2^-43), so no other column can tie after the shift.
+    """
+    F = np.asarray(features, dtype=np.float64)
+    if bank.mode != MODE_HYPERBOLIC:
+        S = batch_bank_logits(F, bank, tau=tau)
+        pred = np.argmax(S, axis=1)
+        return pred, S[np.arange(len(pred)), pred]
+    A = geometry._cosh_distance(geometry.batch_exp_map_origin(F), bank.prototypes)
+    pred = np.argmin(A, axis=1)     # a row's first NaN, as argmax takes it
+    rows = np.arange(len(pred))
+    a = A[rows, pred]
+    near = A <= (a * (1.0 + _TIE_BAND))[:, None]
+    near[rows, pred] = False
+    top = _shift_logits(np.arccosh(a), bank.delta, bank.d_min)
+    if np.count_nonzero(near):
+        tied = np.flatnonzero(near.any(axis=1))
+        S = _shift_logits(np.arccosh(A[tied]), bank.delta, bank.d_min)
+        pred[tied] = np.argmax(S, axis=1)
+        top[tied] = S[np.arange(len(tied)), pred[tied]]
+    return pred, top
+
+
 def classify(feature, bank: PrototypeBank, k: int | None = None, tau: float = DEFAULT_TAU):
     """Predict a class for one feature vector.
 
@@ -195,8 +232,9 @@ def classify(feature, bank: PrototypeBank, k: int | None = None, tau: float = DE
     """
     if k is None:
         k = min(3, bank.num_classes)
-    if k > bank.num_classes:
-        raise ParameterError(f"k={k} exceeds number of classes {bank.num_classes}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
+            or not 1 <= k <= bank.num_classes:
+        raise ParameterError(f"k must be an int in [1, {bank.num_classes}], not {k!r}")
     f = np.asarray(feature, dtype=np.float64)
     if f.ndim != 1 or not np.all(np.isfinite(f)):
         raise ContractError("feature must be a finite 1-D vector")

@@ -229,9 +229,8 @@ def evaluate(bank: PrototypeBank, encoder: Encoder | None, features: np.ndarray,
     t0 = time.perf_counter()
     labels = np.asarray(labels)
     emb = embed(encoder, features)
-    S = heads.batch_bank_logits(emb, bank, tau=tau)
-    pred = np.argmax(S, axis=1)
-    max_conf = heads.sigmoid(S[np.arange(len(pred)), pred])
+    pred, top = heads.top_logits(emb, bank, tau=tau)
+    max_conf = heads.sigmoid(top)
     gated = np.where(max_conf > 0.5, pred, BACKGROUND)
 
     fg = labels != BACKGROUND

@@ -311,6 +311,23 @@ def test_blocked_minkowski_inner_keeps_its_bits(rng, monkeypatch, rows, same):
     assert G.batch_minkowski_inner(X[:0], Y).shape == (0, len(Y))
 
 
+@pytest.mark.parametrize("rows", [None, 1, 7], ids=["module-blocks", "1-row", "7-row"])
+def test_cosh_distance_is_the_clamped_negated_product(rng, monkeypatch, rows):
+    # x0*y0 - spatial, written a row block at a time, is max(-<x, y>_l, 1)
+    # bit for bit; 30 rows in 7-row blocks end with a partial one
+    X = G.batch_exp_map_origin(rng.normal(0.0, 1.5, (30, 5)))
+    Y = G.batch_exp_map_origin(rng.normal(0.0, 1.5, (20, 5)))
+    Y[3] = X[4]                                       # a pair the clamp reaches
+    if rows is not None:
+        monkeypatch.setattr(G, "_BLOCK_ELEMENTS", rows * len(Y))
+    got = G._cosh_distance(X, Y)
+    assert got.tobytes() == np.maximum(-G.batch_minkowski_inner(X, Y), 1.0).tobytes()
+    old = -(X[:, 1:] @ Y[:, 1:].T - np.multiply.outer(X[:, 0], Y[:, 0]))
+    assert got.tobytes() == np.maximum(old, 1.0).tobytes()
+    assert got[4, 3] == 1.0
+    assert G._cosh_distance(X[:0], Y).shape == (0, len(Y))
+
+
 def test_all_pairs_distance_holds_one_matrix(rng):
     # the product and one row block of the outer product, not a second N x N array
     N = 2000

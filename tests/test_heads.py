@@ -312,6 +312,17 @@ class TestClassify:
         with pytest.raises(ParameterError):
             H.classify([0.0, 0.0], bank, k=3)
 
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
+    def test_k_below_one_or_not_an_int_refused(self, k):
+        bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(ParameterError, match=r"k must be an int in \[1, 2\]"):
+            H.classify([0.0, 0.0], bank, k=k)
+
+    @pytest.mark.parametrize("k", [1, 2, np.int64(2)])
+    def test_k_inside_one_to_c_sizes_the_top_list(self, k):
+        bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
+        assert len(H.classify([0.5, 0.0], bank, k=k)[2]) == k
+
 
 class TestLossDispatch:
     @pytest.mark.parametrize("mode", [H.MODE_HYPERBOLIC, H.MODE_LINEAR, H.MODE_COSINE])
@@ -405,7 +416,9 @@ class TestInPlaceScoring:
         assert H.shift_logits(kept, 1.4, 0.7).tobytes() == D.tobytes()
         assert kept.tobytes() == d.tobytes()
 
-    @pytest.mark.parametrize("delta, d_min", [(1.4, 0.0), (1.4, -1.0), (0.0, 1.0), (-2.0, 1.0)])
+    @pytest.mark.parametrize("delta, d_min", [
+        (1.4, 0.0), (1.4, -1.0), (0.0, 1.0), (-2.0, 1.0),
+        (1.4, np.nan), (1.4, np.inf), (np.nan, 1.0), (np.inf, 1.0)])
     def test_shift_range_checks_on_every_path(self, rng, delta, d_min):
         F, spatial = scoring_inputs(rng)
         bank = make_hyperbolic_bank(spatial)
@@ -413,6 +426,7 @@ class TestInPlaceScoring:
         for score in (lambda: H.shift_logits(np.ones(3), delta, d_min),
                       lambda: H._shift_logits(np.ones(3), delta, d_min),
                       lambda: H.batch_bank_logits(F, bank),
+                      lambda: H.top_logits(F, bank),
                       lambda: H.loss_and_grads(F, bank, np.zeros(40, dtype=int), *FOCAL)):
             with pytest.raises(ParameterError):
                 score()
@@ -446,6 +460,106 @@ class TestInPlaceScoring:
             tracemalloc.stop()
         assert S.shape == (m, C)
         assert peak < 2.5 * S.nbytes
+
+
+def mode_bank(mode, spatial_rows, frozen=False):
+    """A bank of the mode from spatial rows, exp0-mapped for the hyperbolic head."""
+    rows = np.asarray(spatial_rows, dtype=np.float64)
+    if mode == H.MODE_HYPERBOLIC:
+        rows = G.batch_exp_map_origin(rows)
+    return H.PrototypeBank(mode, rows, [f"c{i}" for i in range(len(rows))], delta=1.7,
+                           frozen=frozen)
+
+
+def lattice(lo, hi, dim=2):
+    """Every integer point of [lo, hi]^dim, one per row."""
+    axes = np.meshgrid(*[np.arange(lo, hi + 1.0)] * dim, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
+class TestTopLogits:
+    """top_logits is argmax(batch_bank_logits) and the logit there, bit for
+    bit, in every mode, most of all where logits tie."""
+
+    @staticmethod
+    def assert_matches_full_scoring(F, bank):
+        with np.errstate(invalid="ignore", over="ignore"):
+            S = H.batch_bank_logits(F, bank, tau=0.3)
+            pred, top = H.top_logits(F, bank, tau=0.3)
+        want = np.argmax(S, axis=1)
+        assert pred.tobytes() == want.tobytes()
+        assert top.tobytes() == S[np.arange(len(want)), want].tobytes()
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("mode", H.MODES)
+    def test_random_banks(self, rng, mode, frozen):
+        for scale in (0.05, 1.0, 4.0):
+            F = rng.normal(0.0, scale, (200, 4))
+            self.assert_matches_full_scoring(F, mode_bank(mode, rng.normal(0.0, 1.0, (9, 4)),
+                                                          frozen))
+
+    @pytest.mark.parametrize("mode", H.MODES)
+    def test_identical_and_adjacent_prototypes(self, rng, mode):
+        # rows 0 and 1 coincide; row 3 is row 2 with its first coordinate one
+        # float step lower, so far out its cosh distance is the lower one
+        # while both round to one distance, where the arg-max takes row 2
+        spatial = rng.normal(0.0, 1.0, (6, 3))
+        spatial[1] = spatial[0]
+        bank = mode_bank(mode, spatial)
+        P = bank.prototypes.copy()
+        P[3] = P[2]
+        P[3, 0] = np.nextafter(P[2, 0], -np.inf)
+        bank = H.PrototypeBank(mode, P, bank.class_names, delta=1.7, frozen=True)
+        F = np.concatenate([spatial, spatial * 1.5, spatial * 20.0,
+                            rng.normal(0.0, 1.0, (100, 3))])
+        self.assert_matches_full_scoring(F, bank)
+        if mode == H.MODE_HYPERBOLIC:
+            A = G._cosh_distance(G.batch_exp_map_origin(F[14:15]), P)[0]
+            assert A[3] < A[2] and H.top_logits(F[14:15], bank)[0][0] == 2
+
+    @pytest.mark.parametrize("mode", H.MODES)
+    def test_lattice_features_tie_exactly(self, mode):
+        # features and prototypes on the integer grid: many rows have two or
+        # four equally near prototypes, as (0, 0) has to the four unit points,
+        # and (1, 0) and (2, 0) have one direction
+        protos = lattice(-2, 2)
+        protos = protos[np.abs(protos).sum(axis=1) > 0]   # cosine refuses the zero row
+        F = lattice(-3, 3)
+        F = F[np.abs(F).sum(axis=1) > 0] if mode == H.MODE_COSINE else F
+        bank = mode_bank(mode, protos, frozen=True)
+        S = H.batch_bank_logits(F, bank, tau=0.3)
+        assert (S == S.max(axis=1, keepdims=True)).sum(axis=1).max() >= 2
+        self.assert_matches_full_scoring(F, bank)
+
+    def test_features_on_a_prototype_hit_the_clamp(self, rng):
+        spatial = rng.normal(0.0, 2.0, (5, 3))
+        spatial[4] = spatial[3]
+        bank = mode_bank(H.MODE_HYPERBOLIC, spatial, frozen=True)
+        X = G.batch_exp_map_origin(spatial)
+        # the clamp at 1, and the duplicate row ties there with its twin
+        assert (G._cosh_distance(X, bank.prototypes).diagonal() == 1.0).all()
+        self.assert_matches_full_scoring(spatial, bank)
+        assert H.top_logits(spatial[3:], bank)[0].tolist() == [3, 3]
+
+    @pytest.mark.parametrize("mode", H.MODES)
+    def test_far_features(self, rng, mode):
+        # cosh distances up to ~1e7 and ~1e131; at radius 709 the product
+        # with a prototype's x0 overflows to inf, and inf - inf gives NaN
+        bank = mode_bank(mode, rng.normal(0.0, 1.0, (8, 3)))
+        U = rng.normal(0.0, 1.0, (60, 3))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        for radius in (15.0, 300.0, 709.0):
+            self.assert_matches_full_scoring(U * radius, bank)
+
+    @pytest.mark.parametrize("mode", H.MODES)
+    def test_rows_holding_inf_or_nan(self, rng, mode):
+        F = rng.normal(0.0, 1.0, (12, 3))
+        F[0, 0] = np.inf
+        F[1, 1] = -np.inf
+        F[2, 2] = np.nan
+        F[3] = np.inf
+        bank = mode_bank(mode, rng.normal(0.0, 1.0, (5, 3)), frozen=True)
+        self.assert_matches_full_scoring(F, bank)
 
 
 def two_sigmoid_focal_terms(logits, positive, gamma, alpha):
