@@ -276,7 +276,8 @@ def holdout_unseen(dataset: SyntheticDataset, unseen_classes) -> SyntheticDatase
     """Remove the listed classes from the train split; the val split keeps them.
 
     Class entries may be indices or leaf names; the result's `unseen_classes`
-    lists their indices.  An empty list returns `dataset` itself.
+    lists their indices and the dataset's own.  Where both are empty,
+    `dataset` itself is returned.
     """
     resolved = []
     for u in unseen_classes:
@@ -288,7 +289,7 @@ def holdout_unseen(dataset: SyntheticDataset, unseen_classes) -> SyntheticDatase
             if not (0 <= int(u) < dataset.num_classes):
                 raise ParameterError(f"class index {u} out of range")
             resolved.append(int(u))
-    resolved = sorted(set(resolved))
+    resolved = sorted(set(resolved) | set(dataset.unseen_classes))
     if len(resolved) >= dataset.num_classes:
         raise ParameterError("cannot hold out every class")
     if not resolved:

@@ -10,7 +10,6 @@ geodesic (hyperboloid) or cosine distances.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,11 +152,8 @@ class HubnessReport:
         })
         edges = self.histogram.edges
         centers = 0.5 * (edges[:-1] + edges[1:])
-        with open(jsonio.csv_path(json_path), "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["bin_center", "count"])
-            for c, n in zip(centers, self.histogram.counts):
-                w.writerow([repr(float(c)), int(n)])
+        jsonio.write_csv(json_path, ["bin_center", "count"],
+                         zip(centers.tolist(), self.histogram.counts.tolist()))
 
 
 def analyze_points(points, kind: str, k: int = DEFAULT_K) -> HubnessReport:

@@ -20,11 +20,9 @@ from .errors import ContractError, ParameterError
 
 # json.dumps' own encoder: with indent=None it runs the C implementation
 _encode = json.JSONEncoder(sort_keys=True).encode
-# each JSON type, by schema name and by annotation -> the Python types json decodes it to
-_TYPES = {name: t for *names, t in [("integer", "int", int), ("number", "float", (int, float)),
-                                    ("string", "str", str), ("boolean", "bool", bool),
-                                    ("array", "list", list), ("object", "dict", dict),
-                                    ("null", "None", type(None))] for name in names}
+# each JSON type's schema name -> the Python types json decodes it to
+_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
+          "array": list, "object": dict, "null": type(None)}
 # the schema keywords `validate` applies; a schema using another is refused
 _KEYWORDS = {"$schema", "type", "properties", "required", "additionalProperties", "items",
              "minItems", "uniqueItems", "enum", "minimum", "maximum", "exclusiveMinimum"}
@@ -32,12 +30,12 @@ _KEYWORDS = {"$schema", "type", "properties", "required", "additionalProperties"
 _BOUNDS = {"minimum": operator.lt, "maximum": operator.gt, "exclusiveMinimum": operator.le}
 
 
-def of_type(t: type, types) -> bool:
-    """Whether decoded JSON values of type `t` have one of `types`, schema names
-    or an annotation ("float | None").  JSON true/false is no number, though a
-    Python bool is an int; a float is no integer."""
+def _of_type(t: type, types) -> bool:
+    """Whether decoded JSON values of type `t` have the schema type `types`, a
+    name or a list of names.  JSON true/false is no number, though a Python
+    bool is an int; a float is no integer."""
     if isinstance(types, str):
-        types = types.split(" | ")
+        types = [types]
     return any(issubclass(t, _TYPES[n]) and issubclass(t, bool) == (_TYPES[n] is bool)
                for n in types)
 
@@ -53,11 +51,11 @@ def _one_pass(rows: list, schema: dict) -> bool:
     cannot; the caller then walks the items, which finds a refused one's path."""
     found = set(map(type, rows))
     if found == {list} and schema.keys() <= {"type", "items", "minItems"}:
-        return (of_type(list, schema.get("type", "array"))
+        return (_of_type(list, schema.get("type", "array"))
                 and min(map(len, rows)) >= schema.get("minItems", 0)
                 and _one_pass(list(itertools.chain.from_iterable(rows)), schema.get("items", {})))
     types = schema.get("type", list(_TYPES))
-    if "enum" in schema or found & {list, dict} or not all(of_type(t, types) for t in found):
+    if "enum" in schema or found & {list, dict} or not all(_of_type(t, types) for t in found):
         return False
     if not rows or not schema.keys() & _BOUNDS.keys():
         return True
@@ -70,13 +68,13 @@ def _check(value, schema: dict, path: str) -> None:
     where = path or "the document"
     if schema.keys() - _KEYWORDS:
         raise NotImplementedError(f"schema keywords {sorted(schema.keys() - _KEYWORDS)}")
-    if "type" in schema and not of_type(type(value), schema["type"]):
-        found = next((n for n in _TYPES if of_type(type(value), [n])), type(value).__name__)
+    if "type" in schema and not _of_type(type(value), schema["type"]):
+        found = next((n for n in _TYPES if _of_type(type(value), n)), type(value).__name__)
         raise ParameterError(f"{where} must be {schema['type']}, not {found}"
                              + f" {value!r}" * (found not in ("array", "object")))
     if "enum" in schema and value not in schema["enum"]:
         raise ParameterError(f"{where} must be one of {schema['enum']}, not {value!r}")
-    if of_type(type(value), "number") and _breaks(value, schema):
+    if _of_type(type(value), "number") and _breaks(value, schema):
         bounds = {k: schema[k] for k in schema.keys() & _BOUNDS.keys()}
         raise ParameterError(f"{where} is {value!r}, out of the bounds {bounds}")
     if isinstance(value, dict):
@@ -174,3 +172,11 @@ def read(path, decode):
 def csv_path(json_path) -> str:
     """The CSV file written next to a JSON report."""
     return str(json_path).removesuffix(".json") + ".csv"
+
+
+def write_csv(json_path, header, rows) -> None:
+    """Write the CSV file next to the JSON report `json_path`: the `header`
+    line, then one line per row, each cell as `str` gives it, every line
+    ending in "\n"."""
+    with open(csv_path(json_path), "w") as f:
+        f.writelines(",".join(map(str, row)) + "\n" for row in itertools.chain([header], rows))

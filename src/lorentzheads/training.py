@@ -14,8 +14,9 @@ config and seed; checkpoints round-trip bit-exactly.
 Every run trains a `RunState`, the seven fields of a checkpoint: `start`
 builds a fresh one and `load_checkpoint` reads a saved one.  `prepare` makes
 every check a state must pass on a dataset, so a caller can refuse a run
-before writing anything, and holds the config's unseen classes out of train;
-`check_fit`, its shape and class-name checks, also guards `eval`.
+before writing anything, and holds the config's unseen classes, with the
+dataset's own, out of train; `check_fit`, its shape and class-name checks,
+also guards `eval`.
 """
 
 from __future__ import annotations
@@ -33,17 +34,6 @@ from . import geometry, heads, jsonio, optim
 from .data import BUCKETS, ClassTree, SyntheticDataset, holdout_unseen
 from .errors import ContractError, NumericalError, ParameterError
 from .heads import BACKGROUND, PrototypeBank
-
-# number field -> (its range in words, the test a value must pass)
-_RANGES = {
-    **dict.fromkeys(("learning_rate", "prototype_learning_rate", "grad_clip_norm", "delta",
-                     "cosine_tau"), ("> 0", lambda v: v > 0)),
-    **dict.fromkeys(("weight_decay", "focal_gamma", "seed"), (">= 0", lambda v: v >= 0)),
-    **dict.fromkeys(("epochs", "batch_size", "eval_every", "encoder_hidden", "embed_dim"),
-                    (">= 1", lambda v: v >= 1)),
-    "focal_alpha": ("in (0, 1]", lambda v: 0 < v <= 1),
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -70,23 +60,13 @@ class ExperimentConfig:
     unseen_classes: list = field(default_factory=list)
 
     def __post_init__(self):
-        """The one type and range check of a run's settings, however the
-        config is built, so a bad setting is refused before any output."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not jsonio.of_type(type(value), f.type):
-                raise ParameterError(f"config key {f.name!r} must be {f.type}, "
-                                     f"not {type(value).__name__}")
-        if self.head_mode not in heads.MODES:
-            raise ParameterError(f"unknown head mode {self.head_mode!r}")
-        for name, (rule, ok) in _RANGES.items():
-            value = getattr(self, name)
-            # NaN fails every test; abs() < inf refuses ±Infinity, not a huge int
-            if value is not None and not (ok(value) and abs(value) < math.inf):
-                raise ParameterError(f"{name} must be finite and {rule}, not {value}")
-        for u in self.unseen_classes:
-            if not jsonio.of_type(type(u), "str | int"):   # a leaf name or a class index
-                raise ParameterError(f"unseen_classes holds class names or indices, not {u!r}")
+        """The one check of a run's settings, however the config is built, so
+        a bad setting is refused before any output: the config schema, then
+        finiteness, which no schema bound states (NaN and Infinity pass them)."""
+        jsonio.validate(vars(self), "config")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, not {value}")
 
     @property
     def proto_lr(self) -> float:
@@ -99,11 +79,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ParameterError(f"config must be a JSON object, not {type(d).__name__}")
-        extra = set(d) - {f.name for f in dataclasses.fields(cls)}
-        if extra:
-            raise ParameterError(f"unknown config keys: {sorted(extra)}")
+        jsonio.validate(d, "config")
         return cls(**d)
 
     @classmethod
@@ -200,10 +176,7 @@ class MetricsReport:
             v = getattr(self, key)
             if v is not None:
                 rows.append((last, key, v))
-        with open(jsonio.csv_path(json_path), "w") as f:
-            f.write("epoch,metric,value\n")
-            for e, m, v in rows:
-                f.write(f"{e},{m},{v!r}\n")
+        jsonio.write_csv(json_path, ["epoch", "metric", "value"], rows)
 
 
 def _label_rows(labels: np.ndarray, classes, C: int) -> np.ndarray:
@@ -406,17 +379,18 @@ def _trainable(encoder: Encoder | None, bank: PrototypeBank) -> dict:
 
 def prepare(state: RunState, dataset: SyntheticDataset):
     """Refuse a state that cannot train on `dataset`; otherwise return the
-    dataset with `state.config.unseen_classes` held out of its train split,
-    whether RSGD steps the prototypes, and the trainable tensors Adam steps
-    (the rest) by name."""
+    dataset with `state.config.unseen_classes` held out of its train split
+    (its own unseen classes stay out), whether RSGD steps the prototypes, and
+    the trainable tensors Adam steps (the rest) by name."""
     check_fit(state, dataset)
     config, bank = state.config, state.bank
+    dataset = holdout_unseen(dataset, config.unseen_classes)
     params = _trainable(state.encoder, bank)
     rsgd = "prototypes" in params and bank.mode == heads.MODE_HYPERBOLIC
     if (bank.mode, bank.delta) != (config.head_mode, config.delta):
         raise ParameterError(f"a {bank.mode} prototype bank with delta {bank.delta} cannot "
                              f"train with head_mode {config.head_mode!r}, delta {config.delta}")
-    if config.unseen_classes and not bank.frozen:
+    if dataset.unseen_classes and not bank.frozen:
         raise ParameterError("unseen_classes needs a frozen prototype bank (zeroshot); "
                              "train would fit every class")
     if config.prototype_learning_rate is not None and not rsgd:
@@ -425,7 +399,7 @@ def prepare(state: RunState, dataset: SyntheticDataset):
     if rsgd:
         del params["prototypes"]
     state.opt.check(params)
-    return holdout_unseen(dataset, config.unseen_classes), rsgd, params
+    return dataset, rsgd, params
 
 
 def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,

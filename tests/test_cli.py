@@ -138,7 +138,8 @@ class TestTrain:
                              ("metrics.json", "metrics"),
                              ("manifest.json", "manifest")):
             validate_file(out / name, schema)
-        assert (out / "metrics.csv").read_text().startswith("epoch,metric,value")
+        assert (out / "metrics.csv").read_bytes().startswith(b"epoch,metric,value\n")
+        assert b"\r" not in (out / "metrics.csv").read_bytes()
         manifest = json.loads((out / "manifest.json").read_text())
         for path, digest in manifest["outputs"].items():
             assert sha256_file(path) == digest
@@ -290,6 +291,27 @@ class TestEval:
         for key in ("val_accuracy", "seen_accuracy", "unseen_accuracy", "harmonic_mean"):
             assert printed[key] == metrics[key], key
         assert printed["harmonic_mean"] is not None
+
+    def test_zero_shot_unseen_classes_add_to_the_dataset_own(self, tmp_path):
+        # a dataset holding leaf_3 out and a config naming class 1: the run
+        # and eval of its checkpoint both report classes 1 and 3 as unseen
+        ds_path = tmp_path / "ds.json"
+        assert main(["generate", "--out", str(ds_path), "--unseen", "leaf_3"]
+                    + GEN_ARGS) == 0
+        ds = data.SyntheticDataset.load(ds_path)
+        bank = write_bank(tmp_path / "bank.json",
+                          [ds.features[ds.labels == c].mean(axis=0) for c in range(4)])
+        cfg = write_config(tmp_path / "cfg.json", unseen_classes=[1])
+        run = tmp_path / "zs"
+        assert main(["zeroshot", "--config", cfg, "--dataset", str(ds_path),
+                     "--prototypes", bank, "--out", str(run)]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                     "--dataset", str(ds_path), "--out", str(tmp_path / "eval.json")]) == 0
+        a, b = (json.loads(p.read_text()) for p in (run / "metrics.json", tmp_path / "eval.json"))
+        for key in ("val_accuracy", "per_class", "seen_accuracy", "unseen_accuracy",
+                    "harmonic_mean"):
+            assert a[key] == b[key], key
+        assert a["harmonic_mean"] is not None
 
     def test_train_split(self, trained, capsys):
         _, ds_path, _, out = trained
@@ -729,6 +751,12 @@ def _refused_argv(kind, tmp_path, trained):
         elif kind == "train-prototype-lr":
             argv = ["--config", write_config(tmp_path / "c.json", prototype_learning_rate=5.0),
                     "--head", "euclidean-linear"]
+        elif kind == "train-dataset-unseen":
+            # a learnable bank cannot fit a class with no train rows
+            unseen = data.holdout_unseen(data.SyntheticDataset.load(ds_path), ["leaf_3"])
+            ds_path = tmp_path / "ds_unseen.json"
+            unseen.save(ds_path)
+            argv = ["--config", cfg_path]
         elif kind == "train-dataset-unseen-name":
             # the name form a config accepts, but a dataset stores indices
             payload = json.loads(ds_path.read_text())
@@ -799,7 +827,8 @@ def _refused_argv(kind, tmp_path, trained):
                                   "zeroshot-head-mode", "zeroshot-delta",
                                   "train-resume-features", "train-resume-no-encoder",
                                   "train-resume-encoder-hidden", "eval-features",
-                                  "eval-class-count", "train-dataset-unseen-name"]
+                                  "eval-class-count", "train-dataset-unseen-name",
+                                  "train-dataset-unseen"]
                          + sorted(RESUMED_OPTIMIZER) + ENCODER_CASES + sorted(GENERATE_CASES)
                          + sorted(BANK_EDITS) + sorted(DATASET_EDITS)
                          + CHECKPOINT_CASES

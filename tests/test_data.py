@@ -230,6 +230,14 @@ class TestHoldoutUnseen:
         assert out is ds
         assert not out.unseen_classes
 
+    def test_dataset_unseen_classes_kept(self):
+        # a config naming other classes adds to the dataset's own
+        ds = data.holdout_unseen(data.generate(num_samples=600, num_classes=4, num_super=2,
+                                               seed=0), [3])
+        out = data.holdout_unseen(ds, [1])
+        assert out.unseen_classes == [1, 3]
+        assert not np.isin(out.labels[out.train_idx], [1, 3]).any()
+
     def test_unseen_removed_from_train(self):
         ds = data.generate(num_samples=1000, seed=0)
         out = data.holdout_unseen(ds, [3, "leaf_5"])

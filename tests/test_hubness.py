@@ -273,6 +273,7 @@ class TestReports:
         path = tmp_path / "report.json"
         rep.save(path)
         assert path.exists()
+        assert b"\r" not in (tmp_path / "report.csv").read_bytes()
         csv_lines = (tmp_path / "report.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "bin_center,count"
         total = sum(int(line.split(",")[1]) for line in csv_lines[1:])

@@ -140,6 +140,11 @@ def test_csv_path():
     assert jsonio.csv_path("out/report") == "out/report.csv"
 
 
+def test_write_csv_lines_end_in_newline(tmp_path):
+    jsonio.write_csv(tmp_path / "r.json", ["a", "b"], [(0, 0.1), (1, "x")])
+    assert (tmp_path / "r.csv").read_bytes() == b"a,b\n0,0.1\n1,x\n"
+
+
 def test_package_import_skips_jsonschema(tmp_path):
     """The CLI, the schemas and a dataset load, which validates, need no jsonschema."""
     path = tmp_path / "ds.json"
@@ -169,7 +174,7 @@ SUBSCHEMAS = [sub for name in SCHEMA_NAMES for sub in _subschemas(schemas.load_s
 
 
 def test_shipped_schemas_use_supported_keywords():
-    assert len(SCHEMA_NAMES) == 6
+    assert len(SCHEMA_NAMES) == 7
     assert {key for sub in SUBSCHEMAS for key in sub} <= jsonio._KEYWORDS
 
 

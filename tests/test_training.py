@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import math
 
+import jsonschema
 import numpy as np
 import pytest
 
-from lorentzheads import data, geometry as G, heads as H, optim, training as T
+from lorentzheads import data, geometry as G, heads as H, jsonio, optim, schemas, training as T
 from lorentzheads.errors import ContractError, NumericalError, ParameterError
 from lorentzheads.heads import BACKGROUND
 
@@ -27,6 +29,22 @@ def tiny_dataset(seed=0, **kw):
     base = dict(num_features=8, num_super=2, num_classes=4, num_samples=600, seed=seed)
     base.update(kw)
     return data.generate(**base)
+
+
+# settings of the wrong JSON type, and of the right type out of range
+WRONG_TYPES = [
+    ("epochs", "1"), ("epochs", 1.5), ("epochs", True), ("learning_rate", "0.1"),
+    ("seed", None), ("encoder", 1), ("grad_clip_norm", "1"), ("unseen_classes", 3),
+    ("head_mode", 1),
+]
+OUT_OF_RANGE = [
+    ("focal_gamma", -1.0), ("focal_alpha", 0.0), ("focal_alpha", 1.5),
+    ("cosine_tau", 0.0), ("cosine_tau", -1.0), ("encoder_hidden", 0), ("embed_dim", 0),
+    ("seed", -1), ("learning_rate", float("nan")), ("delta", float("nan")),
+    ("weight_decay", float("inf")), ("focal_alpha", float("nan")),
+    ("grad_clip_norm", float("-inf")), ("prototype_learning_rate", float("nan")),
+    ("unseen_classes", [1.5]), ("unseen_classes", [True]), ("unseen_classes", [{"a": 1}]),
+]
 
 
 class TestConfig:
@@ -67,14 +85,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("payload", [[], "epochs", None])
     def test_non_object_rejected(self, payload):
-        with pytest.raises(ParameterError, match="JSON object"):
+        with pytest.raises(ParameterError, match="must be object"):
             T.ExperimentConfig.from_dict(payload)
 
-    @pytest.mark.parametrize("key, value", [
-        ("epochs", "1"), ("epochs", 1.5), ("epochs", True), ("learning_rate", "0.1"),
-        ("seed", None), ("encoder", 1), ("grad_clip_norm", "1"), ("unseen_classes", 3),
-        ("head_mode", 1),
-    ])
+    @pytest.mark.parametrize("key, value", WRONG_TYPES)
     def test_wrong_type_rejected(self, key, value):
         with pytest.raises(ParameterError, match=key):
             T.ExperimentConfig.from_dict({key: value})
@@ -94,22 +108,36 @@ class TestConfig:
             {"learning_rate": 1, "grad_clip_norm": None, "prototype_learning_rate": 0.5})
         assert cfg.learning_rate == 1 and cfg.grad_clip_norm is None
 
-    @pytest.mark.parametrize("key, value", [
-        ("focal_gamma", -1.0), ("focal_alpha", 0.0), ("focal_alpha", 1.5),
-        ("cosine_tau", 0.0), ("cosine_tau", -1.0), ("encoder_hidden", 0), ("embed_dim", 0),
-        ("seed", -1), ("learning_rate", float("nan")), ("delta", float("nan")),
-        ("weight_decay", float("inf")), ("focal_alpha", float("nan")),
-        ("grad_clip_norm", float("-inf")), ("prototype_learning_rate", float("nan")),
-        ("unseen_classes", [1.5]), ("unseen_classes", [True]), ("unseen_classes", [{"a": 1}]),
-    ])
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
     def test_out_of_range_rejected(self, key, value):
         with pytest.raises(ParameterError, match=key):
             T.ExperimentConfig.from_dict({key: value})
 
+    @pytest.mark.parametrize("key, value", WRONG_TYPES + OUT_OF_RANGE)
+    def test_schema_validators_agree(self, key, value):
+        # NaN and +Infinity pass every schema bound: the finiteness check
+        # alone refuses them
+        try:
+            jsonio.validate({key: value}, "config")
+            accepted = True
+        except ParameterError:
+            accepted = False
+        assert accepted == jsonschema.Draft202012Validator(
+            schemas.load_schema("config")).is_valid({key: value})
+        assert accepted == (isinstance(value, float) and (math.isnan(value) or value == math.inf))
+
     def test_every_number_field_has_a_range(self):
-        numbers = {f.name for f in dataclasses.fields(T.ExperimentConfig)
-                   if f.type.split(" | ")[0] in ("int", "float")}
-        assert set(T._RANGES) == numbers
+        properties = schemas.load_schema("config")["properties"]
+        assert list(properties) == [f.name for f in dataclasses.fields(T.ExperimentConfig)]
+        for name, prop in properties.items():
+            types = prop.get("type", [])
+            if {"number", "integer"} & set([types] if isinstance(types, str) else types):
+                assert prop.keys() & {"minimum", "exclusiveMinimum"}, name
+
+    def test_mode_enums_are_the_head_modes(self):
+        assert schemas.load_schema("config")["properties"]["head_mode"]["enum"] == list(H.MODES)
+        assert (schemas.load_schema("prototype_bank")["properties"]["mode"]["enum"]
+                == list(H.MODES))
 
     def test_range_edges_accepted(self):
         cfg = T.ExperimentConfig.from_dict(
@@ -347,6 +375,12 @@ class TestTrain:
     def test_unseen_classes_need_frozen_bank(self):
         with pytest.raises(ParameterError, match="unseen_classes"):
             T.train(quick_config(embed_dim=8, unseen_classes=[3]), tiny_dataset())
+
+    def test_dataset_unseen_classes_need_frozen_bank(self):
+        # a dataset's own unseen classes have no train rows to fit either
+        ds = data.holdout_unseen(tiny_dataset(), ["leaf_3"])
+        with pytest.raises(ParameterError, match="unseen_classes"):
+            T.train(quick_config(epochs=1, embed_dim=8), ds)
 
     @pytest.mark.parametrize("mode, width", [(H.MODE_HYPERBOLIC, 8), (H.MODE_HYPERBOLIC, 3),
                                              (H.MODE_LINEAR, 5)])
