@@ -56,6 +56,21 @@ def row_block_points(rng, N, kind, rounded):
     return G.batch_exp_map_origin(V) if kind == "hyperbolic" else V
 
 
+def exact_product_points(rng, N, kind):
+    """N points whose distance products are exact, so no summation order can
+    change a bit: hyperboloid points with spatial coordinates in
+    {-1/2, 0, 1/2}, or cosine rows with four entries of +-1 (norm 2, unit
+    entries +-1/2).  The small lattice gives many tied distances and some
+    duplicate rows."""
+    if kind == "hyperbolic":
+        S = rng.integers(-1, 2, (N, 6)) / 2.0
+        return np.hstack([np.sqrt(1.0 + np.sum(S * S, axis=1, keepdims=True)), S])
+    P = np.zeros((N, 8))
+    cols = np.argsort(rng.uniform(size=(N, 8)), axis=1)[:, :4]
+    np.put_along_axis(P, cols, rng.choice([-1.0, 1.0], (N, 4)), axis=1)
+    return P
+
+
 class TestRowBlocks:
     """The row-block kernels against the whole-matrix ones, bit for bit,
     with N spanning several full blocks and a partial one."""
@@ -83,6 +98,22 @@ class TestRowBlocks:
             for k in (1, 5, n_points - 1):
                 np.testing.assert_array_equal(hubness.k_occurrence(M, k).counts,
                                               stable_sort_k_occurrence(M, k))
+
+    @pytest.mark.parametrize("kind", ["hyperbolic", "cosine"])
+    def test_streamed_report_equals_matrix_path(self, rng, n_points, kind):
+        P = exact_product_points(rng, n_points, kind)
+        D = hubness.pairwise_distances(P, kind)
+        pairs = D[np.triu_indices(n_points, 1)]
+        assert 2 * len(np.unique(pairs)) < len(pairs)    # lattice ties
+        hist = hubness.distance_histogram(D, kind)
+        for k in (1, 5, n_points - 1):
+            rep = hubness.analyze_points(P, kind, k=k)
+            occ = hubness.k_occurrence(D, k)
+            assert (rep.kind, rep.k, rep.histogram.kind) == (kind, k, kind)
+            np.testing.assert_array_equal(rep.histogram.edges, hist.edges)
+            np.testing.assert_array_equal(rep.histogram.counts, hist.counts)
+            np.testing.assert_array_equal(rep.k_occurrence.counts, occ.counts)
+            assert rep.k_occurrence.skewness == occ.skewness
 
     def test_asymmetric_matrix(self, rng, n_points):
         # k_occurrence ranks each row on its own; it needs no symmetry
@@ -120,9 +151,10 @@ def test_distance_kernels_equal_their_transposes(rng, N, kind, rounded):
     assert D.tobytes() == D.T.tobytes()
 
 
+@pytest.mark.parametrize("N", [2000, 4000])
 @pytest.mark.parametrize("kind", ["hyperbolic", "cosine"])
-def test_analysis_holds_one_distance_matrix(rng, kind):
-    N = 2000
+def test_analysis_holds_no_distance_matrix(rng, kind, N):
+    # the peak is a few row blocks whatever N is; one matrix is 8 N^2 bytes
     P = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (N, 8)))
     tracemalloc.start()
     try:
@@ -130,7 +162,49 @@ def test_analysis_holds_one_distance_matrix(rng, kind):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * N * N * 8
+    assert peak < 8 * 8 * G._BLOCK_ELEMENTS
+
+
+class TestAnalysisRefusals:
+    """analyze_points refuses what the matrix path refuses, with the same
+    error, before it forms any row block."""
+
+    @pytest.fixture(autouse=True)
+    def no_blocks(self, monkeypatch):
+        def formed(*args):
+            raise AssertionError("a row block was formed")
+        monkeypatch.setattr(hubness, "_distance_rows", formed)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["hyperbolic", "cosine"])
+    def test_non_finite_points(self, rng, kind, bad):
+        P = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (6, 3)))
+        P[4, 1] = bad
+        for analysis in (hubness.analyze_points, hubness.pairwise_distances):
+            with pytest.raises(ContractError, match="x contains non-finite entries"):
+                analysis(P, kind)
+
+    @pytest.mark.parametrize("k", [0, -1, 6, 7])
+    @pytest.mark.parametrize("kind", ["hyperbolic", "cosine"])
+    def test_k_out_of_range(self, rng, monkeypatch, kind, k):
+        P = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (6, 3)))
+        with pytest.raises(ParameterError) as streamed:
+            hubness.analyze_points(P, kind, k=k)
+        monkeypatch.undo()
+        with pytest.raises(ParameterError) as matrix:
+            hubness.k_occurrence(hubness.pairwise_distances(P, kind), k)
+        assert str(streamed.value) == str(matrix.value)
+
+    @pytest.mark.parametrize("points, kind, error", [
+        (np.zeros((1, 3)), "cosine", ParameterError),
+        (np.eye(3), "manhattan", ContractError),
+        (np.vstack([np.eye(3), np.zeros(3)]), "cosine", ContractError),
+        (np.eye(3), "hyperbolic", ContractError),
+    ], ids=["one-point", "unknown-kind", "zero-row", "off-manifold"])
+    def test_bad_points(self, points, kind, error):
+        for analysis in (hubness.analyze_points, hubness.pairwise_distances):
+            with pytest.raises(error):
+                analysis(points, kind)
 
 
 class TestPairwiseDistances:
