@@ -17,7 +17,13 @@ hyperbolic_distance and log_map_at stay single-point; the batch_* helpers
 below are their all-pairs and row-wise forms.  A public primitive checks its
 inputs, then runs a private unchecked kernel (_tangent_project, _exp_map_at,
 _exp0_rows, _grad_exp0), which the training step calls directly on arrays it
-has already checked.
+has already checked.  _exp0_rows and _grad_exp0 write each small-argument
+series first and the formula over it where the argument is at or above the
+cut-off (one masked pass, `where=`); _exp_map_at, whose RSGD steps almost
+never hold a row below the cut-off, writes its series only when a row needs
+one.  Row norms are np.linalg.norm's own formula for real rows, without its
+wrapper.  The kernels have the bits of the np.where forms kept in
+tests/reference_kernels.py.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ def _as_array(a, name: str, ndims=(1,)) -> np.ndarray:
     if v.ndim not in ndims:
         kind = "a vector or a row matrix" if ndims == _POINTS else "a 1-D vector"
         raise DimensionError(f"{name} must be {kind}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ContractError(f"{name} contains non-finite entries")
     return v
 
@@ -140,14 +146,6 @@ def tangent_project(x, g) -> np.ndarray:
     return _tangent_project(*_as_pair(x, g))
 
 
-def _sinh_over_t(t: np.ndarray) -> np.ndarray:
-    """sinh(t)/t with the series branch near zero."""
-    t = np.asarray(t, dtype=np.float64)
-    small = np.abs(t) < _EPS_SMALL
-    safe = np.where(small, 1.0, t)
-    return np.where(small, 1.0 + t * t / 6.0, np.sinh(safe) / safe)
-
-
 def exp_map_origin(v) -> np.ndarray:
     """Map an n-vector of tangent coordinates at the origin onto H^n.
 
@@ -171,11 +169,23 @@ def exp_map_at(x, u) -> np.ndarray:
 def _exp_map_at(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """exp_map_at on validated float64 arrays; ContractError if the step
     overflows."""
+    if x.ndim == 1:   # one point's per-row terms would be 0-d scalars
+        return _exp_map_at(x[None], u[None])[0]
     sq = _inner(u, u)
-    nrm = np.sqrt(np.maximum(sq, 0.0))
-    # series below _EPS_SMALL: cosh(t) ~ 1 + t^2/2; _sinh_over_t has its own
-    cosh = np.where(nrm < _EPS_SMALL, 1.0 + sq / 2.0, np.cosh(nrm))
-    raw = cosh[..., None] * x + _sinh_over_t(nrm)[..., None] * u
+    t = np.maximum(sq, 0.0)
+    np.sqrt(t, out=t)
+    cosh, f = np.cosh(t), np.sinh(t)
+    small = t < _EPS_SMALL
+    if small.any():
+        # f = sinh(t)/t where t is the divisor; below _EPS_SMALL the series
+        # cosh(t) ~ 1 + t^2/2 (from sq) and sinh(t)/t ~ 1 + t^2/6
+        np.divide(f, t, out=f, where=~small)
+        np.add(1.0, sq / 2.0, out=cosh, where=small)
+        np.add(1.0, t * t / 6.0, out=f, where=small)
+    else:   # the common step, where no row needs a series
+        f /= t
+    raw = cosh[:, None] * x
+    raw += f[:, None] * u
     if not np.isfinite(raw).all():
         raise ContractError("raw contains non-finite entries")
     return _recompute_x0(raw)
@@ -224,16 +234,20 @@ def log_map_at(x, y) -> np.ndarray:
 
 def _exp0_rows(V: np.ndarray):
     """Row-wise exp0 of a float64 (m, n) matrix, with the per-row terms its
-    Jacobian reuses: (X (m, n+1), (r, sinh(r)/r, sinh(r), cosh(r)))."""
-    r = np.linalg.norm(V, axis=1)
+    Jacobian reuses: (X (m, n+1), (r, sinh(r)/r, sinh(r), cosh(r), r >= _EPS_SMALL))."""
+    # np.linalg.norm's own formula for real rows, without its Python wrapper
+    r = np.sqrt(np.add.reduce(V * V, axis=1))
     sinh, cosh = np.sinh(r), np.cosh(r)
-    small = r < _EPS_SMALL
-    # _sinh_over_t(r): the quotient is read only where r is the divisor
-    f = np.where(small, 1.0 + r * r / 6.0, sinh / np.where(small, 1.0, r))
+    big = r >= _EPS_SMALL
+    # sinh(r)/r written over its series 1 + r^2/6, which stays where r is small
+    f = r * r
+    f /= 6.0
+    f += 1.0
+    np.divide(sinh, r, out=f, where=big)
     X = np.empty((V.shape[0], V.shape[1] + 1))
     X[:, 0] = cosh
     np.multiply(f[:, None], V, out=X[:, 1:])
-    return X, (r, f, sinh, cosh)
+    return X, (r, f, sinh, cosh, big)
 
 
 def batch_exp_map_origin(V: np.ndarray) -> np.ndarray:
@@ -304,14 +318,24 @@ def grad_exp_map_origin(V: np.ndarray, G: np.ndarray) -> np.ndarray:
     return _grad_exp0(V, np.asarray(G, dtype=np.float64), *_exp0_rows(V)[1])
 
 
-def _grad_exp0(V, G, r, f, sinh, cosh) -> np.ndarray:
+def _grad_exp0(V, G, r, f, sinh, cosh, big) -> np.ndarray:
     """grad_exp_map_origin given the _exp0_rows terms of V."""
-    small = r < _EPS_SMALL
-    safe = np.where(small, 1.0, r)
-    # h = (r*cosh(r) - sinh(r)) / r^3, series 1/3 + r^2/30 near zero
-    h = np.where(small, 1.0 / 3.0 + r * r / 30.0, (safe * cosh - sinh) / safe**3)
+    # h = (r cosh(r) - sinh(r)) / r^3 written over its series 1/3 + r^2/30,
+    # which stays where r is small
+    h = r * r
+    h /= 30.0
+    h += 1.0 / 3.0
+    q = r * cosh
+    q -= sinh
+    np.divide(q, r**3, out=h, where=big)
     g0 = G[:, 0]
     Gs = G[:, 1:]
     dot = np.einsum("ij,ij->i", V, Gs)
-    # d(x0)/dv = sinh(r) v / r;  d(xs)/dv = f I + h v v^T
-    return (g0 * f)[:, None] * V + f[:, None] * Gs + (h * dot)[:, None] * V
+    # d(x0)/dv = sinh(r) v / r;  d(xs)/dv = f I + h v v^T, summed left to right
+    out = (g0 * f)[:, None] * V
+    t = f[:, None] * Gs
+    out += t
+    dot *= h
+    np.multiply(dot[:, None], V, out=t)
+    out += t
+    return out

@@ -13,6 +13,8 @@ its focusing gamma and class weight alpha from the caller (a run's
 (plain linear logits W^T v, or temperature-scaled cosine similarities)
 serves as the baseline for controlled comparisons.  Every forward and loss
 path takes an (m, n) feature matrix; classify wraps one feature as m = 1.
+The hyperbolic backward negates the spatial columns of its two products in
+place, the bits of a full negation and a time-column re-negation.
 """
 
 from __future__ import annotations
@@ -164,11 +166,28 @@ def _shift_logits(D: np.ndarray, delta: float, d_min: float) -> np.ndarray:
 
 def unit_rows(A: np.ndarray):
     """(A with each row scaled to unit norm, the (m, 1) row norms); cosine
-    similarity is undefined on a zero row."""
-    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    similarity is undefined on a zero row.
+
+    The norms take np.linalg.norm's formula for real rows, without its
+    wrapper.  A finite nonzero row whose squares overflow or underflow, so
+    that the formula reads inf or 0, is divided by its largest |entry|
+    before it is normalised; every other row keeps the formula's bits.
+    """
+    with np.errstate(over="ignore"):   # an overflowing row is rescaled below
+        norms = np.sqrt(np.add.reduce(A * A, axis=1, keepdims=True))
+    if 0.0 < norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf:
+        return A / norms, norms
+    peak = np.abs(A).max(axis=1, keepdims=True)
+    rows = (((norms == 0.0) | (norms == np.inf)) & (0.0 < peak) & (peak < np.inf))[:, 0]
+    B = A[rows] / peak[rows]                  # largest |entry| 1: no square overflows
+    b = np.sqrt(np.add.reduce(B * B, axis=1, keepdims=True))
+    with np.errstate(over="ignore"):          # a norm above the float range reads inf
+        norms[rows] = peak[rows] * b
     if np.any(norms == 0.0):
         raise ContractError("cosine similarity requires nonzero vectors")
-    return A / norms, norms
+    U = A / norms
+    U[rows] = B / b
+    return U, norms
 
 
 def batch_bank_logits(features: np.ndarray, bank: PrototypeBank,
@@ -333,11 +352,12 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
     np.maximum(denom, 0.0, out=denom)
     np.sqrt(denom, out=denom)
     W = np.divide(G_D, denom, out=np.zeros_like(G_D), where=~near)
-    # cosh_d = -<x,t>_l = -x^T g_l t, so dL/dX = -g_l (W T), dL/dT = -g_l (W^T X)
-    grad_X = -(W @ T)
-    grad_X[:, 0] = -grad_X[:, 0]
-    grad_T = -(W.T @ X)
-    grad_T[:, 0] = -grad_T[:, 0]
+    # cosh_d = -<x,t>_l = -x^T g_l t, so dL/dX = -g_l (W T), dL/dT = -g_l (W^T X):
+    # the products with their spatial columns negated in place
+    grad_X = W @ T
+    np.negative(grad_X[:, 1:], out=grad_X[:, 1:])
+    grad_T = W.T @ X
+    np.negative(grad_T[:, 1:], out=grad_T[:, 1:])
     grad_F = geometry._grad_exp0(F, grad_X, *exp0_terms)
     return loss, grad_F, grad_T
 

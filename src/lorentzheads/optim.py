@@ -4,7 +4,8 @@ Hyperbolic prototypes follow Riemannian SGD: the ambient Euclidean gradient
 is metric-scaled (inverse metric negates the time component), projected onto
 the tangent space, and the step is retracted with the exponential map plus a
 final manifold projection.  One call updates a single point or the whole
-(C, n+1) prototype matrix, row by row, checking its inputs once.  Euclidean
+(C, n+1) prototype matrix, row by row, checking its inputs once and scaling
+the tangent step by -lr in place.  Euclidean
 parameters use Adam with decoupled weight decay.  Adam is elementwise, so a
 run packs every tensor it steps into one flat buffer (`pack`), lays the
 moments out the same way (`OptimizerState.pack`), writes the gradients into
@@ -39,9 +40,10 @@ def riemannian_step(x, ambient_grad, lr: float) -> np.ndarray:
     """
     # checked once here; the geometry kernels below take the arrays as given
     x, g = geometry._as_pair(x, np.array(ambient_grad, dtype=np.float64))
-    g[..., 0] = -g[..., 0]             # inverse-metric scaling g_l^{-1} grad
+    np.negative(g[..., 0], out=g[..., 0])   # inverse-metric scaling g_l^{-1} grad
     u = geometry._tangent_project(x, g)
-    return geometry._exp_map_at(x, -lr * u)
+    u *= -lr
+    return geometry._exp_map_at(x, u)
 
 
 def clip_gradients(grads: dict, max_norm: float) -> dict:

@@ -5,7 +5,8 @@ activation) feeds one of the classification heads; training minimizes the
 sigmoid focal loss with Adam on Euclidean parameters (one step per batch
 over one buffer holding them all, with their gradients written straight into
 a second buffer of the same layout) and Riemannian SGD on hyperbolic
-prototypes.  Evaluation reports accuracy, supercategory accuracy
+prototypes; each epoch gathers its permuted rows once and slices batches
+from them.  Evaluation reports accuracy, supercategory accuracy
 (a prediction also counts if it shares the groundtruth's parent category),
 per-class precision/recall, seen/unseen splits with their harmonic mean, and
 per-bucket accuracy for imbalanced runs.  Runs are deterministic given the
@@ -433,18 +434,20 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
 
     for epoch in range(start_epoch, config.epochs):
         perm = rng.permutation(dataset.train_idx)
+        # one gather per epoch; each batch is a slice of it
+        features, labels = dataset.features[perm], dataset.labels[perm]
         total = 0.0
         for lo in range(0, len(perm), config.batch_size):
-            batch = perm[lo:lo + config.batch_size]
-            X = dataset.features[batch]
-            y = dataset.labels[batch]
+            hi = lo + config.batch_size
+            batch, X = perm[lo:hi], features[lo:hi]
             if encoder is not None:
                 emb, cache = encoder.forward(X)
             else:
                 emb = X
             loss, grad_emb, grad_proto = heads.loss_and_grads(
-                emb, bank, y, config.focal_gamma, config.focal_alpha, tau=config.cosine_tau)
-            if not np.isfinite(loss):
+                emb, bank, labels[lo:hi], config.focal_gamma, config.focal_alpha,
+                tau=config.cosine_tau)
+            if not math.isfinite(loss):
                 raise _numerical_error("non-finite loss", epoch, batch, encoder, bank)
             if encoder is not None:
                 encoder.backward(cache, grad_emb, out=grads)

@@ -1,0 +1,122 @@
+"""The hyperbolic training kernels as they were written before their passes
+were trimmed: verbatim copies of `geometry._exp0_rows`, `_grad_exp0`,
+`_exp_map_at` with `_sinh_over_t`, `optim.riemannian_step` and
+`heads.hyperbolic_loss_and_grads`, each allocating every intermediate.
+
+The package's kernels must give these copies' bits, so tests compare them
+byte for byte.  The helpers the copies call (`_inner`, `_recompute_x0`,
+`_cosh_distance`, `_as_pair`, `_tangent_project`, `_shift_logits`,
+`batch_focal_loss`) are the package's own.
+"""
+
+import numpy as np
+
+from lorentzheads import geometry, heads
+from lorentzheads.errors import ContractError
+from lorentzheads.geometry import _EPS_SMALL, _inner, _recompute_x0
+from lorentzheads.heads import _EPS_DIST, _shift_logits, batch_focal_loss, MODE_HYPERBOLIC
+
+
+def _sinh_over_t(t: np.ndarray) -> np.ndarray:
+    """sinh(t)/t with the series branch near zero."""
+    t = np.asarray(t, dtype=np.float64)
+    small = np.abs(t) < _EPS_SMALL
+    safe = np.where(small, 1.0, t)
+    return np.where(small, 1.0 + t * t / 6.0, np.sinh(safe) / safe)
+
+
+def _exp_map_at(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """exp_map_at on validated float64 arrays; ContractError if the step
+    overflows."""
+    sq = _inner(u, u)
+    nrm = np.sqrt(np.maximum(sq, 0.0))
+    # series below _EPS_SMALL: cosh(t) ~ 1 + t^2/2; _sinh_over_t has its own
+    cosh = np.where(nrm < _EPS_SMALL, 1.0 + sq / 2.0, np.cosh(nrm))
+    raw = cosh[..., None] * x + _sinh_over_t(nrm)[..., None] * u
+    if not np.isfinite(raw).all():
+        raise ContractError("raw contains non-finite entries")
+    return _recompute_x0(raw)
+
+
+def _exp0_rows(V: np.ndarray):
+    """Row-wise exp0 of a float64 (m, n) matrix, with the per-row terms its
+    Jacobian reuses: (X (m, n+1), (r, sinh(r)/r, sinh(r), cosh(r)))."""
+    r = np.linalg.norm(V, axis=1)
+    sinh, cosh = np.sinh(r), np.cosh(r)
+    small = r < _EPS_SMALL
+    # _sinh_over_t(r): the quotient is read only where r is the divisor
+    f = np.where(small, 1.0 + r * r / 6.0, sinh / np.where(small, 1.0, r))
+    X = np.empty((V.shape[0], V.shape[1] + 1))
+    X[:, 0] = cosh
+    np.multiply(f[:, None], V, out=X[:, 1:])
+    return X, (r, f, sinh, cosh)
+
+
+def _grad_exp0(V, G, r, f, sinh, cosh) -> np.ndarray:
+    """grad_exp_map_origin given the _exp0_rows terms of V."""
+    small = r < _EPS_SMALL
+    safe = np.where(small, 1.0, r)
+    # h = (r*cosh(r) - sinh(r)) / r^3, series 1/3 + r^2/30 near zero
+    h = np.where(small, 1.0 / 3.0 + r * r / 30.0, (safe * cosh - sinh) / safe**3)
+    g0 = G[:, 0]
+    Gs = G[:, 1:]
+    dot = np.einsum("ij,ij->i", V, Gs)
+    # d(x0)/dv = sinh(r) v / r;  d(xs)/dv = f I + h v v^T
+    return (g0 * f)[:, None] * V + f[:, None] * Gs + (h * dot)[:, None] * V
+
+
+def riemannian_step(x, ambient_grad, lr: float) -> np.ndarray:
+    """One RSGD step on the hyperboloid from point x, or from every row of a
+    (C, n+1) point matrix at once.
+
+    ambient_grad is the plain Euclidean gradient dL/dx in ambient
+    coordinates, shaped like x.  The result satisfies the manifold constraint.
+    """
+    # checked once here; the geometry kernels below take the arrays as given
+    x, g = geometry._as_pair(x, np.array(ambient_grad, dtype=np.float64))
+    g[..., 0] = -g[..., 0]             # inverse-metric scaling g_l^{-1} grad
+    u = geometry._tangent_project(x, g)
+    return _exp_map_at(x, -lr * u)
+
+
+def hyperbolic_loss_and_grads(features: np.ndarray, bank, targets: np.ndarray,
+                              gamma: float, alpha: float):
+    """Focal loss through exp0 -> distances -> shifted logits, with analytic
+    gradients w.r.t. the input features and the prototypes.
+
+    features is (m, n); returns (loss, grad_features (m, n),
+    grad_prototypes (C, n+1) in ambient Euclidean coordinates).
+    """
+    if bank.mode != MODE_HYPERBOLIC:
+        raise ContractError("hyperbolic head required")
+    F = np.asarray(features, dtype=np.float64)
+    T = bank.prototypes
+    X, exp0_terms = _exp0_rows(F)                     # (m, n+1)
+    cosh_d = geometry._cosh_distance(X, T)            # (m, C)
+    D = np.arccosh(cosh_d)
+    near = D < _EPS_DIST
+    S = _shift_logits(D, bank.delta, bank.d_min)      # D becomes the logits
+    loss, G_D = batch_focal_loss(S, targets, gamma, alpha)
+    G_D *= -bank.delta / bank.d_min                   # dL/dS becomes dL/dD
+    # d(arccosh)/d(cosh_d) = 1/sqrt(cosh_d^2-1), written over cosh_d; zeroed
+    # at coincidence, which covers every denom == 0 (cosh_d == 1 means D == 0)
+    denom = np.multiply(cosh_d, cosh_d, out=cosh_d)
+    denom -= 1.0
+    np.maximum(denom, 0.0, out=denom)
+    np.sqrt(denom, out=denom)
+    W = np.divide(G_D, denom, out=np.zeros_like(G_D), where=~near)
+    # cosh_d = -<x,t>_l = -x^T g_l t, so dL/dX = -g_l (W T), dL/dT = -g_l (W^T X)
+    grad_X = -(W @ T)
+    grad_X[:, 0] = -grad_X[:, 0]
+    grad_T = -(W.T @ X)
+    grad_T[:, 0] = -grad_T[:, 0]
+    grad_F = _grad_exp0(F, grad_X, *exp0_terms)
+    return loss, grad_F, grad_T
+
+
+def loss_and_grads(features, bank, targets, gamma, alpha, tau=heads.DEFAULT_TAU):
+    """heads.loss_and_grads with the hyperbolic head above; the Euclidean
+    heads are the package's own."""
+    if bank.mode == MODE_HYPERBOLIC:
+        return hyperbolic_loss_and_grads(features, bank, targets, gamma, alpha)
+    return heads.euclidean_loss_and_grads(features, bank, targets, gamma, alpha, tau=tau)

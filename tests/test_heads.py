@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -237,6 +238,53 @@ class TestBaselineLogits:
                                        *FOCAL)
 
 
+class TestUnitRows:
+    """A finite nonzero row whose squares overflow or underflow keeps its
+    direction, without a warning; every other row keeps its bits."""
+
+    @pytest.fixture(autouse=True)
+    def no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_overflow_and_underflow_rows_are_rescaled(self):
+        A = np.array([[1e200, 1e200], [1e-200, 1e-200], [5e-324, 0.0], [1.0, 1.0]])
+        U, norms = H.unit_rows(A)
+        one, _ = H.unit_rows(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        for row, unit in ((0, one[0]), (1, one[0]), (2, one[1]), (3, one[0])):
+            assert U[row].tobytes() == unit.tobytes()
+        np.testing.assert_allclose(norms[:2, 0], [2**0.5 * 1e200, 2**0.5 * 1e-200], rtol=1e-15)
+        assert norms[2, 0] == 5e-324
+
+    def test_norm_above_the_float_range_reads_inf(self):
+        U, norms = H.unit_rows(np.array([[1.5e308, 1.5e308], [1.0, 2.0]]))
+        assert U[0].tobytes() == H.unit_rows(np.array([[1.0, 1.0]]))[0][0].tobytes()
+        assert norms[0, 0] == np.inf
+
+    def test_other_rows_keep_their_bits(self, rng):
+        A = rng.normal(0.0, 1.0, (9, 5)) * np.geomspace(1e-100, 1e100, 9)[:, None]
+        A[4] = 1e-200                                   # an underflowing row among them
+        U, norms = H.unit_rows(A)
+        rest = np.arange(9) != 4
+        expected = np.linalg.norm(A[rest], axis=1, keepdims=True)
+        assert norms[rest].tobytes() == expected.tobytes()
+        assert U[rest].tobytes() == (A[rest] / expected).tobytes()
+
+    def test_zero_row_still_refused(self):
+        with pytest.raises(ContractError, match="nonzero"):
+            H.unit_rows(np.array([[1e200, 1e200], [0.0, 0.0]]))
+        with pytest.raises(ContractError, match="nonzero"):
+            H.PrototypeBank(H.MODE_COSINE, np.array([[1e-200, 0.0], [0.0, 0.0]]), ["a", "b"])
+
+    def test_cosine_bank_with_an_underflowing_row(self):
+        F = np.array([[2.0, 2.0]])
+        tiny, plain = (H.PrototypeBank(H.MODE_COSINE, np.array([[a, a], [0.0, 1.0]]), ["a", "b"])
+                       for a in (1e-200, 1.0))
+        assert (H.batch_bank_logits(F, tiny, tau=1.0).tobytes()
+                == H.batch_bank_logits(F, plain, tau=1.0).tobytes())
+
+
 class TestFocalLoss:
     def test_saturated_correct_prediction(self):
         logits = np.array([50.0, -50.0, -50.0])
@@ -379,9 +427,10 @@ class TestInPlaceScoring:
 
     def test_exp0_products_and_distances_keep_their_bits(self, rng):
         F, spatial = read_only(*scoring_inputs(rng))
-        X, (r, f, sinh, cosh) = G._exp0_rows(F)
+        X, (r, f, sinh, cosh, big) = G._exp0_rows(F)
         assert X[:, 0].tobytes() == cosh.tobytes()
         assert X[:, 1:].tobytes() == (f[:, None] * F).tobytes()
+        assert big.tobytes() == (r >= 1e-6).tobytes()
         X, P = read_only(X, G.batch_exp_map_origin(spatial))
         M = old_minkowski_inner(X, P)
         assert G.batch_minkowski_inner(X, P).tobytes() == M.tobytes()

@@ -230,6 +230,14 @@ class TestPairwiseDistances:
         with pytest.raises(ContractError, match="nonzero"):
             hubness.pairwise_distances(np.vstack([P, np.zeros(4)]), "cosine")
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_cosine_rows_whose_squares_overflow_or_underflow(self, scale):
+        # such a row is the unit row of its direction, not a zero vector
+        P = [[1.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        extreme = [[scale, scale]] + P[1:]
+        assert (hubness.pairwise_distances(extreme, "cosine").tobytes()
+                == hubness.pairwise_distances(P, "cosine").tobytes())
+
     def test_symmetric_zero_diagonal(self, rng):
         P = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (8, 3)))
         D = hubness.pairwise_distances(P, "hyperbolic")

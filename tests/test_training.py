@@ -10,6 +10,7 @@ from lorentzheads import data, geometry as G, heads as H, jsonio, optim, schemas
 from lorentzheads.errors import ContractError, NumericalError, ParameterError
 from lorentzheads.heads import BACKGROUND
 
+import reference_kernels
 from conftest import read_only
 
 
@@ -621,8 +622,9 @@ def reference_adam(p, g, opt, lr, weight_decay, name, steps):
 
 
 def reference_train(state: T.RunState, dataset) -> T.RunState:
-    """`train`'s loop with one Adam call per tensor (no checks, no outputs):
-    the state at `state.config.epochs`."""
+    """`train`'s loop with one Adam call per tensor, a gather per batch and
+    the allocating hyperbolic kernels of `reference_kernels` (no checks, no
+    outputs): the state at `state.config.epochs`."""
     config, epoch, encoder, bank, opt, rng, loss_hist = state
     dataset = data.holdout_unseen(dataset, config.unseen_classes)
     steps = {}   # each tensor's own Adam step count
@@ -632,7 +634,7 @@ def reference_train(state: T.RunState, dataset) -> T.RunState:
         for lo in range(0, len(perm), config.batch_size):
             batch = perm[lo:lo + config.batch_size]
             emb, cache = encoder.forward(dataset.features[batch])
-            loss, grad_emb, grad_proto = H.loss_and_grads(
+            loss, grad_emb, grad_proto = reference_kernels.loss_and_grads(
                 emb, bank, dataset.labels[batch], config.focal_gamma, config.focal_alpha,
                 tau=config.cosine_tau)
             grads, params = encoder.backward(cache, grad_emb), encoder.params()
@@ -642,7 +644,8 @@ def reference_train(state: T.RunState, dataset) -> T.RunState:
                 grads = optim.clip_gradients(grads, config.grad_clip_norm)
             for name, p in params.items():
                 if name == "prototypes" and bank.mode == H.MODE_HYPERBOLIC:
-                    bank.prototypes = optim.riemannian_step(p, grads[name], config.proto_lr)
+                    bank.prototypes = reference_kernels.riemannian_step(p, grads[name],
+                                                                        config.proto_lr)
                 elif name == "prototypes":
                     bank.prototypes = reference_adam(p, grads[name], opt, config.learning_rate,
                                                      config.weight_decay, name, steps)
@@ -666,6 +669,8 @@ def frozen_means_bank(ds, mode=H.MODE_HYPERBOLIC):
 
 
 SETTINGS = {"plain": {}, "clipped-decayed": {"grad_clip_norm": 0.5, "weight_decay": 1e-3}}
+# large RSGD steps of a learnable hyperbolic bank, with a ragged last batch
+LARGE_STEPS = {"prototype_learning_rate": 1.0, "embed_dim": 2, "batch_size": 7}
 
 
 class TestOneAdamBuffer:
@@ -676,6 +681,19 @@ class TestOneAdamBuffer:
         cfg = quick_config(head_mode=mode, embed_dim=8, epochs=2, **SETTINGS[setting])
         T.train(cfg, ds, out_dir=tmp_path)
         T.save_checkpoint(tmp_path / "ref.json", *reference_train(T.start(cfg, ds), ds))
+        assert (tmp_path / "checkpoint.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("encoder", [True, False])
+    def test_large_rsgd_steps_and_a_ragged_batch_match(self, tmp_path, encoder):
+        # prototype steps of rate 1 in two dimensions, and a last batch
+        # shorter than the others
+        ds = tiny_dataset(**({} if encoder else {"num_features": 2}))
+        cfg = quick_config(epochs=2, encoder=encoder, **LARGE_STEPS)
+        assert len(ds.train_idx) % cfg.batch_size
+        T.train(cfg, ds, out_dir=tmp_path)
+        state = T.start(cfg, ds)
+        ref = reference_train(state if encoder else state._replace(encoder=_NoEncoder()), ds)
+        T.save_checkpoint(tmp_path / "ref.json", *(ref if encoder else ref._replace(encoder=None)))
         assert (tmp_path / "checkpoint.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     @pytest.mark.parametrize("mode", H.MODES)
