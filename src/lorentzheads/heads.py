@@ -14,7 +14,13 @@ its focusing gamma and class weight alpha from the caller (a run's
 serves as the baseline for controlled comparisons.  Every forward and loss
 path takes an (m, n) feature matrix; classify wraps one feature as m = 1.
 The hyperbolic backward negates the spatial columns of its two products in
-place, the bits of a full negation and a time-column re-negation.
+place, the bits of a full negation and a time-column re-negation, and takes
+sqrt(cosh_d^2 - 1) unclamped: _cosh_distance clamps cosh_d at 1, so the
+difference is never negative.  The focal loss weighs every entry as a
+negative, then rewrites the positive entries, one per foreground row, found
+by flat index; the +-1 signs are exact, so no one-hot or sign matrix is
+needed for the bits.  A frozen bank's prototype gradient is None, never
+computed.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ _EPS_DIST = 1e-7
 # top_logits scores a row in full when another cosh distance lies within
 # this relative gap of the row's minimum.
 _TIE_BAND = 2.0**-40
+# unit_rows rescales a row whose sum of squares is below this (subnormal).
+_TINY = np.finfo(np.float64).tiny
 
 
 def sigmoid(x):
@@ -169,16 +177,18 @@ def unit_rows(A: np.ndarray):
     similarity is undefined on a zero row.
 
     The norms take np.linalg.norm's formula for real rows, without its
-    wrapper.  A finite nonzero row whose squares overflow or underflow, so
-    that the formula reads inf or 0, is divided by its largest |entry|
-    before it is normalised; every other row keeps the formula's bits.
+    wrapper.  A finite nonzero row whose sum of squares overflows or falls
+    below the smallest normal float, where it keeps few significant bits or
+    none, is divided by its largest |entry| before it is normalised; every
+    other row keeps the formula's bits.
     """
     with np.errstate(over="ignore"):   # an overflowing row is rescaled below
-        norms = np.sqrt(np.add.reduce(A * A, axis=1, keepdims=True))
-    if 0.0 < norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf:
+        sq = np.add.reduce(A * A, axis=1, keepdims=True)
+    norms = np.sqrt(sq)
+    if _TINY <= sq.min(initial=np.inf) and sq.max(initial=0.0) < np.inf:
         return A / norms, norms
     peak = np.abs(A).max(axis=1, keepdims=True)
-    rows = (((norms == 0.0) | (norms == np.inf)) & (0.0 < peak) & (peak < np.inf))[:, 0]
+    rows = (((sq < _TINY) | (sq == np.inf)) & (0.0 < peak) & (peak < np.inf))[:, 0]
     B = A[rows] / peak[rows]                  # largest |entry| 1: no square overflows
     b = np.sqrt(np.add.reduce(B * B, axis=1, keepdims=True))
     with np.errstate(over="ignore"):          # a norm above the float range reads inf
@@ -271,7 +281,8 @@ def classify(feature, bank: PrototypeBank, k: int | None = None, tau: float = DE
 
 
 def _log_sigmoid(z: np.ndarray) -> np.ndarray:
-    """log sigmoid(z) = -(max(-z, 0) + log1p(exp(-|z|))), in one new array.
+    """log sigmoid(z) = -(max(-z, 0) + log1p(exp(-|z|))), in one new array;
+    z is overwritten with min(z, 0).
 
     The branches of numpy's logaddexp(0, -z), negated, but from the SIMD
     exp and log1p ufuncs where logaddexp runs a scalar libm loop; within
@@ -283,40 +294,77 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     np.exp(t, out=t)
     np.log1p(t, out=t)
     # t - min(z, 0) is max(-z, 0) + t bit for bit, signed zeros included
-    t -= np.minimum(z, 0.0)
+    t -= np.minimum(z, 0.0, out=z)
     return np.negative(t, out=t)
+
+
+def _weigh(q, w, log_q, p, a: float, gamma: float):
+    """(-a w log q, a gamma q w log q - a p): the loss and sign-free
+    gradient of focal terms that share the class weight a, in the one-hot
+    formula's operand order, written over q and p."""
+    loss = (-a) * w
+    loss *= log_q
+    q *= a * gamma
+    q *= w
+    q *= log_q
+    p *= a
+    q -= p
+    return loss, q
 
 
 def _focal_terms(logits: np.ndarray, positive: np.ndarray, gamma: float, alpha: float):
     """Per-entry focal loss values and d(loss)/d(logit), numerically stable;
-    `positive` is the boolean one-hot target matrix."""
+    `positive` holds the flat (row-major) indices of the positive entries.
+
+    With sign = +1 at a positive entry and -1 elsewhere, z = sign * s,
+    q = sigmoid(z), a_t = alpha or 1 - alpha and w = (1 - q)^gamma:
+    loss = -a_t w log q and grad = sign (a_t gamma q w log q
+    - a_t (1 - q)^(gamma + 1)).  Each pass runs once over the whole matrix
+    with the negative-class constants; the positive entries' terms are then
+    weighed from their gathered q, w, log q and (1 - q)^(gamma + 1) and put
+    in place.  Multiplying by +-1 is exact, so no sign or a_t matrix is
+    needed for the bits.
+    """
     s = np.asarray(logits, dtype=np.float64)
-    sign = np.where(positive, 1.0, -1.0)
-    z = sign * s
+    z = np.negative(s)
+    z.put(positive, s.take(positive))
     # q = p_t = sigmoid(z) and 1 - q = sigmoid(-z) from one tanh, which is
     # odd; log q = -softplus(-z)
-    th = np.tanh(0.5 * z)
-    q = 0.5 * (1.0 + th)
-    one_m_q = 0.5 * (1.0 - th)
+    th = z * 0.5
+    np.tanh(th, out=th)
+    q = th + 1.0
+    q *= 0.5
+    one_m_q = np.subtract(1.0, th, out=th)
+    one_m_q *= 0.5
     log_q = _log_sigmoid(z)
-    a_t = np.where(positive, alpha, 1.0 - alpha)
     w = one_m_q**gamma
-    loss = -a_t * w * log_q
-    grad = sign * (a_t * gamma * q * w * log_q - a_t * one_m_q ** (gamma + 1.0))
+    p = one_m_q                 # (1 - q)^(gamma + 1), written over 1 - q
+    p **= gamma + 1.0
+    gathered = [t.take(positive) for t in (q, w, log_q, p)]
+    loss, grad = _weigh(q, w, log_q, p, 1.0 - alpha, gamma)
+    np.negative(grad, out=grad)
+    # a float alpha, so that -alpha is -0.0 at alpha = 0 whatever its type
+    pos_loss, pos_grad = _weigh(*gathered, float(alpha), gamma)
+    loss.put(positive, pos_loss)
+    grad.put(positive, pos_grad)
     return loss, grad
 
 
 def batch_focal_loss(logits: np.ndarray, targets: np.ndarray, gamma: float, alpha: float):
     """Mean-over-samples focal loss for an (m, C) logit matrix.
 
-    targets holds class indices with BACKGROUND for all-negative rows.
-    Returns (mean_loss, gradient (m, C) of the mean loss).
+    targets holds class indices in [0, C) with BACKGROUND for all-negative
+    rows; any other value is refused.  Returns (mean_loss, gradient (m, C)
+    of the mean loss).
     """
     m, C = logits.shape
-    onehot = np.zeros((m, C), dtype=bool)
+    targets = np.asarray(targets)
     fg = targets != BACKGROUND
-    onehot[np.nonzero(fg)[0], targets[fg]] = True
-    loss, grad = _focal_terms(logits, onehot, gamma, alpha)
+    try:   # the flat indices of the positive entries, range-checked
+        positive = np.ravel_multi_index((fg.nonzero()[0], targets[fg]), (m, C))
+    except ValueError:
+        raise ContractError(f"targets must lie in [{BACKGROUND}, {C})") from None
+    loss, grad = _focal_terms(logits, positive, gamma, alpha)
     grad /= m
     return float(loss.sum() / m), grad
 
@@ -332,7 +380,8 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
     gradients w.r.t. the input features and the prototypes.
 
     features is (m, n); returns (loss, grad_features (m, n),
-    grad_prototypes (C, n+1) in ambient Euclidean coordinates).
+    grad_prototypes (C, n+1) in ambient Euclidean coordinates, or None for a
+    frozen bank).
     """
     if bank.mode != MODE_HYPERBOLIC:
         raise ContractError("hyperbolic head required")
@@ -345,27 +394,33 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
     S = _shift_logits(D, bank.delta, bank.d_min)      # D becomes the logits
     loss, G_D = batch_focal_loss(S, targets, gamma, alpha)
     G_D *= -bank.delta / bank.d_min                   # dL/dS becomes dL/dD
-    # d(arccosh)/d(cosh_d) = 1/sqrt(cosh_d^2-1), written over cosh_d; zeroed
-    # at coincidence, which covers every denom == 0 (cosh_d == 1 means D == 0)
+    # d(arccosh)/d(cosh_d) = 1/sqrt(cosh_d^2-1), written over cosh_d, which
+    # _cosh_distance clamps at 1, so cosh_d^2 - 1 >= 0; zeroed at
+    # coincidence, which covers every denom == 0 (cosh_d == 1 means D == 0)
     denom = np.multiply(cosh_d, cosh_d, out=cosh_d)
     denom -= 1.0
-    np.maximum(denom, 0.0, out=denom)
     np.sqrt(denom, out=denom)
-    W = np.divide(G_D, denom, out=np.zeros_like(G_D), where=~near)
+    if near.any():
+        W = np.divide(G_D, denom, out=np.zeros_like(G_D), where=~near)
+    else:
+        W = np.divide(G_D, denom, out=G_D)
     # cosh_d = -<x,t>_l = -x^T g_l t, so dL/dX = -g_l (W T), dL/dT = -g_l (W^T X):
     # the products with their spatial columns negated in place
     grad_X = W @ T
     np.negative(grad_X[:, 1:], out=grad_X[:, 1:])
+    grad_F = geometry._grad_exp0(F, grad_X, *exp0_terms)
+    if bank.frozen:
+        return loss, grad_F, None
     grad_T = W.T @ X
     np.negative(grad_T[:, 1:], out=grad_T[:, 1:])
-    grad_F = geometry._grad_exp0(F, grad_X, *exp0_terms)
     return loss, grad_F, grad_T
 
 
 def loss_and_grads(features: np.ndarray, bank: PrototypeBank, targets: np.ndarray,
                    gamma: float, alpha: float, tau: float = DEFAULT_TAU):
     """Mode-dispatching training loss: (loss, grad_features (m, n),
-    grad_prototypes shaped like bank.prototypes)."""
+    grad_prototypes shaped like bank.prototypes).  A frozen bank gets None
+    for grad_prototypes: its prototype product is never computed."""
     if bank.mode == MODE_HYPERBOLIC:
         return hyperbolic_loss_and_grads(features, bank, targets, gamma, alpha)
     return euclidean_loss_and_grads(features, bank, targets, gamma, alpha, tau=tau)
@@ -375,13 +430,13 @@ def euclidean_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
                              targets: np.ndarray, gamma: float, alpha: float,
                              tau: float = DEFAULT_TAU):
     """Focal loss through the Euclidean baseline head with analytic gradients
-    w.r.t. features (m, n) and prototypes (C, n)."""
+    w.r.t. features (m, n) and prototypes (C, n), or None for a frozen bank."""
     F = np.asarray(features, dtype=np.float64)
     P = bank.prototypes
     if bank.mode == MODE_LINEAR:
         S = F @ P.T
         loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
-        return loss, G_S @ P, G_S.T @ F
+        return loss, G_S @ P, None if bank.frozen else G_S.T @ F
     if bank.mode != MODE_COSINE:
         raise ContractError("euclidean head required")
     U, fn = unit_rows(F)
@@ -390,8 +445,10 @@ def euclidean_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
     S /= tau
     loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
     G_U = (G_S @ Q) / tau
-    G_Q = (G_S.T @ U) / tau
     # back through row normalization: d/df = (I - u u^T)/||f|| applied to g
     grad_F = (G_U - np.einsum("ij,ij->i", G_U, U)[:, None] * U) / fn
+    if bank.frozen:
+        return loss, grad_F, None
+    G_Q = (G_S.T @ U) / tau
     grad_P = (G_Q - np.einsum("ij,ij->i", G_Q, Q)[:, None] * Q) / pn
     return loss, grad_F, grad_P

@@ -453,7 +453,7 @@ def train(config: ExperimentConfig, dataset: SyntheticDataset, out_dir=None,
                 encoder.backward(cache, grad_emb, out=grads)
             if rsgd:   # the last key, as the clipping norm sums it
                 grads["prototypes"] = grad_proto
-            elif not bank.frozen:
+            elif grad_proto is not None:   # None for a frozen bank
                 grads["prototypes"][...] = grad_proto
             if config.grad_clip_norm is not None:
                 optim.clip_gradients(grads, config.grad_clip_norm)

@@ -33,6 +33,12 @@ def validate_file(path, schema_name: str) -> None:
     jsonio.validate(doc, schema_name)
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and float64 bit patterns: -0.0 and +0.0 differ."""
+    a, b = np.ascontiguousarray(a, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def read_only(*arrays):
     """The arrays, each flagged read-only, so that any write into them raises."""
     for a in arrays:

@@ -1,20 +1,24 @@
-"""The hyperbolic training kernels as they were written before their passes
-were trimmed: verbatim copies of `geometry._exp0_rows`, `_grad_exp0`,
-`_exp_map_at` with `_sinh_over_t`, `optim.riemannian_step` and
-`heads.hyperbolic_loss_and_grads`, each allocating every intermediate.
+"""The training kernels as they were written before their passes were
+trimmed: verbatim copies of `geometry._exp0_rows`, `_grad_exp0`,
+`_exp_map_at` with `_sinh_over_t`, `optim.riemannian_step`, and of
+`heads._log_sigmoid`, `_focal_terms` (over a boolean one-hot matrix),
+`batch_focal_loss`, `hyperbolic_loss_and_grads` and
+`euclidean_loss_and_grads`, each allocating every intermediate and
+returning a prototype gradient for frozen banks too.
 
 The package's kernels must give these copies' bits, so tests compare them
 byte for byte.  The helpers the copies call (`_inner`, `_recompute_x0`,
 `_cosh_distance`, `_as_pair`, `_tangent_project`, `_shift_logits`,
-`batch_focal_loss`) are the package's own.
+`unit_rows`) are the package's own.
 """
 
 import numpy as np
 
-from lorentzheads import geometry, heads
+from lorentzheads import geometry
 from lorentzheads.errors import ContractError
 from lorentzheads.geometry import _EPS_SMALL, _inner, _recompute_x0
-from lorentzheads.heads import _EPS_DIST, _shift_logits, batch_focal_loss, MODE_HYPERBOLIC
+from lorentzheads.heads import (_EPS_DIST, _shift_logits, BACKGROUND, DEFAULT_TAU, MODE_COSINE,
+                                MODE_HYPERBOLIC, MODE_LINEAR, unit_rows)
 
 
 def _sinh_over_t(t: np.ndarray) -> np.ndarray:
@@ -79,6 +83,57 @@ def riemannian_step(x, ambient_grad, lr: float) -> np.ndarray:
     return _exp_map_at(x, -lr * u)
 
 
+def _log_sigmoid(z: np.ndarray) -> np.ndarray:
+    """log sigmoid(z) = -(max(-z, 0) + log1p(exp(-|z|))), in one new array.
+
+    The branches of numpy's logaddexp(0, -z), negated, but from the SIMD
+    exp and log1p ufuncs where logaddexp runs a scalar libm loop; within
+    one float64 step of the correctly rounded value, and -0.0 where
+    exp(-z) underflows.
+    """
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    # t - min(z, 0) is max(-z, 0) + t bit for bit, signed zeros included
+    t -= np.minimum(z, 0.0)
+    return np.negative(t, out=t)
+
+
+def _focal_terms(logits: np.ndarray, positive: np.ndarray, gamma: float, alpha: float):
+    """Per-entry focal loss values and d(loss)/d(logit), numerically stable;
+    `positive` is the boolean one-hot target matrix."""
+    s = np.asarray(logits, dtype=np.float64)
+    sign = np.where(positive, 1.0, -1.0)
+    z = sign * s
+    # q = p_t = sigmoid(z) and 1 - q = sigmoid(-z) from one tanh, which is
+    # odd; log q = -softplus(-z)
+    th = np.tanh(0.5 * z)
+    q = 0.5 * (1.0 + th)
+    one_m_q = 0.5 * (1.0 - th)
+    log_q = _log_sigmoid(z)
+    a_t = np.where(positive, alpha, 1.0 - alpha)
+    w = one_m_q**gamma
+    loss = -a_t * w * log_q
+    grad = sign * (a_t * gamma * q * w * log_q - a_t * one_m_q ** (gamma + 1.0))
+    return loss, grad
+
+
+def batch_focal_loss(logits: np.ndarray, targets: np.ndarray, gamma: float, alpha: float):
+    """Mean-over-samples focal loss for an (m, C) logit matrix.
+
+    targets holds class indices with BACKGROUND for all-negative rows.
+    Returns (mean_loss, gradient (m, C) of the mean loss).
+    """
+    m, C = logits.shape
+    onehot = np.zeros((m, C), dtype=bool)
+    fg = targets != BACKGROUND
+    onehot[np.nonzero(fg)[0], targets[fg]] = True
+    loss, grad = _focal_terms(logits, onehot, gamma, alpha)
+    grad /= m
+    return float(loss.sum() / m), grad
+
+
 def hyperbolic_loss_and_grads(features: np.ndarray, bank, targets: np.ndarray,
                               gamma: float, alpha: float):
     """Focal loss through exp0 -> distances -> shifted logits, with analytic
@@ -114,9 +169,33 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank, targets: np.ndarray,
     return loss, grad_F, grad_T
 
 
-def loss_and_grads(features, bank, targets, gamma, alpha, tau=heads.DEFAULT_TAU):
-    """heads.loss_and_grads with the hyperbolic head above; the Euclidean
-    heads are the package's own."""
+def euclidean_loss_and_grads(features: np.ndarray, bank, targets: np.ndarray,
+                             gamma: float, alpha: float, tau: float = DEFAULT_TAU):
+    """Focal loss through the Euclidean baseline head with analytic gradients
+    w.r.t. features (m, n) and prototypes (C, n)."""
+    F = np.asarray(features, dtype=np.float64)
+    P = bank.prototypes
+    if bank.mode == MODE_LINEAR:
+        S = F @ P.T
+        loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
+        return loss, G_S @ P, G_S.T @ F
+    if bank.mode != MODE_COSINE:
+        raise ContractError("euclidean head required")
+    U, fn = unit_rows(F)
+    Q, pn = unit_rows(P)
+    S = U @ Q.T
+    S /= tau
+    loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
+    G_U = (G_S @ Q) / tau
+    G_Q = (G_S.T @ U) / tau
+    # back through row normalization: d/df = (I - u u^T)/||f|| applied to g
+    grad_F = (G_U - np.einsum("ij,ij->i", G_U, U)[:, None] * U) / fn
+    grad_P = (G_Q - np.einsum("ij,ij->i", G_Q, Q)[:, None] * Q) / pn
+    return loss, grad_F, grad_P
+
+
+def loss_and_grads(features, bank, targets, gamma, alpha, tau=DEFAULT_TAU):
+    """heads.loss_and_grads through the copies above."""
     if bank.mode == MODE_HYPERBOLIC:
         return hyperbolic_loss_and_grads(features, bank, targets, gamma, alpha)
-    return heads.euclidean_loss_and_grads(features, bank, targets, gamma, alpha, tau=tau)
+    return euclidean_loss_and_grads(features, bank, targets, gamma, alpha, tau=tau)

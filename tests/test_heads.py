@@ -13,7 +13,7 @@ from lorentzheads import geometry as G
 from lorentzheads import heads as H
 from lorentzheads.errors import ContractError, ParameterError
 
-from conftest import random_manifold_point, read_only
+from conftest import random_manifold_point, read_only, same_bits
 
 
 def make_hyperbolic_bank(spatial_rows, delta=1.4, frozen=False):
@@ -271,6 +271,20 @@ class TestUnitRows:
         assert norms[rest].tobytes() == expected.tobytes()
         assert U[rest].tobytes() == (A[rest] / expected).tobytes()
 
+    def test_subnormal_sums_of_squares_are_rescaled(self):
+        # sums of squares of 2e-320, 2.5e-319 and 1e-308 keep few significant
+        # bits; 4e-308 is normal, so that row keeps the formula's bits
+        A = np.array([[1e-160, 1e-160], [3e-160, 4e-160], [1e-155, 0.0], [1e-154, 0.0],
+                      [2e-154, 0.0]])
+        U, norms = H.unit_rows(A)
+        np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0, rtol=2**-52, atol=0.0)
+        np.testing.assert_allclose(norms[:, 0], [2**0.5 * 1e-160, 5e-160, 1e-155, 1e-154, 2e-154],
+                                   rtol=2**-52, atol=0.0)
+        assert U[0].tobytes() == H.unit_rows(np.array([[1.0, 1.0]]))[0][0].tobytes()
+        assert U[2:].tobytes() == np.array([[1.0, 0.0]] * 3).tobytes()
+        expected = np.linalg.norm(A[4:], axis=1, keepdims=True)
+        assert norms[4:].tobytes() == expected.tobytes()
+
     def test_zero_row_still_refused(self):
         with pytest.raises(ContractError, match="nonzero"):
             H.unit_rows(np.array([[1e200, 1e200], [0.0, 0.0]]))
@@ -286,6 +300,13 @@ class TestUnitRows:
 
 
 class TestFocalLoss:
+    @pytest.mark.parametrize("bad", [-2, 3, 99])
+    def test_targets_outside_the_classes_are_refused(self, bad):
+        # -2 would index class C - 2, C the next row's first entry
+        for targets in ([bad, 0], np.array([0, bad])):
+            with pytest.raises(ContractError, match=r"\[-1, 3\)"):
+                H.batch_focal_loss(np.zeros((2, 3)), targets, *FOCAL)
+
     def test_saturated_correct_prediction(self):
         logits = np.array([50.0, -50.0, -50.0])
         loss, _ = focal_loss(logits, 0)
@@ -626,7 +647,8 @@ def two_sigmoid_focal_terms(logits, positive, gamma, alpha):
 
 
 class TestFocalTerms:
-    """The one-tanh focal terms equal the two-sigmoid formula bit for bit."""
+    """The one-tanh focal terms, by positive index, equal the two-sigmoid
+    formula bit for bit."""
 
     @pytest.mark.parametrize("scale", [1e3, 30.0, 1e-8])
     @pytest.mark.parametrize("gamma, alpha", [FOCAL, (0.0, 1.0), (1.5, 0.6)])
@@ -634,17 +656,17 @@ class TestFocalTerms:
         logits = rng.uniform(-scale, scale, (64, 16))
         logits[0, :4] = [scale, -scale, 0.0, -0.0]
         positive = rng.random((64, 16)) < 0.3
-        for got, want in zip(H._focal_terms(logits, positive, gamma, alpha),
+        for got, want in zip(H._focal_terms(logits, np.flatnonzero(positive), gamma, alpha),
                              two_sigmoid_focal_terms(logits, positive, gamma, alpha)):
-            np.testing.assert_array_equal(got, want)
+            assert same_bits(got, want)
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, (4, 3), elements=st.floats(-1e3, 1e3)),
            arrays(np.bool_, (4, 3)))
     def test_equals_two_sigmoids_anywhere(self, logits, positive):
-        for got, want in zip(H._focal_terms(logits, positive, *FOCAL),
+        for got, want in zip(H._focal_terms(logits, np.flatnonzero(positive), *FOCAL),
                              two_sigmoid_focal_terms(logits, positive, *FOCAL)):
-            np.testing.assert_array_equal(got, want)
+            assert same_bits(got, want)
 
 
 def exact_log_sigmoid(z):
@@ -664,9 +686,9 @@ class TestLogSigmoid:
                            + [sign * rng.uniform(700.0, 745.0, 60) for sign in (1.0, -1.0)]
                            + [[0.0, -0.0, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0,
                                1e3, -1e3]])
-        before = z.copy()
-        got = H._log_sigmoid(z)
-        np.testing.assert_array_equal(z, before)
+        work = z.copy()
+        got = H._log_sigmoid(work)
+        assert same_bits(work, np.minimum(z, 0.0))   # the input is overwritten with min(z, 0)
         exact = np.array([float(exact_log_sigmoid(v)) for v in z])  # correctly rounded
         normal = np.abs(exact) >= np.finfo(np.float64).tiny
         # one float64 step from the correctly rounded value where it is
