@@ -149,8 +149,13 @@ def cmd_hubness(args) -> int:
 
 def _parse_embedding_file(path):
     names, rows = [], []
-    with open(path) as f:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which no UTF-8 line holds
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParameterError(f"{path}: not UTF-8 text at line {lineno}") from None
             parts = line.split()
             if not parts:
                 continue

@@ -76,17 +76,21 @@ class SyntheticDataset:
         for idx in (self.train_idx, self.val_idx):
             if np.any((idx < 0) | (idx >= N)):
                 raise ContractError(f"split indices must lie in [0, {N})")
-        tr, va = set(self.train_idx.tolist()), set(self.val_idx.tolist())
-        if tr & va:
-            raise ContractError("train/val split must be disjoint")
-        if not va:
+        # how often each row is listed across both splits
+        listed = np.bincount(np.concatenate([self.train_idx, self.val_idx]), minlength=N)
+        if listed.max(initial=0) > 1:
+            if np.intersect1d(self.train_idx, self.val_idx).size:
+                raise ContractError("train/val split must be disjoint")
+            raise ContractError(f"split indices must not repeat: row {int(listed.argmax())} "
+                                f"is listed {int(listed.max())} times")
+        if not self.val_idx.size:
             raise ContractError("the val split is empty: nothing to evaluate")
         # holdout/imbalance datasets deliberately drop train rows, and a
         # power-law profile keeps its rare classes below the usual 10-row floor
         power_law = "power_law_exponent" in self.params
         if power_law and not 0 < self.params["power_law_exponent"] < np.inf:
             raise ContractError("power_law_exponent must be finite and > 0")
-        if not (self.unseen_classes or power_law) and len(tr) + len(va) != N:
+        if not (self.unseen_classes or power_law or listed.all()):
             raise ContractError("train/val split must cover the dataset")
         if not all(0 <= u < self.num_classes for u in self.unseen_classes):   # scored by index
             raise ContractError(f"unseen_classes must be class indices in "

@@ -3,13 +3,16 @@ validator that checks a decoded file against its shipped schema.
 
 `write` produces the bytes of `json.dumps(plain(doc), sort_keys=True)` plus a
 newline, but encodes them in pieces with the C encoder (`json.dump` always
-runs the pure-Python one), one matrix row at a time, so no string ever holds
-a whole matrix.
+runs the pure-Python one): a list or array in row blocks of about `_BLOCK`
+numbers, one encoder call per block, so no string ever holds more than one
+block's text.  A numpy array is converted with `.tolist()` one block at a
+time.
 """
 
 import dataclasses
 import itertools
 import json
+import math
 import operator
 import os
 
@@ -20,6 +23,9 @@ from .errors import ContractError, ParameterError
 
 # json.dumps' own encoder: with indent=None it runs the C implementation
 _encode = json.JSONEncoder(sort_keys=True).encode
+# the numbers `write` encodes per call: 2**10 to 2**14 write a dataset about
+# as fast, 2**16 and 2**17 measurably slower
+_BLOCK = 2 ** 12
 # each JSON type's schema name -> the Python types json decodes it to
 _TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
           "array": list, "object": dict, "null": type(None)}
@@ -104,12 +110,10 @@ def validate(doc, name: str) -> None:
 
 def plain(obj):
     """The JSON value `obj` is written as: numpy values become lists and
-    numbers, a dataclass a dict of its fields.  Converting up front gives
-    `write` plain lists it can split into rows."""
+    numbers, a dataclass a dict of its fields."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    obj = _fields(obj)
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -117,9 +121,49 @@ def plain(obj):
     return obj
 
 
+def _fields(obj):
+    """A dataclass instance's fields by name; any other `obj` itself."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return obj
+
+
+def _numbers(value) -> int:
+    """How many numbers the JSON text of `value` holds, counting an empty
+    array and a string as one: the measure of a block."""
+    if isinstance(value, np.ndarray):
+        return max(value.size, 1)
+    value = _fields(value)
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return 1
+    return max(sum(map(_numbers, value)), 1)
+
+
+def _blocks(items):
+    """The (start, stop) item ranges of the list or array `items`, each as
+    many items as hold at most `_BLOCK` numbers, but at least one."""
+    if isinstance(items, np.ndarray):
+        step = max(_BLOCK // max(math.prod(items.shape[1:]), 1), 1)
+        yield from ((s, s + step) for s in range(0, len(items), step))
+        return
+    start, count = 0, 0
+    for i, n in enumerate(map(_numbers, items)):
+        if i > start and count + n > _BLOCK:
+            yield start, i
+            start, count = i, 0
+        count += n
+    if items:
+        yield start, len(items)
+
+
 def _pieces(value):
     """The JSON text of `value` in pieces: a dict key by key in sorted order,
-    a list whose first item is a list item by item, anything else whole."""
+    a list or array in blocks of items, each `_encode`d in one call, but an
+    item of more than `_BLOCK` numbers in pieces of its own; anything else
+    whole."""
+    value = _fields(value)
     if isinstance(value, dict):
         yield "{"
         for i, (key, item) in enumerate(sorted(value.items())):
@@ -127,27 +171,32 @@ def _pieces(value):
             yield (", " if i else "") + _encode({key: 0})[1:-4] + ": "
             yield from _pieces(item)
         yield "}"
-    elif isinstance(value, list) and value and isinstance(value[0], list):
+    elif isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim:
         yield "["
-        for i, item in enumerate(value):
+        for i, (s, e) in enumerate(_blocks(value)):
             if i:
                 yield ", "
-            yield from _pieces(item)
+            if e - s == 1 and _numbers(value[s]) > _BLOCK:
+                yield from _pieces(value[s])
+            else:
+                # '[1, 2]'[1:-1] == '1, 2': a block's items without brackets
+                yield _encode(plain(value[s:e]))[1:-1]
         yield "]"
     else:
-        yield _encode(value)
+        yield _encode(plain(value))
 
 
 def write(path, doc, indent=None) -> None:
-    """Write `doc` to `path` with sorted keys and a trailing newline.  The
-    file is written beside `path` and then moved onto it, so a failed write
-    leaves the old file as it was.  Only the manifest is indented; it is a
-    few kB and goes through `json.dump`."""
+    """Write `doc` to `path` as UTF-8 with sorted keys and a trailing newline,
+    each list or array in row blocks of about `_BLOCK` numbers.  The file is
+    written beside `path` and then moved onto it, so a failed write leaves
+    the old file as it was.  Only the manifest is indented; it is a few kB
+    and goes through `json.dump`."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "w", encoding="utf-8") as f:
             if indent is None:
-                f.writelines(_pieces(plain(doc)))
+                f.writelines(_pieces(doc))
             else:
                 json.dump(plain(doc), f, sort_keys=True, indent=indent)
             f.write("\n")
@@ -159,12 +208,14 @@ def write(path, doc, indent=None) -> None:
 
 
 def read(path, decode):
-    """`decode` the parsed file; every malformed-file error names `path`."""
+    """`decode` the parsed UTF-8 file; every malformed-file error names `path`."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return decode(json.load(f))
     except (ParameterError, ContractError) as e:
         raise type(e)(f"{path}: {e}") from e
+    except RecursionError as e:
+        raise ParameterError(f"{path}: malformed file (nested too deeply)") from e
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as e:
         raise ParameterError(f"{path}: malformed file ({type(e).__name__}: {e})") from e
 
@@ -178,5 +229,5 @@ def write_csv(json_path, header, rows) -> None:
     """Write the CSV file next to the JSON report `json_path`: the `header`
     line, then one line per row, each cell as `str` gives it, every line
     ending in "\n"."""
-    with open(csv_path(json_path), "w") as f:
+    with open(csv_path(json_path), "w", encoding="utf-8") as f:
         f.writelines(",".join(map(str, row)) + "\n" for row in itertools.chain([header], rows))

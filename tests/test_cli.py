@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -518,6 +521,15 @@ class TestMalformedFiles:
         assert main(argv) == 2
         assert str(bad) in capsys.readouterr().err
 
+    def test_deep_nesting_exit_2(self, trained, tmp_path, capsys):
+        _, ds_path, _, _ = trained
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200000 + "]" * 200000)
+        assert main(["train", "--config", str(cfg), "--dataset", str(ds_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{cfg}: malformed file (nested too deeply)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_internal_key_error_is_not_an_input_error(self, tmp_path, monkeypatch):
         def broken(**kwargs):
             raise KeyError("internal")
@@ -636,6 +648,9 @@ DATASET_EDITS = {
     "train-dataset-label-bool": lambda d: d["labels"].__setitem__(d["labels"].index(1), True),
     "train-dataset-split-float": lambda d: d["splits"]["train"].__setitem__(
         0, float(d["splits"]["train"][0])),
+    # a row listed twice would train twice per epoch
+    "train-dataset-split-repeat": lambda d: d["splits"]["train"].extend(
+        d["splits"]["train"][:5]),
     # JSON integers beyond int64 and float64
     "train-dataset-label-huge": lambda d: d["labels"].__setitem__(0, 2**70),
     "train-dataset-split-huge": lambda d: d["splits"]["train"].__setitem__(0, 2**70),
@@ -934,3 +949,48 @@ def test_validators_agree_on_edited_files(trained, tmp_path, kind):
         assert ours
         (tmp_path / "ck.json").write_text(json.dumps(doc))
         assert training.load_checkpoint(tmp_path / "ck.json").opt.step > 0
+
+
+# an ASCII locale with UTF-8 mode off: open()'s default encoding is ASCII
+ASCII_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+
+
+def _run_ascii_locale(*argv):
+    """The CLI run in a fresh interpreter under ASCII_LOCALE."""
+    env = {**os.environ, **ASCII_LOCALE, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-m", "lorentzheads.cli", *argv], env=env,
+                          capture_output=True, text=True, encoding="utf-8")
+
+
+class TestUtf8WhateverTheLocale:
+    def test_utf8_class_names_import(self, tmp_path):
+        emb = tmp_path / "emb.txt"
+        emb.write_bytes("caf\u00e9 0.1 0.2\nth\u00e9 0.3 0.4\n".encode("utf-8"))
+        run = _run_ascii_locale("import-prototypes", "--embeddings", str(emb),
+                                "--out", str(tmp_path / "bank.json"))
+        assert run.returncode == 0, run.stderr
+        bank = H.PrototypeBank.load(tmp_path / "bank.json")
+        assert bank.class_names == ["caf\u00e9", "th\u00e9"]
+
+    def test_latin1_embeddings_exit_2(self, tmp_path):
+        emb = tmp_path / "emb.txt"
+        emb.write_bytes("a 0.1 0.2\ncaf\u00e9 0.3 0.4\n".encode("latin-1"))
+        run = _run_ascii_locale("import-prototypes", "--embeddings", str(emb),
+                                "--out", str(tmp_path / "o" / "bank.json"))
+        assert run.returncode == 2
+        assert run.stderr == f"error: {emb}: not UTF-8 text at line 2\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_utf8_json_reads(self, tmp_path):
+        """A file holding raw UTF-8, as json.dump(ensure_ascii=False) writes it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(json.dumps({"epochs": 1, "head_mode": "caf\u00e9"},
+                                   ensure_ascii=False).encode("utf-8"))
+        run = _run_ascii_locale("train", "--config", str(cfg), "--dataset", "none.json",
+                                "--out", str(tmp_path / "o"))
+        # the config decodes, and its schema, not the decoder, refuses the head
+        # mode: one character U+00E9, which the ASCII stderr backslash-escapes
+        assert run.returncode == 2
+        assert "head_mode must be one of" in run.stderr
+        assert "not 'caf\\xe9'" in run.stderr
+        assert not (tmp_path / "o").exists()

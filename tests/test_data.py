@@ -60,6 +60,28 @@ class TestGenerate:
         with pytest.raises(ContractError, match="split indices"):
             dataclasses.replace(ds, val_idx=np.append(ds.val_idx, 1000))
 
+    @pytest.mark.parametrize("field", ["train_idx", "val_idx"])
+    def test_repeated_index_rejected(self, field):
+        ds = data.generate(num_samples=1000, seed=3)
+        idx = getattr(ds, field)
+        with pytest.raises(ContractError, match=f"must not repeat: row {idx[4]} is listed 2"):
+            dataclasses.replace(ds, **{field: np.append(idx, idx[4])})
+
+    def test_overlap_is_not_disjoint(self):
+        ds = data.generate(num_samples=1000, seed=3)
+        with pytest.raises(ContractError, match="must be disjoint"):
+            dataclasses.replace(ds, train_idx=np.append(ds.train_idx, ds.val_idx[0]))
+
+    def test_repeats_refused_on_load(self, tmp_path):
+        """A power-law dataset has no cover check, which a repeat could slip by."""
+        path = tmp_path / "ds.json"
+        data.imbalance_profile(data.generate(num_samples=1000, seed=3), 1.0).save(path)
+        doc = json.loads(path.read_text())
+        doc["splits"]["train"] += doc["splits"]["train"][:5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match=f"{path}: split indices must not repeat"):
+            data.SyntheticDataset.load(path)
+
     def test_zero_width_features_rejected(self):
         with pytest.raises(ContractError, match="n >= 1"):
             data.generate(num_features=0, num_samples=600, num_classes=4, num_super=2)

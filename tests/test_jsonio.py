@@ -117,6 +117,78 @@ def test_dataset_save_streams_rows(tmp_path):
     assert peak < 3 * os.path.getsize(path)
 
 
+def _spied_write(monkeypatch, path, doc):
+    """jsonio.write, failing if one piece written to the file holds more than
+    a block's numbers.  A block of n numbers, or of n empty rows, has n - 1
+    commas; none of the documents below holds a string with a comma."""
+    real_open = open
+
+    def spy_open(*args, **kwargs):
+        f = real_open(*args, **kwargs)
+        write = f.write
+
+        def writelines(pieces):
+            for piece in pieces:
+                assert piece.count(",") < jsonio._BLOCK, piece[:80]
+                write(piece)
+
+        f.writelines = writelines
+        return f
+
+    monkeypatch.setattr(jsonio, "open", spy_open, raising=False)
+    jsonio.write(path, doc)
+
+
+def _rows_per_block(width: int) -> int:
+    return jsonio._BLOCK // max(width, 1)
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 16, 17])
+@pytest.mark.parametrize("offset", [-1, 0, 1, "2k+1"])
+def test_write_block_boundaries(tmp_path, monkeypatch, width, offset):
+    """Matrices of one row short of a block, a block, one row past it and two
+    blocks and a row, as arrays and as lists, 1-D alongside, equal json.dumps."""
+    k = _rows_per_block(width)
+    rows = 2 * k + 1 if offset == "2k+1" else k + offset
+    matrix = np.random.default_rng(width).normal(size=(rows, width))
+    vector = np.arange(jsonio._BLOCK + offset if offset != "2k+1" else 2 * jsonio._BLOCK + 1)
+    doc = {"m": matrix, "l": matrix.tolist(), "v": vector, "w": vector.tolist(),
+           "t": tuple(map(tuple, matrix.tolist()))}
+    _spied_write(monkeypatch, tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_text() == _dumps(doc)
+
+
+_ROWS = _rows_per_block(3)
+_ODD_DOCS = {
+    # rows of 0 to 6 numbers: the blocks' item counts vary
+    "ragged": [list(range(i % 7)) for i in range(3 * _ROWS)],
+    "nested-3d": np.arange(2 * jsonio._BLOCK * 3 + 6.0).reshape(-1, 2, 3).tolist(),
+    "array-3d": np.arange(2 * jsonio._BLOCK * 3 + 6.0).reshape(-1, 2, 3) / 7,
+    # rows wider than a block are split within the row
+    "wide": np.linspace(0, 1, 3 * jsonio._BLOCK + 2).reshape(2, -1),
+    "wide-list": np.linspace(0, 1, 3 * jsonio._BLOCK + 2).reshape(2, -1).tolist(),
+    "odd-last-block": np.ones((_ROWS + 1, 3)).tolist()[:-1]
+    + [[float("nan"), float("inf"), -float("inf")], [2 ** 128, -2 ** 70, 10 ** 30]],
+    "dataclass-in-list": [Pair(np.linspace(-1, 1, 3 * jsonio._BLOCK).reshape(-1, 3), 7),
+                          {"x": Pair(np.zeros((2, 0)), 1)}, np.int64(5), np.float32(0.5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ODD_DOCS))
+def test_write_blocks_odd_documents(tmp_path, monkeypatch, name):
+    doc = {"doc": _ODD_DOCS[name], "after": [1, [2]]}
+    _spied_write(monkeypatch, tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_text() == _dumps(doc)
+
+
+def test_write_spy_catches_a_whole_matrix(tmp_path, monkeypatch):
+    """The spy above fails a writer that encodes a matrix in one call."""
+    doc = {"m": np.zeros((jsonio._BLOCK, 2))}
+    monkeypatch.setattr(jsonio, "_blocks", lambda items: iter([(0, len(items))]))
+    with pytest.raises(AssertionError):
+        _spied_write(monkeypatch, tmp_path / "doc.json", doc)
+
+
 def _contract(doc):
     raise ContractError("off the manifold")
 
