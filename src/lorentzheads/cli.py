@@ -148,7 +148,7 @@ def cmd_hubness(args) -> int:
 
 
 def _parse_embedding_file(path):
-    names, rows = [], []
+    names, rows, seen = [], [], set()   # the set keeps the duplicate check O(1)
     # a byte that is not UTF-8 decodes to a lone surrogate, which no UTF-8 line holds
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
@@ -160,7 +160,7 @@ def _parse_embedding_file(path):
             if not parts:
                 continue
             name, vals = parts[0], parts[1:]
-            if name in names:
+            if name in seen:
                 raise ParameterError(f"duplicate class name {name!r} (line {lineno})")
             if rows and len(vals) != len(rows[0]):
                 raise ParameterError(f"ragged row at line {lineno}")
@@ -171,6 +171,7 @@ def _parse_embedding_file(path):
             except ValueError as e:
                 raise ParameterError(f"bad number at line {lineno}: {e}") from None
             names.append(name)
+            seen.add(name)
     if len(names) < 2:
         raise ParameterError("need at least 2 classes")
     return names, np.asarray(rows, dtype=np.float64)

@@ -17,12 +17,13 @@ hyperbolic_distance and log_map_at stay single-point; the batch_* helpers
 below are their all-pairs and row-wise forms.  A public primitive checks its
 inputs, then runs a private unchecked kernel (_tangent_project, _exp_map_at,
 _exp0_rows, _grad_exp0), which the training step calls directly on arrays it
-has already checked.  _exp0_rows and _grad_exp0 write each small-argument
-series first and the formula over it where the argument is at or above the
-cut-off (one masked pass, `where=`); _exp_map_at, whose RSGD steps almost
-never hold a row below the cut-off, writes its series only when a row needs
-one.  Row norms are np.linalg.norm's own formula for real rows, without its
-wrapper.  The kernels have the bits of the np.where forms kept in
+has already checked.  _exp0_rows, _grad_exp0 and _exp_map_at write their
+small-argument series only when some row is not above the cut-off (a row
+below it, or a NaN row); otherwise the formula alone runs, with no masked
+pass.  Row norms are np.linalg.norm's own formula for real rows, without its
+wrapper.  _cosh_distance forms each row block's x0*y0^T with einsum, which
+writes every product once into the reused block buffer.  The kernels have
+the bits of the np.where and multiply.outer forms kept in
 tests/reference_kernels.py.
 """
 
@@ -239,11 +240,13 @@ def _exp0_rows(V: np.ndarray):
     r = np.sqrt(np.add.reduce(V * V, axis=1))
     sinh, cosh = np.sinh(r), np.cosh(r)
     big = r >= _EPS_SMALL
-    # sinh(r)/r written over its series 1 + r^2/6, which stays where r is small
-    f = r * r
-    f /= 6.0
-    f += 1.0
-    np.divide(sinh, r, out=f, where=big)
+    if big.all():   # the common batch, where no row needs the series
+        f = sinh / r
+    else:   # sinh(r)/r written over its series 1 + r^2/6, kept where r is small
+        f = r * r
+        f /= 6.0
+        f += 1.0
+        np.divide(sinh, r, out=f, where=big)
     X = np.empty((V.shape[0], V.shape[1] + 1))
     X[:, 0] = cosh
     np.multiply(f[:, None], V, out=X[:, 1:])
@@ -264,7 +267,13 @@ def _row_blocks(rows: int, width: int):
 
 def batch_minkowski_inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """All-pairs Lorentzian products: (m, n+1) x (C, n+1) -> (m, C), the
-    negation of _cosh_distance's unclamped products."""
+    negation of _cosh_distance's unclamped products.
+
+    The einsum outer product adds each x0*y0 to a zeroed buffer, so a -0.0
+    product reads +0.0.  Hyperboloid points, whose time coordinates are
+    >= 1, never form one; raw rows with a zero time coordinate can, and
+    there a product's sign of zero may differ from -x0*y0 + spatial's.
+    """
     A = _cosh_distance(X, Y, clamp=False)
     return np.negative(A, out=A)
 
@@ -274,9 +283,13 @@ def _cosh_distance(X: np.ndarray, Y: np.ndarray, clamp: bool = True) -> np.ndarr
     or -<x, y>_l itself when `clamp` is False.
 
     x0*y0 - spatial is written over the (m, C) spatial product a row block at
-    a time, the outer product formed from contiguous copies of both time
-    columns in one buffer.  It has the bits of -(-x0*y0 + spatial): IEEE
-    subtraction is antisymmetric, so no negate pass is needed.
+    a time, the outer product formed by einsum (one rounded product per
+    entry, the bits of np.multiply.outer; see batch_minkowski_inner for
+    signed zeros) from contiguous copies of both time columns in one
+    buffer.  It has the bits of -(-x0*y0 + spatial): IEEE subtraction is
+    antisymmetric, so no negate pass is needed.  The clamp, max(., 1)
+    with NaN kept, is one more pass per block; callers that read few
+    entries take the products unclamped and clamp those.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -286,7 +299,7 @@ def _cosh_distance(X: np.ndarray, Y: np.ndarray, clamp: bool = True) -> np.ndarr
     outer = np.empty((blocks[0][1] if blocks else 0, A.shape[1]))
     for s, e in blocks:
         block, o = A[s:e], outer[:e - s]
-        np.multiply.outer(x0[s:e], y0, out=o)
+        np.einsum("i,j->ij", x0[s:e], y0, out=o)
         np.subtract(o, block, out=block)
         if clamp:
             np.maximum(block, 1.0, out=block)
@@ -320,14 +333,17 @@ def grad_exp_map_origin(V: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def _grad_exp0(V, G, r, f, sinh, cosh, big) -> np.ndarray:
     """grad_exp_map_origin given the _exp0_rows terms of V."""
-    # h = (r cosh(r) - sinh(r)) / r^3 written over its series 1/3 + r^2/30,
-    # which stays where r is small
-    h = r * r
-    h /= 30.0
-    h += 1.0 / 3.0
+    # h = (r cosh(r) - sinh(r)) / r^3; where some row is not above the
+    # cut-off, written over its series 1/3 + r^2/30, kept where r is small
     q = r * cosh
     q -= sinh
-    np.divide(q, r**3, out=h, where=big)
+    if big.all():
+        h = np.divide(q, r**3, out=q)
+    else:
+        h = r * r
+        h /= 30.0
+        h += 1.0 / 3.0
+        np.divide(q, r**3, out=h, where=big)
     g0 = G[:, 0]
     Gs = G[:, 1:]
     dot = np.einsum("ij,ij->i", V, Gs)

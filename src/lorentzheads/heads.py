@@ -231,22 +231,30 @@ def top_logits(features: np.ndarray, bank: PrototypeBank,
     by more than ln(1 + 2^-40) ~ 2^-40 (arccosh grows faster than log),
     about 8 ULP of any distance whose cosh is finite (below ~710, where one
     ULP is at most 2^-43), so no other column can tie after the shift.
+
+    The cosh distances are taken unclamped, and only each row's winner and
+    the tied rows are clamped at 1.  max(., 1) is monotone and keeps NaN, so
+    the clamped winner is the clamped row minimum, and the band, whose
+    bound is >= 1, holds the same columns either way.  Where the unclamped
+    and the clamped arg-min differ, both columns clamp to the minimum, so
+    the row is tied and scored in full.
     """
     F = np.asarray(features, dtype=np.float64)
     if bank.mode != MODE_HYPERBOLIC:
         S = batch_bank_logits(F, bank, tau=tau)
         pred = np.argmax(S, axis=1)
         return pred, S[np.arange(len(pred)), pred]
-    A = geometry._cosh_distance(geometry.batch_exp_map_origin(F), bank.prototypes)
+    A = geometry._cosh_distance(geometry.batch_exp_map_origin(F), bank.prototypes,
+                                clamp=False)
     pred = np.argmin(A, axis=1)     # a row's first NaN, as argmax takes it
     rows = np.arange(len(pred))
-    a = A[rows, pred]
+    a = np.maximum(A[rows, pred], 1.0)
     near = A <= (a * (1.0 + _TIE_BAND))[:, None]
     near[rows, pred] = False
     top = _shift_logits(np.arccosh(a), bank.delta, bank.d_min)
     if np.count_nonzero(near):
         tied = np.flatnonzero(near.any(axis=1))
-        S = _shift_logits(np.arccosh(A[tied]), bank.delta, bank.d_min)
+        S = _shift_logits(np.arccosh(np.maximum(A[tied], 1.0)), bank.delta, bank.d_min)
         pred[tied] = np.argmax(S, axis=1)
         top[tied] = S[np.arange(len(tied)), pred[tied]]
     return pred, top

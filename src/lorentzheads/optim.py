@@ -48,12 +48,30 @@ def riemannian_step(x, ambient_grad, lr: float) -> np.ndarray:
 
 def clip_gradients(grads: dict, max_norm: float) -> dict:
     """Jointly rescale a named gradient collection, in place, to global L2
-    norm <= max_norm; returns it."""
+    norm <= max_norm; returns it.
+
+    Where the sum of squares overflows, or underflows to 0 with an entry
+    nonzero, the entries are divided by the largest |entry| before they are
+    squared, as heads.unit_rows does, and the scale is formed from that
+    quotient's norm, so neither it nor the norm overflows.  Any other
+    finite, nonzero sum keeps the plain formula's bits.  A collection with
+    a NaN or infinite entry passes through unchanged.
+    """
     if max_norm <= 0:
         raise ParameterError("max_norm must be > 0")
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
+    with np.errstate(over="ignore"):   # an overflowing sum is rescaled below
+        sq = sum(float(np.sum(g * g)) for g in grads.values())
+    if 0.0 < sq < np.inf:
+        total = np.sqrt(sq)
         scale = max_norm / total
+    else:
+        peak = np.max([np.abs(g).max(initial=0.0) for g in grads.values()], initial=0.0)
+        if not 0.0 < peak < np.inf:   # all zero, or a non-finite entry (NaN included)
+            return grads
+        # the norm is peak * b, 1 <= b: max_norm / peak < b wherever it clips
+        b = np.sqrt(sum(float(np.sum(np.square(g / peak))) for g in grads.values()))
+        total, scale = peak * b, max_norm / peak / b
+    if total > max_norm:
         for g in grads.values():
             g *= scale
     return grads

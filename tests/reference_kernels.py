@@ -1,15 +1,18 @@
-"""The training kernels as they were written before their passes were
-trimmed: verbatim copies of `geometry._exp0_rows`, `_grad_exp0`,
-`_exp_map_at` with `_sinh_over_t`, `optim.riemannian_step`, and of
-`heads._log_sigmoid`, `_focal_terms` (over a boolean one-hot matrix),
-`batch_focal_loss`, `hyperbolic_loss_and_grads` and
-`euclidean_loss_and_grads`, each allocating every intermediate and
-returning a prototype gradient for frozen banks too.
+"""The training and scoring kernels as they were written before their
+passes were trimmed: verbatim copies of `geometry._exp0_rows`,
+`_grad_exp0`, `_exp_map_at` with `_sinh_over_t`, `_cosh_distance` (its
+outer product from np.multiply.outer, each block clamped as it is written),
+`optim.riemannian_step`, and of `heads._log_sigmoid`, `_focal_terms` (over
+a boolean one-hot matrix), `batch_focal_loss`, `top_logits` (over the
+clamped matrix), `hyperbolic_loss_and_grads` and `euclidean_loss_and_grads`,
+each allocating every intermediate and returning a prototype gradient for
+frozen banks too.
 
 The package's kernels must give these copies' bits, so tests compare them
-byte for byte.  The helpers the copies call (`_inner`, `_recompute_x0`,
-`_cosh_distance`, `_as_pair`, `_tangent_project`, `_shift_logits`,
-`unit_rows`) are the package's own.
+byte for byte.  The copies call one another; the other helpers they call
+(`_inner`, `_recompute_x0`, `_row_blocks`, `_as_pair`, `_tangent_project`,
+`batch_exp_map_origin`, `batch_bank_logits`, `_shift_logits`, `unit_rows`)
+are the package's own.
 """
 
 import numpy as np
@@ -17,8 +20,9 @@ import numpy as np
 from lorentzheads import geometry
 from lorentzheads.errors import ContractError
 from lorentzheads.geometry import _EPS_SMALL, _inner, _recompute_x0
-from lorentzheads.heads import (_EPS_DIST, _shift_logits, BACKGROUND, DEFAULT_TAU, MODE_COSINE,
-                                MODE_HYPERBOLIC, MODE_LINEAR, unit_rows)
+from lorentzheads.heads import (_EPS_DIST, _TIE_BAND, _shift_logits, BACKGROUND, DEFAULT_TAU,
+                                MODE_COSINE, MODE_HYPERBOLIC, MODE_LINEAR, batch_bank_logits,
+                                unit_rows)
 
 
 def _sinh_over_t(t: np.ndarray) -> np.ndarray:
@@ -67,6 +71,47 @@ def _grad_exp0(V, G, r, f, sinh, cosh) -> np.ndarray:
     dot = np.einsum("ij,ij->i", V, Gs)
     # d(x0)/dv = sinh(r) v / r;  d(xs)/dv = f I + h v v^T
     return (g0 * f)[:, None] * V + f[:, None] * Gs + (h * dot)[:, None] * V
+
+
+def _cosh_distance(X: np.ndarray, Y: np.ndarray, clamp: bool = True) -> np.ndarray:
+    """max(-<x, y>_l, 1) for all pairs, the cosh of their geodesic distance,
+    or -<x, y>_l itself when `clamp` is False."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    A = X[:, 1:] @ Y[:, 1:].T
+    x0, y0 = X[:, 0].copy(), Y[:, 0].copy()
+    blocks = geometry._row_blocks(*A.shape)
+    outer = np.empty((blocks[0][1] if blocks else 0, A.shape[1]))
+    for s, e in blocks:
+        block, o = A[s:e], outer[:e - s]
+        np.multiply.outer(x0[s:e], y0, out=o)
+        np.subtract(o, block, out=block)
+        if clamp:
+            np.maximum(block, 1.0, out=block)
+    return A
+
+
+def top_logits(features: np.ndarray, bank, tau: float = DEFAULT_TAU):
+    """(pred, top): each row's first arg-max of batch_bank_logits and the
+    logit there, bit for bit."""
+    F = np.asarray(features, dtype=np.float64)
+    if bank.mode != MODE_HYPERBOLIC:
+        S = batch_bank_logits(F, bank, tau=tau)
+        pred = np.argmax(S, axis=1)
+        return pred, S[np.arange(len(pred)), pred]
+    A = _cosh_distance(geometry.batch_exp_map_origin(F), bank.prototypes)
+    pred = np.argmin(A, axis=1)     # a row's first NaN, as argmax takes it
+    rows = np.arange(len(pred))
+    a = A[rows, pred]
+    near = A <= (a * (1.0 + _TIE_BAND))[:, None]
+    near[rows, pred] = False
+    top = _shift_logits(np.arccosh(a), bank.delta, bank.d_min)
+    if np.count_nonzero(near):
+        tied = np.flatnonzero(near.any(axis=1))
+        S = _shift_logits(np.arccosh(A[tied]), bank.delta, bank.d_min)
+        pred[tied] = np.argmax(S, axis=1)
+        top[tied] = S[np.arange(len(tied)), pred[tied]]
+    return pred, top
 
 
 def riemannian_step(x, ambient_grad, lr: float) -> np.ndarray:
@@ -147,7 +192,7 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank, targets: np.ndarray,
     F = np.asarray(features, dtype=np.float64)
     T = bank.prototypes
     X, exp0_terms = _exp0_rows(F)                     # (m, n+1)
-    cosh_d = geometry._cosh_distance(X, T)            # (m, C)
+    cosh_d = _cosh_distance(X, T)                     # (m, C)
     D = np.arccosh(cosh_d)
     near = D < _EPS_DIST
     S = _shift_logits(D, bank.delta, bank.d_min)      # D becomes the logits

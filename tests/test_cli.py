@@ -412,6 +412,17 @@ class TestImportPrototypes:
             assert main(["import-prototypes", "--embeddings", str(p),
                          "--out", str(tmp_path / "bank.json")]) == 2, fname
 
+    def test_duplicate_on_the_last_of_many_lines(self, tmp_path, capsys):
+        # every name is checked against every earlier one; a set keeps the
+        # 20,000-line file linear
+        lines = [f"w{i} {i % 7} 1" for i in range(19_999)] + ["w123 0 1"]
+        emb = tmp_path / "emb.txt"
+        emb.write_text("\n".join(lines) + "\n")
+        assert main(["import-prototypes", "--embeddings", str(emb),
+                     "--out", str(tmp_path / "o" / "bank.json")]) == 2
+        assert "duplicate class name 'w123' (line 20000)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("delta", ["nan", "inf", "0"])
     def test_bad_delta_exit_2(self, tmp_path, delta):
         emb = tmp_path / "emb.txt"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from lorentzheads import heads as H
 from lorentzheads import jsonio, optim
 from lorentzheads.errors import ContractError, DimensionError, ParameterError
 
-from conftest import random_manifold_point
+from conftest import random_manifold_point, same_bits
 
 COSH1 = np.cosh(1.0)
 SINH1 = np.sinh(1.0)
@@ -314,6 +316,49 @@ class TestClipGradients:
         assert grads["a"] is a and grads["b"] is b
         np.testing.assert_array_equal(a, [3.0 * (1.0 / 5.0), 0.0])
         np.testing.assert_array_equal(b, [0.0, 4.0 * (1.0 / 5.0)])
+
+    @staticmethod
+    def norm(grads):
+        """The global L2 norm, each entry divided by the largest |entry| first."""
+        peak = max(np.abs(g).max() for g in grads.values())
+        return peak * np.sqrt(sum(np.sum(np.square(g / peak)) for g in grads.values()))
+
+    @pytest.mark.parametrize("grads, max_norm", [
+        ({"a": [1e200, 1e200], "b": [3.0]}, 1.0),         # the sum of squares overflows
+        ({"a": [1e308, -1e308]}, 1e300),                   # so would the norm
+        ({"a": [1e-170, 1e-170]}, 1e-300),                 # it underflows to 0
+        ({"a": [1e-170, 0.0], "b": [-1e-170]}, 1e-200),
+    ], ids=["overflow", "norm-overflow", "underflow", "underflow-two-tensors"])
+    def test_sum_of_squares_out_of_range(self, grads, max_norm):
+        grads = {k: np.array(v) for k, v in grads.items()}
+        with np.errstate(over="ignore"):
+            assert sum(np.sum(g * g) for g in grads.values()) in (0.0, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = optim.clip_gradients(grads, max_norm)
+        assert self.norm(out) == pytest.approx(max_norm, rel=1e-15)
+
+    def test_underflow_below_max_norm_unchanged(self):
+        grads = {"a": np.array([1e-170, 1e-170])}
+        optim.clip_gradients(grads, 1e-100)
+        assert grads["a"].tolist() == [1e-170, 1e-170]
+
+    def test_in_range_sum_keeps_the_formula_bits(self, rng):
+        # a subnormal but nonzero sum takes the plain formula too
+        for scale in (1e-3, 1.0, 1e150, 1e-160):
+            grads = {f"g{i}": rng.normal(0.0, scale, 5) for i in range(3)}
+            want = {k: g * (0.5 * scale / np.sqrt(sum(float(np.sum(h * h))
+                                                      for h in grads.values())))
+                    for k, g in grads.items()}
+            optim.clip_gradients(grads, 0.5 * scale)
+            assert all(same_bits(grads[k], want[k]) for k in grads), scale
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_passes_through(self, bad):
+        grads = {"a": np.array([1e200, 1.0]), "b": np.array([bad])}
+        optim.clip_gradients(grads, 1.0)
+        assert grads["a"].tolist() == [1e200, 1.0]
+        assert same_bits(grads["b"], [bad])
 
     def test_invalid_max_norm(self):
         with pytest.raises(ParameterError):

@@ -1,9 +1,11 @@
-"""The trimmed training kernels against their allocating originals in
-`reference_kernels`, bit for bit (`.view(np.int64)`), on the edge cases
-their masks, index writes and in-place writes must get right: r = 0, r
-below the series cut-off, coincident features and prototypes, zero
-gradients, single points, ragged sizes, signed-zero, subnormal and
-saturating logits, and all-background batches."""
+"""The trimmed training and scoring kernels against their allocating
+originals in `reference_kernels`, bit for bit (`.view(np.int64)`), on the
+edge cases their masks, branches, index writes and in-place writes must get
+right: r = 0, r below the series cut-off and none below it, coincident
+features and prototypes, products below 1 in several columns, zero
+gradients, single points, empty and ragged sizes, several row blocks, NaN
+and infinite rows, signed-zero, subnormal and saturating logits, and
+all-background batches."""
 
 import warnings
 
@@ -12,7 +14,7 @@ import pytest
 
 from lorentzheads import geometry as G
 from lorentzheads import heads as H
-from lorentzheads import optim
+from lorentzheads import hubness, optim
 
 import reference_kernels as R
 from conftest import same_bits
@@ -22,11 +24,13 @@ CLASSES = (2, 16, 64)
 SERIES_RADII = [0.0, 1e-8, 9e-7]
 
 
-def edge_rows(rng, m, n):
+def edge_rows(rng, m, n, series=True):
     """m tangent rows whose norms run over r = 0, r = 1e-8 and 9e-7 (series;
     only near the cut-off does the series move a bit of its result) and r
-    from 1e-3 to 8 (formula), in that order, cut short for small m."""
-    radii = np.concatenate([SERIES_RADII, np.geomspace(1e-3, 8.0, max(m - 3, 1))])[:m]
+    from 1e-3 to 8 (formula), in that order, cut short for small m; without
+    `series`, over the formula's radii alone."""
+    lead = SERIES_RADII if series else []
+    radii = np.concatenate([lead, np.geomspace(1e-3, 8.0, max(m - len(lead), 1))])[:m]
     V = rng.normal(0.0, 1.0, (m, n))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     return V * radii[:, None]
@@ -39,11 +43,9 @@ def no_warnings():
         yield
 
 
-@pytest.mark.parametrize("n", [2, 16])
-@pytest.mark.parametrize("m", ROWS)
-def test_exp0_and_its_jacobian(rng, m, n):
-    V = edge_rows(rng, m, n)
-    Cot = rng.normal(0.0, 1.0, (m, n + 1))
+def check_exp0_and_its_jacobian(V, Cot):
+    """_exp0_rows and _grad_exp0 against their reference copies, byte for
+    byte; returns the row mask r >= _EPS_SMALL."""
     X, terms = G._exp0_rows(V)
     X_ref, terms_ref = R._exp0_rows(V)
     assert same_bits(X, X_ref)
@@ -51,6 +53,28 @@ def test_exp0_and_its_jacobian(rng, m, n):
     assert np.array_equal(terms[-1], terms_ref[0] >= G._EPS_SMALL)
     assert same_bits(G._grad_exp0(V, Cot, *terms), R._grad_exp0(V, Cot, *terms_ref))
     assert same_bits(G.grad_exp_map_origin(V, Cot), R._grad_exp0(V, Cot, *terms_ref))
+    return terms[-1]
+
+
+@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("m", ROWS)
+def test_exp0_and_its_jacobian(rng, m, n):
+    # the first row is below the cut-off, so every batch writes the series
+    big = check_exp0_and_its_jacobian(edge_rows(rng, m, n), rng.normal(0.0, 1.0, (m, n + 1)))
+    assert not big.all()
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["no-series-row", "nan-row"])
+@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("m", ROWS)
+def test_exp0_and_its_jacobian_without_series_rows(rng, m, n, nan):
+    # every row above the cut-off skips the series; a NaN row, which is not
+    # above it, takes the masked pass as a row below it does
+    V = edge_rows(rng, m, n, series=False)
+    if nan:
+        V[-1, -1] = np.nan
+    big = check_exp0_and_its_jacobian(V, rng.normal(0.0, 1.0, (m, n + 1)))
+    assert big.all() != nan
 
 
 @pytest.mark.parametrize("series", [True, False], ids=["series-rows", "no-series-row"])
@@ -174,3 +198,90 @@ def test_euclidean_loss_and_grads(rng, m, C, mode, frozen):
     ref_loss, ref_F, ref_P = R.loss_and_grads(F, bank, targets, 2.0, 0.25, tau=0.5)
     assert same_bits(loss, ref_loss) and same_bits(grad_F, ref_F)
     assert grad_P is None if frozen else same_bits(grad_P, ref_P)
+
+
+# ---------------------------------------------------------------------------
+# Scoring: _cosh_distance, top_logits and the hubness analysis
+# ---------------------------------------------------------------------------
+
+SCORE_ROWS = (0, 1, 7, 64)
+
+
+def near_duplicate_bank(rng, C):
+    """Spatial rows of C prototypes at radius 4, every fourth one drawn and
+    the three after it that row nudged by ~1e-13, with the drawn rows as
+    features: a feature's products with its group round about 1, below it
+    in several columns, at a column other than the clamped arg-min's."""
+    S = rng.normal(0.0, 1.0, (-(-C // 4), 4))
+    S *= 4.0 / np.linalg.norm(S, axis=1, keepdims=True)
+    P = np.repeat(S, 4, axis=0)[:C]
+    nudged = np.arange(C) % 4 > 0
+    P[nudged] += rng.normal(0.0, 1e-13, (np.count_nonzero(nudged), 4))
+    return S, P
+
+
+def scoring_inputs(rng, m, C, case):
+    """(features (m, 4), prototype spatial rows (C, 4)) for one edge case."""
+    F = rng.normal(0.0, 1.0, (m, 4)) * rng.choice([0.05, 1.0, 4.0], (m, 1))
+    P = rng.normal(0.0, 1.0, (C, 4))
+    if case == "near-duplicates":
+        S, P = near_duplicate_bank(rng, C)
+        F = np.resize(S, (m, 4))
+    elif case == "at-prototypes":
+        P *= 2.0                                # far enough out that products round below 1
+        F = np.resize(P, (m, 4))
+    elif case == "ties":
+        P[1::2] = P[::2][:len(P[1::2])]         # each odd prototype repeats the one before
+        F[::2] = np.resize(P, (len(F[::2]), 4))  # features at a prototype and its twin
+        F[1::4] = 0.0                           # the origin: ties wherever radii do
+    elif case == "nan":
+        F[::3, 1] = np.nan
+    elif case == "inf":
+        F[::3] *= 800.0 / np.linalg.norm(F[::3], axis=1, keepdims=True)   # cosh(r) overflows
+    return F, P
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 7], ids=["module-blocks", "1-row", "7-row"])
+@pytest.mark.parametrize("case", ["random", "at-prototypes", "near-duplicates", "ties", "nan",
+                                  "inf"])
+@pytest.mark.parametrize("C", CLASSES)
+def test_cosh_distance_and_top_logits(rng, monkeypatch, C, case, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(G, "_BLOCK_ELEMENTS", block_rows * C)
+    for m in SCORE_ROWS:
+        F, spatial = scoring_inputs(rng, m, C, case)
+        # learnable, so d_min is 1 even where every prototype coincides
+        bank = H.PrototypeBank(H.MODE_HYPERBOLIC, G.batch_exp_map_origin(spatial),
+                               [f"c{i}" for i in range(C)], delta=1.7)
+        with np.errstate(invalid="ignore", over="ignore"):
+            X = G.batch_exp_map_origin(F)
+            for clamp in (True, False):
+                assert same_bits(G._cosh_distance(X, bank.prototypes, clamp=clamp),
+                                 R._cosh_distance(X, bank.prototypes, clamp=clamp)), (m, clamp)
+            got, want = H.top_logits(F, bank), R.top_logits(F, bank)
+            A = R._cosh_distance(X, bank.prototypes, clamp=False)
+        assert same_bits(got[1], want[1]) and got[0].tobytes() == want[0].tobytes(), m
+        if m == 64 and C == 64 and case == "at-prototypes":
+            assert ((A < 1.0).sum(axis=1) == 1).any()
+        if m == 64 and C == 64 and case == "near-duplicates":   # 16 groups
+            assert ((A < 1.0).sum(axis=1) >= 2).any()
+            assert (np.argmin(A, axis=1) != np.argmin(np.maximum(A, 1.0), axis=1)).any()
+        if m == 64 and case in ("nan", "inf"):
+            assert np.isnan(want[1]).any()
+
+
+@pytest.mark.parametrize("block_rows", [None, 7], ids=["module-blocks", "7-row"])
+@pytest.mark.parametrize("case", ["random", "near-duplicates", "ties"])
+def test_batch_distance_and_analyze_points(rng, monkeypatch, case, block_rows):
+    P = G.batch_exp_map_origin(scoring_inputs(rng, 0, 64, case)[1])
+    if block_rows is not None:
+        monkeypatch.setattr(G, "_BLOCK_ELEMENTS", block_rows * len(P))
+    want_D = np.arccosh(R._cosh_distance(P[:40], P))
+    assert same_bits(G.batch_distance(P[:40], P), want_D)
+    got = hubness.analyze_points(P, hubness.KIND_HYPERBOLIC, k=3)
+    monkeypatch.setattr(G, "_cosh_distance", R._cosh_distance)
+    want = hubness.analyze_points(P, hubness.KIND_HYPERBOLIC, k=3)
+    assert same_bits(got.histogram.edges, want.histogram.edges)
+    assert got.histogram.counts.tolist() == want.histogram.counts.tolist()
+    assert got.k_occurrence.counts.tolist() == want.k_occurrence.counts.tolist()
+    assert same_bits(got.k_occurrence.skewness, want.k_occurrence.skewness)
