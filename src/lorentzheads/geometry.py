@@ -17,10 +17,10 @@ hyperbolic_distance and log_map_at stay single-point; the batch_* helpers
 below are their all-pairs and row-wise forms.  A public primitive checks its
 inputs, then runs a private unchecked kernel (_tangent_project, _exp_map_at,
 _exp0_rows, _grad_exp0), which the training step calls directly on arrays it
-has already checked.  _exp0_rows, _grad_exp0 and _exp_map_at write their
-small-argument series only when some row is not above the cut-off (a row
-below it, or a NaN row); otherwise the formula alone runs, with no masked
-pass.  Row norms are np.linalg.norm's own formula for real rows, without its
+has already checked.  They write their small-argument series only when a
+row needs one (_exp0_rows and _grad_exp0: a row below the cut-off or NaN;
+_exp_map_at: a row below it); otherwise the formula alone runs, with no
+masked pass.  Row norms are np.linalg.norm's own formula for real rows, without its
 wrapper.  _cosh_distance forms each row block's x0*y0^T with einsum, which
 writes every product once into the reused block buffer.  The kernels have
 the bits of the np.where and multiply.outer forms kept in
@@ -333,8 +333,8 @@ def grad_exp_map_origin(V: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def _grad_exp0(V, G, r, f, sinh, cosh, big) -> np.ndarray:
     """grad_exp_map_origin given the _exp0_rows terms of V."""
-    # h = (r cosh(r) - sinh(r)) / r^3; where some row is not above the
-    # cut-off, written over its series 1/3 + r^2/30, kept where r is small
+    # h = (r cosh(r) - sinh(r)) / r^3; where some row is below the cut-off
+    # or NaN, written over its series 1/3 + r^2/30, kept on those rows
     q = r * cosh
     q -= sinh
     if big.all():

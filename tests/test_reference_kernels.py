@@ -68,8 +68,8 @@ def test_exp0_and_its_jacobian(rng, m, n):
 @pytest.mark.parametrize("n", [2, 16])
 @pytest.mark.parametrize("m", ROWS)
 def test_exp0_and_its_jacobian_without_series_rows(rng, m, n, nan):
-    # every row above the cut-off skips the series; a NaN row, which is not
-    # above it, takes the masked pass as a row below it does
+    # with every row at or above the cut-off the series is skipped; a NaN
+    # row, whose mask is False, takes the masked pass as a row below it does
     V = edge_rows(rng, m, n, series=False)
     if nan:
         V[-1, -1] = np.nan
