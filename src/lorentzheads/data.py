@@ -6,7 +6,9 @@ parent mean, and individual samples scatter around their leaf mean.  An
 optional fraction of background samples comes from a diffuse Gaussian
 covering the feature range.  Generation is a pure function of the parameters,
 which `generate`'s signature alone declares, and the seed.  A file is decoded
-once it passes the shipped `dataset` schema; `validate` checks what no schema can.
+once it passes the shipped `dataset` schema, which `jsonio.read` checks as it
+decodes the features a row block at a time into one float64 matrix;
+`validate` checks what no schema can.
 """
 
 from __future__ import annotations
@@ -127,7 +129,13 @@ class SyntheticDataset:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticDataset":
+        """The dataset a `dataset` document holds, once it passes the schema."""
         jsonio.validate(d, "dataset")
+        return cls._decode(d)
+
+    @classmethod
+    def _decode(cls, d: dict) -> "SyntheticDataset":
+        """The dataset a checked `dataset` document holds."""
         return cls(
             features=np.asarray(d["features"], dtype=np.float64),
             labels=np.asarray(d["labels"], dtype=np.int64),
@@ -142,7 +150,7 @@ class SyntheticDataset:
 
     @classmethod
     def load(cls, path) -> "SyntheticDataset":
-        return jsonio.read(path, cls.from_dict)
+        return jsonio.read(path, cls._decode, "dataset")
 
 
 def generate(

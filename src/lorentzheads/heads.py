@@ -127,8 +127,13 @@ class PrototypeBank:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrototypeBank":
-        """The bank a `prototype_bank` document holds; a d_min is not read."""
+        """The bank a `prototype_bank` document holds, once it passes the schema."""
         jsonio.validate(d, "prototype_bank")
+        return cls._decode(d)
+
+    @classmethod
+    def _decode(cls, d: dict) -> "PrototypeBank":
+        """The bank a checked `prototype_bank` document holds; a d_min is not read."""
         return cls(**{k: v for k, v in d.items() if k != "d_min"})
 
     def save(self, path) -> None:
@@ -136,7 +141,7 @@ class PrototypeBank:
 
     @classmethod
     def load(cls, path) -> "PrototypeBank":
-        return jsonio.read(path, cls.from_dict)
+        return jsonio.read(path, cls._decode, "prototype_bank")
 
 
 def random_bank(mode, class_names, dim, rng, delta=DEFAULT_DELTA) -> PrototypeBank:

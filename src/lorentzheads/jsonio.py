@@ -7,6 +7,16 @@ runs the pure-Python one): a list or array in row blocks of about `_BLOCK`
 numbers, one encoder call per block, so no string ever holds more than one
 block's text.  A numpy array is converted with `.tolist()` one block at a
 time.
+
+`read` gives what json.load gives, but that it decodes each top-level member
+the file's schema declares an array of number arrays into a float64 matrix,
+one block of rows per C-decoder call, checked against the schema's row
+schema and converted by numpy as it is decoded; the blocks are joined once
+the file's text is freed.  It walks such a file's top-level object itself
+and decodes every other member with one `raw_decode` call; a file whose
+schema declares no matrix is decoded in one call.  A malformed object,
+or a matrix that is not rows of numbers of one width, is decoded whole, so
+it is refused as json.load and the schema check refused it.
 """
 
 import dataclasses
@@ -23,8 +33,11 @@ from .errors import ContractError, ParameterError
 
 # json.dumps' own encoder: with indent=None it runs the C implementation
 _encode = json.JSONEncoder(sort_keys=True).encode
-# the numbers `write` encodes per call: 2**10 to 2**14 write a dataset about
-# as fast, 2**16 and 2**17 measurably slower
+# the C decoder json.loads runs, and the JSON whitespace it skips
+_decoder = json.JSONDecoder()
+_ws = json.decoder.WHITESPACE.match
+# the numbers `write` encodes, and `read` decodes, per call: 2**10 to 2**14
+# write a dataset about as fast, 2**16 and 2**17 measurably slower
 _BLOCK = 2 ** 12
 # each JSON type's schema name -> the Python types json decodes it to
 _TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
@@ -69,12 +82,25 @@ def _one_pass(rows: list, schema: dict) -> bool:
     return found == {int} and not (_breaks(min(rows), schema) or _breaks(max(rows), schema))
 
 
+def _is_matrix(schema: dict) -> bool:
+    """Whether `schema` declares an array of arrays of numbers, which `read`
+    decodes to a float64 matrix: one that only row counts can break."""
+    rows = schema.get("items", {})
+    return (schema.get("type") == "array" and rows.get("type") == "array"
+            and rows.get("items") == {"type": "number"}
+            and schema.keys() | rows.keys() <= {"type", "items", "minItems"})
+
+
 def _check(value, schema: dict, path: str) -> None:
-    """Refuse `value`, at JSON path `path`, unless it matches `schema`."""
+    """Refuse `value`, at JSON path `path`, unless it matches `schema`.  A 2-D
+    float64 array matches an array-of-number-arrays schema as the list of its
+    rows would: its row 0 stands for every row."""
     where = path or "the document"
     if schema.keys() - _KEYWORDS:
         raise NotImplementedError(f"schema keywords {sorted(schema.keys() - _KEYWORDS)}")
-    if "type" in schema and not _of_type(type(value), schema["type"]):
+    matrix = (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64
+              and _is_matrix(schema))
+    if "type" in schema and not (matrix or _of_type(type(value), schema["type"])):
         found = next((n for n in _TYPES if _of_type(type(value), n)), type(value).__name__)
         raise ParameterError(f"{where} must be {schema['type']}, not {found}"
                              + f" {value!r}" * (found not in ("array", "object")))
@@ -92,9 +118,11 @@ def _check(value, schema: dict, path: str) -> None:
             if sub is False:
                 raise ParameterError(f"{where} holds the unknown key {key!r}")
             _check(item, {} if sub is True else sub, f"{path}.{key}" if path else key)
-    elif isinstance(value, list):
+    elif isinstance(value, list) or matrix:
         if len(value) < schema.get("minItems", 0):
             raise ParameterError(f"{where} must hold at least {schema['minItems']} items")
+        if matrix:
+            value = value[:1].tolist()
         if "items" in schema and not _one_pass(value, schema["items"]):
             for i, item in enumerate(value):
                 _check(item, schema["items"], f"{path}[{i}]")
@@ -207,11 +235,107 @@ def write(path, doc, indent=None) -> None:
         raise
 
 
-def read(path, decode):
-    """`decode` the parsed UTF-8 file; every malformed-file error names `path`."""
+def _object(s: str, start: int, matrices: dict):
+    """(the object at s[start], a "{", and the index past it), decoded member
+    by member: one named in `matrices`, the row schemas of the
+    array-of-number-arrays members, by `_matrix`, any other by one
+    `raw_decode` call.  A later duplicate key wins, as in json.  An empty or
+    malformed object is decoded whole by json's decoder, which refuses a
+    malformed one as json.loads does, with the running Python's message."""
+    pairs = []
+    i = _ws(s, start + 1).end()
+    while s[i:i + 1] == '"':
+        key, i = json.decoder.scanstring(s, i + 1)
+        i = _ws(s, i).end()
+        if s[i:i + 1] != ":":
+            break
+        i = _ws(s, i + 1).end()
+        value, i = _matrix(s, i, matrices[key]) if key in matrices else _decoder.raw_decode(s, i)
+        pairs.append((key, value))
+        i = _ws(s, i).end()
+        if s[i:i + 1] == "}":
+            return dict(pairs), i + 1
+        if s[i:i + 1] != ",":
+            break
+        i = _ws(s, i + 1).end()
+    return _decoder.raw_decode(s, start)
+
+
+def _matrix(s: str, start: int, row_schema: dict):
+    """(the value at s[start], the index past it) for a member declared an
+    array of number arrays: a tuple of float64 row blocks, each about `_BLOCK`
+    numbers decoded by one call, which `read` joins.  A block ends at the last
+    row that starts within 9/10 of the block's estimated text length, the
+    shortest mean row length seen so far times the rows a block holds, so no
+    pass over the matrix finds the rows.  Where a block is not rows of numbers
+    matching `row_schema` and as wide as the first block's, or is no JSON,
+    the member is decoded whole, as json.loads decodes it: the document check
+    or the decoder then names the fault by its place in the file."""
+    i = _ws(s, start + 1).end()
+    first = s.find("]", i)
+    if s[start:start + 1] != "[" or s[i:i + 1] != "[" or first < 0:
+        return _decoder.raw_decode(s, start)
+    rows_per_block = max(_BLOCK // (s.count(",", i, first) + 1), 1)
+    row_chars = first + 1 - i
+    blocks = []
+    while True:
+        # a row starts at s[i]; a block is at least that row
+        q = s.rfind("[", i + 1, i + rows_per_block * row_chars * 9 // 10)
+        if q < 0:
+            q = s.find("[", i + 1)
+        piece = (s[i:q] if q >= 0 else s[i:]).rstrip(" \t\n\r")
+        try:
+            if q >= 0 and piece.endswith(","):      # rows, and more rows from s[q]
+                rows, end = _decoder.decode("[" + piece[:-1] + "]"), None
+            else:                                   # the last rows, then the matrix's "]"
+                rows, end = _decoder.raw_decode("[" + piece)
+            block = np.asarray(rows, dtype=np.float64) if _one_pass(rows, row_schema) else None
+        except (ValueError, OverflowError):
+            block = None
+        if block is None or blocks and block.shape[1] != blocks[0].shape[1]:
+            return _decoder.raw_decode(s, start)
+        blocks.append(block)
+        if end is not None:
+            return tuple(blocks), i - 1 + end
+        row_chars = min(row_chars, (q - i) // len(rows))
+        i = q
+
+
+def _parse(s: str, schema: dict | None):
+    """The JSON document `s` as json.loads decodes it, but that each
+    array-of-number-arrays member `schema` declares is a tuple of row blocks;
+    an object that can hold none is decoded in one call."""
+    if s.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
+    i = _ws(s, 0).end()
+    matrices = {k: sub["items"] for k, sub in (schema or {}).get("properties", {}).items()
+                if _is_matrix(sub)}
+    if s[i:i + 1] == "{" and matrices:
+        doc, i = _object(s, i, matrices)
+    else:
+        doc, i = _decoder.raw_decode(s, i)
+    i = _ws(s, i).end()
+    if i != len(s):
+        raise json.JSONDecodeError("Extra data", s, i)
+    return doc
+
+
+def read(path, decode, schema=None):
+    """`decode` the UTF-8 JSON file at `path`, which must match the shipped
+    schema named `schema`, if given; every malformed-file error names `path`.
+    The file decodes to what json.load gives, but that each member the schema
+    declares an array of number arrays is a float64 matrix, decoded a row
+    block at a time and checked as it is decoded: the whole matrix is never a
+    tree of Python floats."""
     try:
+        schema = schemas.load_schema(schema) if schema else None
         with open(path, encoding="utf-8") as f:
-            return decode(json.load(f))
+            doc = _parse(f.read(), schema)
+        if isinstance(doc, dict):     # the text is freed: join each matrix's blocks
+            doc = {k: np.concatenate(v) if isinstance(v, tuple) else v for k, v in doc.items()}
+        if schema:
+            _check(doc, schema, "")
+        return decode(doc)
     except (ParameterError, ContractError) as e:
         raise type(e)(f"{path}: {e}") from e
     except RecursionError as e:

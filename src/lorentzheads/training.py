@@ -80,7 +80,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        jsonio.validate(d, "config")
+        """The config a `config` document holds; the constructor checks it.  A
+        document no constructor takes, not an object or with an unknown key,
+        fails the schema, which names the fault."""
+        if not (isinstance(d, dict) and d.keys() <= {f.name for f in dataclasses.fields(cls)}):
+            jsonio.validate(d, "config")
         return cls(**d)
 
     @classmethod
@@ -294,8 +298,8 @@ def save_checkpoint(path, config: ExperimentConfig, epoch: int, encoder: Encoder
 
 
 def _decode_checkpoint(payload: dict) -> RunState:
-    """The run state a `checkpoint` document holds; decoding checks its bank."""
-    jsonio.validate(payload, "checkpoint")
+    """The run state a checked `checkpoint` document holds; decoding checks
+    its config and bank, which the checkpoint schema only types as objects."""
     config = ExperimentConfig.from_dict(payload["config"])
     epoch, train_loss = payload["epoch"], payload["train_loss"]
     if epoch > config.epochs:
@@ -315,7 +319,7 @@ def _decode_checkpoint(payload: dict) -> RunState:
 
 def load_checkpoint(path) -> RunState:
     """The save_checkpoint arguments after `path`, read back from it."""
-    return jsonio.read(path, _decode_checkpoint)
+    return jsonio.read(path, _decode_checkpoint, "checkpoint")
 
 
 # ---------------------------------------------------------------------------

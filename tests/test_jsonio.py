@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lorentzheads import data, hubness, jsonio, schemas, training
+from lorentzheads import data, heads, hubness, jsonio, schemas, training
 from lorentzheads.errors import ContractError, ParameterError
 
 
@@ -328,3 +328,360 @@ def test_refusal_names_the_path(tmp_path, edit, message):
     edit(doc)
     with pytest.raises(ParameterError, match=re.escape(message)):
         jsonio.validate(doc, "dataset")
+
+
+# -- the block reader ---------------------------------------------------------
+
+
+def _json_load(path, decode):
+    """What `jsonio.read(path, decode)` gave before it decoded matrices in
+    blocks: `decode` of json.load's document, errors wrapped as read wraps them."""
+    with mock.patch.object(jsonio, "_parse", lambda text, schema: json.loads(text)):
+        return jsonio.read(path, decode)
+
+
+def _outcome(call):
+    """('ok', the result) or (the exception's type, its message)."""
+    try:
+        return "ok", call()
+    except (ParameterError, ContractError) as e:
+        return type(e), str(e)
+
+
+def _fields(obj) -> dict:
+    """A loaded dataset's or bank's fields, each array as its int64 view, so
+    equal fields hold the same bits."""
+    out = {}
+    for key, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            bits = np.ascontiguousarray(value).view(np.int64) if value.dtype == np.float64 else value
+            value = (value.shape, value.dtype.str, bits.tolist())
+        elif dataclasses.is_dataclass(value):
+            value = vars(value)
+        out[key] = repr(value)
+    return out
+
+
+# the two file kinds whose members `read` decodes in blocks: (class, matrix member)
+_KINDS = {"dataset": (data.SyntheticDataset, "features"),
+          "bank": (heads.PrototypeBank, "prototypes")}
+
+
+def _document(path, kind: str, rows: int, width: int = 16) -> dict:
+    """The document of a valid dataset or Euclidean bank whose matrix has
+    `rows` rows of `width` numbers, as saved to `path`."""
+    if kind == "dataset":
+        obj = data.generate(num_features=width, num_samples=rows, num_classes=2, num_super=2,
+                            background_fraction=0.0, seed=rows)
+    else:
+        obj = heads.PrototypeBank(
+            heads.MODE_LINEAR, np.random.default_rng(rows).normal(size=(rows, width)),
+            [f"c{i}" for i in range(rows)])
+    obj.save(path)
+    return json.loads(path.read_text())
+
+
+def _save(path, doc, form: str) -> None:
+    """`doc` as the package writes it, or re-indented by json.dump(indent=1)
+    with LF or CRLF line ends."""
+    if form == "package":
+        jsonio.write(path, doc)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\r\n" if form == "crlf" else "\n") as f:
+            json.dump(doc, f, indent=1)
+
+
+def _assert_parity(path, kind: str) -> tuple:
+    """Load `path` as the package does and as json.load + from_dict did:
+    the same fields bit for bit, or the same refusal."""
+    cls, _ = _KINDS[kind]
+    new, old = _outcome(lambda: cls.load(path)), _outcome(lambda: _json_load(path, cls.from_dict))
+    if new[0] == old[0] == "ok":
+        assert _fields(new[1]) == _fields(old[1])
+    else:
+        assert new == old
+    return new
+
+
+class _Spy:
+    """jsonio's decoder, recording the rows of every matrix a call decodes,
+    whole or as a member of an object."""
+
+    def __init__(self, decoder):
+        self.decoder, self.blocks = decoder, []
+
+    def _seen(self, value):
+        for v in value.values() if isinstance(value, dict) else [value]:
+            if isinstance(v, list) and v and all(isinstance(r, list) for r in v):
+                self.blocks.append(v)
+        return value
+
+    def decode(self, s):
+        return self._seen(self.decoder.decode(s))
+
+    def raw_decode(self, s, i=0):
+        value, end = self.decoder.raw_decode(s, i)
+        return self._seen(value), end
+
+
+def _block_rows(path, kind: str) -> list:
+    """The row count of each matrix block a load of `path` decodes, its
+    refusal, if any, aside."""
+    spy = _Spy(jsonio._decoder)
+    with mock.patch.object(jsonio, "_decoder", spy):
+        try:
+            _KINDS[kind][0].load(path)
+        except (ParameterError, ContractError):
+            pass
+    return list(map(len, spy.blocks))
+
+
+def _streamed_rows(path, kind: str) -> list:
+    """`_block_rows`, failing if one decode call parses more than a block's
+    numbers: at most `_BLOCK`, or one row."""
+    spy = _Spy(jsonio._decoder)
+    with mock.patch.object(jsonio, "_decoder", spy):
+        _KINDS[kind][0].load(path)
+    for rows in spy.blocks:
+        widest = max(map(len, rows))
+        assert sum(map(len, rows)) <= max(jsonio._BLOCK, widest), (len(rows), widest)
+    return list(map(len, spy.blocks))
+
+
+_FORMS = ["package", "indent", "crlf"]
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("form", _FORMS)
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_read_matches_json_load(tmp_path, kind, form, blocks, offset):
+    """k blocks' worth of rows, one short of it and one past it, load as
+    json.load + from_dict gave, in row blocks."""
+    rows = blocks * (jsonio._BLOCK // 16) + offset
+    path = tmp_path / "doc.json"
+    _save(path, _document(path, kind, rows), form)
+    assert _assert_parity(path, kind)[0] == "ok"
+    counts = _streamed_rows(path, kind)
+    assert sum(counts) == rows and len(counts) >= blocks
+
+
+def _garble(doc, member, row, fault):
+    """`doc` with `fault` put into row `row` of its matrix `member`."""
+    matrix = doc[member]
+    if fault == "short":
+        matrix[row].pop()
+    elif fault == "ragged-tail":        # every row from `row` on one number short
+        for r in matrix[row:]:
+            r.pop()
+    else:
+        matrix[row][0] = {"string": "1.5", "bool": True, "huge": 10 ** 400, "nan": float("nan"),
+                          "syntax": "@@"}[fault]
+    return doc
+
+
+# the text the "syntax" fault's marker becomes: a missing comma, a bad
+# number, a missing value
+_SYNTAX = ["1.5 2.5", "1.5.5", ""]
+_FAULTS = ["string", "bool", "huge", "nan", "short", "ragged-tail", "syntax"]
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("form", _FORMS)
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("where", ["first", "second-block", "last"])
+def test_read_refuses_as_json_load(tmp_path, kind, form, fault, where):
+    """A string, a bool, an integer beyond the float range, a NaN, a short
+    row, rows narrower from one on, or a syntax error, at row 0, at the first
+    row of the second block or at the last row: the file is refused as
+    json.load + from_dict refused it, naming the same path or place."""
+    member = _KINDS[kind][1]
+    rows = 2 * (jsonio._BLOCK // 16) + 1
+    path = tmp_path / "doc.json"
+    _save(path, _document(path, kind, rows), form)
+    row = {"first": 0, "second-block": _block_rows(path, kind)[0],
+           "last": rows - 1}[where]
+    _save(path, _garble(_document(path, kind, rows), member, row, fault), form)
+    texts = [path.read_bytes()]
+    if fault == "syntax":
+        texts = [texts[0].replace(b'"@@"', s.encode()) for s in _SYNTAX]
+    for text in texts:
+        path.write_bytes(text)
+        if where == "second-block":    # the fault leaves the first block as it was
+            assert _block_rows(path, kind)[0] == row
+        status, message = _assert_parity(path, kind)
+        # rows all one number short from row 0 on are a narrower matrix
+        assert status != "ok" and str(path) in message or (fault, row) == ("ragged-tail", 0)
+        if fault in ("string", "bool"):
+            assert f"{member}[{row}][0] must be number" in message
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("text", [
+    "\ufeff{}",  # a UTF-8 BOM
+    "{} {}", "{}x", "[]", "[" * 200000, "", " ", "{", '{"a"', '{"a" 1}', '{"a": }',
+    '{"a": 1 "b": 2}', '{"a": 1,}', '{"a": 1, }', "{,}", '{"a": [[1, 2], [3 4]]}',
+    '{"features": [], "prototypes": []}', '{"features": [1, 2], "prototypes": "x"}',
+    '{"features": [[1e400, -1e400, NaN, Infinity, -Infinity]]}',
+    '{"features": [[1, 2]], "features": [[3, 4]]}',
+    '{"prototypes": [["x"]], "prototypes": [[1], [2]]}',
+    '{"features": [["x"]] "x": 1}', '{"features": [[1]]]}', '{"features": [[1], [2]',
+    '{"features": [[1], [[2]]]}', '{"features": [[1], [[2]], [3]]}', '{"features": [[1],\t[2]]}',
+    '{"features": [[1], [2],]}', '{"features": [[1], ["]", 2]]}', '{"features": [[1], ["[", 2]]}',
+    '{"features": [[1], [2]\f]}', '{"features": [[1],\f[2]]}', '{"features":[[1],[2]]}',
+    '{"features": [[1], [2],', '{"features": [[1], [2], ', '{"features": [[1],',
+    '{"features": [[1], [2]], "x": [[3], [4]]}', '{"features": [[1], [2]], "x": [3, [4]]}',
+])
+def test_read_edge_documents(tmp_path, kind, text):
+    """Hand-written documents: BOM, trailing data, non-objects, nesting too
+    deep for the decoder, syntax errors around and inside a matrix, empty
+    and flat matrices, the NaN/Infinity tokens and duplicate keys (the last
+    wins) decode or are refused as json.load + from_dict did."""
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    _assert_parity(path, kind)
+
+
+def test_read_duplicate_key_last_wins(tmp_path):
+    """A duplicate features member: the last one's rows are the dataset's,
+    though the first is no number matrix."""
+    path = tmp_path / "ds.json"
+    _document(path, "dataset", 300)
+    text = path.read_text()
+    path.write_text('{"features": [["x"]], "features": [[1.0], [2.0]], ' + text[1:])
+    assert _assert_parity(path, "dataset")[0] == "ok"
+    path.write_text(text[:-2] + ', "features": [[1.0], ["x"]]}\n')
+    assert "features[1][0] must be number" in _assert_parity(path, "dataset")[1]
+
+
+@pytest.mark.parametrize("width", [jsonio._BLOCK - 1, jsonio._BLOCK + 5])
+def test_read_rows_wider_than_a_block(tmp_path, width):
+    """A row of more numbers than a block is a block of its own."""
+    path = tmp_path / "bank.json"
+    _document(path, "bank", 3, width)
+    assert _assert_parity(path, "bank")[0] == "ok"
+    assert _streamed_rows(path, "bank") == [1, 1, 1]
+    ds = data.generate(num_features=width, num_samples=24, num_classes=2, num_super=2,
+                       background_fraction=0.0, train_fraction=0.9)
+    ds.save(path)
+    assert _assert_parity(path, "dataset")[0] == "ok"
+
+
+def test_read_keeps_every_bit(tmp_path):
+    """NaN, infinities, signed zeros, subnormals and integers that round:
+    the matrix `read` decodes holds json.load's numbers converted by numpy."""
+    values = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -2.2e-308,
+              2 ** 53 + 1, -(2 ** 64) - 1, 10 ** 308, 1.7976931348623157e308, 0.1, 7]
+    matrix = [values[i:] + values[:i] for i in range(len(values))] * 400
+    path = tmp_path / "doc.json"
+    jsonio.write(path, {"features": matrix})
+    with mock.patch.object(schemas, "load_schema", lambda name: {
+            "type": "object", "properties": {"features": {
+                "type": "array", "items": {"type": "array", "items": {"type": "number"}}}}}):
+        got = jsonio.read(path, lambda d: d["features"], "any")
+    want = np.asarray(json.loads(path.read_text())["features"], dtype=np.float64)
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_dataset_load_peak_memory(tmp_path):
+    """Peak memory stays near the file's bytes and text, which the read
+    holds together for a moment: no tree of Python floats for all features."""
+    path = tmp_path / "ds.json"
+    data.generate(num_samples=8000, num_features=16, seed=0).save(path)
+    tracemalloc.start()
+    try:
+        data.SyntheticDataset.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * os.path.getsize(path)
+
+
+@pytest.mark.parametrize("form", _FORMS)
+def test_dataset_load_decodes_blocks(tmp_path, form):
+    """No decode call parses more than a block of the 8000 x 16 features."""
+    path = tmp_path / "ds.json"
+    data.generate(num_samples=8000, num_features=16, seed=0).save(path)
+    _save(path, json.loads(path.read_text()), form)
+    counts = _streamed_rows(path, "dataset")
+    assert sum(counts) == 8000 and len(counts) > 8000 * 16 // jsonio._BLOCK
+
+
+def test_read_spy_catches_a_whole_matrix(tmp_path, monkeypatch):
+    """The spy above fails a reader that decodes the features in one call."""
+    path = tmp_path / "ds.json"
+    data.generate(num_samples=600, num_features=16, seed=0).save(path)
+    monkeypatch.setattr(jsonio, "_is_matrix", lambda schema: False)
+    with pytest.raises(AssertionError):
+        _streamed_rows(path, "dataset")
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda f: f, None, None),
+    (lambda f: f[:, :0], ParameterError, "features[0] must hold at least 1 items"),
+    (lambda f: f.astype(np.float32), ParameterError, "features must be array, not ndarray"),
+    (lambda f: f[:, 0], ParameterError, "features must be array, not ndarray"),
+])
+def test_check_takes_a_float64_matrix(tmp_path, edit, error, message):
+    """from_dict takes a 2-D float64 array where the schema declares an array
+    of number arrays, as it takes the array's rows; row 0 stands for all."""
+    ds = data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600)
+    ds.save(tmp_path / "ds.json")
+    listed = json.loads((tmp_path / "ds.json").read_text())
+    doc = {**listed, "features": edit(ds.features)}
+    if error is None:
+        assert (_fields(data.SyntheticDataset.from_dict(doc))
+                == _fields(data.SyntheticDataset.from_dict(listed)))
+    else:
+        with pytest.raises(error, match=re.escape(message)):
+            data.SyntheticDataset.from_dict(doc)
+    bank = {"mode": heads.MODE_LINEAR, "class_names": ["a", "b"], "delta": 1.0, "frozen": False,
+            "prototypes": np.zeros((1, 3))}
+    with pytest.raises(ParameterError, match="prototypes must hold at least 2 items"):
+        heads.PrototypeBank.from_dict(bank)
+
+
+def _top_level_checks(monkeypatch) -> list:
+    """The schema names whole documents are checked against, call by call."""
+    names = {id(schemas.load_schema(n)): n for n in SCHEMA_NAMES}
+    real, seen = jsonio._check, []
+
+    def check(value, schema, path):
+        if not path:
+            seen.append(names.get(id(schema), "other"))
+        real(value, schema, path)
+
+    monkeypatch.setattr(jsonio, "_check", check)
+    return seen
+
+
+def test_each_document_checked_once(tmp_path, monkeypatch):
+    """Every path that decodes or builds a document checks it against its
+    schema once: files, in-memory dicts, dataclasses.replace and a
+    checkpoint's nested config and bank."""
+    ds = data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600, seed=3)
+    ds.save(tmp_path / "ds.json")
+    cfg = training.ExperimentConfig(epochs=1, embed_dim=8, seed=3)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+    training.train(cfg, ds, out_dir=tmp_path)
+    bank = training.load_checkpoint(tmp_path / "checkpoint.json").bank
+    bank.save(tmp_path / "bank.json")
+    calls = {
+        "dataset-file": (lambda: data.SyntheticDataset.load(tmp_path / "ds.json"), ["dataset"]),
+        "dataset-dict": (lambda: data.SyntheticDataset.from_dict(
+            json.loads((tmp_path / "ds.json").read_text())), ["dataset"]),
+        "bank-file": (lambda: heads.PrototypeBank.load(tmp_path / "bank.json"),
+                      ["prototype_bank"]),
+        "bank-dict": (lambda: heads.PrototypeBank.from_dict(bank.to_dict()), ["prototype_bank"]),
+        "config-file": (lambda: training.ExperimentConfig.load(tmp_path / "cfg.json"),
+                        ["config"]),
+        "config-dict": (lambda: training.ExperimentConfig.from_dict(cfg.to_dict()), ["config"]),
+        "config-replace": (lambda: dataclasses.replace(cfg, head_mode=heads.MODE_LINEAR),
+                           ["config"]),
+        "checkpoint": (lambda: training.load_checkpoint(tmp_path / "checkpoint.json"),
+                       ["checkpoint", "config", "prototype_bank"]),
+    }
+    for name, (call, expected) in calls.items():
+        seen = _top_level_checks(monkeypatch)
+        call()
+        assert seen == expected, name
