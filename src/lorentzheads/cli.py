@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import data, geometry, heads, hubness, jsonio, training
+from . import data, heads, hubness, jsonio, training
 from .errors import ContractError, NumericalError, ParameterError
 from .manifest import RunManifest
 
@@ -179,28 +179,24 @@ def _parse_embedding_file(path):
 
 def cmd_import_prototypes(args) -> int:
     names, vectors = _parse_embedding_file(args.embeddings)
-    if args.mode == heads.MODE_HYPERBOLIC:
-        if args.already_hyperbolic:
-            protos = vectors  # (n+1)-coordinates, validated by the bank
-        else:
-            protos = geometry.batch_exp_map_origin(vectors)
-    else:
-        if args.already_hyperbolic:
-            raise ParameterError("--already-hyperbolic only applies to hyperbolic mode")
-        protos = vectors
-    bank = heads.PrototypeBank(
-        mode=args.mode, prototypes=protos, class_names=names,
-        delta=args.delta, frozen=True,
-    )
+    head = heads.HEADS[args.mode]
+    if args.already_hyperbolic and not head.exp0:
+        raise ParameterError("--already-hyperbolic only applies to hyperbolic mode")
+    if args.delta is not None and not head.shifted:
+        raise ParameterError(f"--delta is read only by a head whose logits shift distances, "
+                             f"not by {args.mode}")
+    delta = heads.DEFAULT_DELTA if args.delta is None else args.delta
+    protos = vectors if args.already_hyperbolic else head.rows(vectors)
+    bank = heads.PrototypeBank(args.mode, protos, names, delta=delta, frozen=True)
     manifest = RunManifest(
         os.path.dirname(os.path.abspath(args.out)), command="import-prototypes",
-        config={"embeddings": args.embeddings, "mode": args.mode, "delta": args.delta,
+        config={"embeddings": args.embeddings, "mode": args.mode, "delta": delta,
                 "already_hyperbolic": args.already_hyperbolic},
         seed=None, input_paths=[args.embeddings],
     )
     bank.save(args.out)
     manifest.finalize([args.out])
-    d_min = f", d_min={bank.d_min:.6f}" if bank.mode == heads.MODE_HYPERBOLIC else ""
+    d_min = f", d_min={bank.d_min:.6f}" if head.shifted else ""
     print(f"wrote {args.out}: {bank.num_classes} classes{d_min}")
     return EXIT_OK
 
@@ -254,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--embeddings", required=True,
                    help="text file, one line per class: name v1 v2 ... vn")
     i.add_argument("--mode", choices=heads.MODES, default=heads.MODE_HYPERBOLIC)
-    i.add_argument("--delta", type=float, default=heads.DEFAULT_DELTA)
+    i.add_argument("--delta", type=float, help=f"default {heads.DEFAULT_DELTA}")
     i.add_argument("--already-hyperbolic", action="store_true",
                    help="embedding rows are (n+1)-coordinate hyperboloid points")
     i.add_argument("--out", required=True)

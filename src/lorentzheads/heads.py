@@ -7,25 +7,18 @@ prototypes, and converts distances to logits via
     s_c = delta - (delta / d_min) * d_c
 
 so that s = delta at distance zero and sigmoid(s) = 0.5 exactly at
-d = d_min.  Training uses a sigmoid focal loss; every loss function takes
-its focusing gamma and class weight alpha from the caller (a run's
-`ExperimentConfig` holds and range-checks them).  A matched Euclidean head
-(plain linear logits W^T v, or temperature-scaled cosine similarities)
-serves as the baseline for controlled comparisons.  Every forward and loss
-path takes an (m, n) feature matrix; classify wraps one feature as m = 1.
-The hyperbolic backward negates the spatial columns of its two products in
-place, the bits of a full negation and a time-column re-negation, and takes
-sqrt(cosh_d^2 - 1) unclamped: _cosh_distance clamps cosh_d at 1, so the
-difference is never negative.  The focal loss weighs every entry as a
-negative, then rewrites the positive entries, one per foreground row, found
-by flat index; the +-1 signs are exact, so no one-hot or sign matrix is
-needed for the bits.  A frozen bank's prototype gradient is None, never
-computed.
+d = d_min.  Training uses a sigmoid focal loss with the caller's gamma and
+alpha.  A matched Euclidean head (plain linear logits W^T v, or
+temperature-scaled cosine similarities) serves as the baseline for
+controlled comparisons.  `HEADS` holds one row per mode, and whatever
+depends on the mode is a lookup there.  Every forward and loss path takes
+an (m, n) feature matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +31,7 @@ BACKGROUND = -1
 MODE_HYPERBOLIC = "hyperbolic"
 MODE_LINEAR = "euclidean-linear"
 MODE_COSINE = "euclidean-cosine"
-MODES = (MODE_HYPERBOLIC, MODE_LINEAR, MODE_COSINE)
+# HEADS, at the end of the module, holds what each mode does; MODES = tuple(HEADS)
 
 DEFAULT_DELTA = 1.4
 DEFAULT_TAU = 0.07
@@ -59,13 +52,9 @@ def sigmoid(x):
 
 @dataclass
 class PrototypeBank:
-    """C class prototypes plus head configuration.
-
-    Hyperbolic prototypes are stored as full (n+1)-coordinate hyperboloid
-    points (one row each); Euclidean prototypes as plain n-vectors.  d_min is
-    read by the hyperbolic logit alone and derived, never stored: the minimum
-    pairwise geodesic distance of a frozen hyperbolic bank, 1 otherwise.
-    """
+    """C class prototypes plus head configuration.  d_min, read by the
+    distance shift alone, is derived, never stored: the minimum pairwise
+    geodesic distance of a frozen bank whose head shifts distances, 1 otherwise."""
 
     mode: str
     prototypes: np.ndarray
@@ -76,8 +65,11 @@ class PrototypeBank:
     def __post_init__(self):
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         self.validate()
-        frozen_hyperbolic = self.frozen and self.mode == MODE_HYPERBOLIC
-        self.d_min = self.min_pairwise_distance() if frozen_hyperbolic else 1.0
+        self.d_min = self.min_pairwise_distance() if self.frozen and self.head.shifted else 1.0
+
+    @property
+    def head(self) -> Head:
+        return HEADS[self.mode]
 
     @property
     def num_classes(self) -> int:
@@ -85,24 +77,21 @@ class PrototypeBank:
 
     @property
     def feature_dim(self) -> int:
-        """Width of the features this bank scores (hyperbolic rows carry x0)."""
-        return self.prototypes.shape[1] - (self.mode == MODE_HYPERBOLIC)
+        """Width of the features this bank scores (hyperboloid rows carry x0)."""
+        return self.prototypes.shape[1] - self.head.exp0
 
     def validate(self) -> None:
-        if self.mode not in MODES:
+        if self.mode not in HEADS:
             raise ParameterError(f"unknown mode {self.mode!r}")
         if self.prototypes.ndim != 2 or self.prototypes.shape[0] < 2:
-            raise ParameterError("need at least 2 prototype rows")
+            raise ParameterError("prototypes must hold at least 2 rows")
         if len(self.class_names) != self.prototypes.shape[0]:
-            raise ParameterError("class_names length must match prototype count")
+            raise ParameterError("class_names must hold one name per prototype row")
         if not 0.0 < self.delta < np.inf:
             raise ParameterError(f"delta must be finite and > 0, not {self.delta}")
         if not np.all(np.isfinite(self.prototypes)):
             raise ContractError("prototypes contain non-finite entries")
-        if self.mode == MODE_HYPERBOLIC:
-            geometry.assert_on_manifold(self.prototypes)
-        elif self.mode == MODE_COSINE:   # scoring's zero-row test, when the bank is built
-            unit_rows(self.prototypes)
+        self.head.check(self.prototypes)
 
     def min_pairwise_distance(self) -> float:
         """Brute-force minimum geodesic distance between hyperbolic prototypes."""
@@ -145,12 +134,10 @@ class PrototypeBank:
 
 
 def random_bank(mode, class_names, dim, rng, delta=DEFAULT_DELTA) -> PrototypeBank:
-    """Learnable bank initialized near the origin: one row per class, uniform
-    in [-0.01, 0.01]^dim, exp0-mapped for the hyperbolic head."""
+    """Learnable bank initialized near the origin: the head's rows of one
+    uniform draw in [-0.01, 0.01]^dim per class."""
     W = rng.uniform(-0.01, 0.01, size=(len(class_names), dim))
-    if mode == MODE_HYPERBOLIC:
-        W = geometry.batch_exp_map_origin(W)
-    return PrototypeBank(mode=mode, prototypes=W, class_names=class_names, delta=delta)
+    return PrototypeBank(mode, HEADS[mode].rows(W), class_names, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -207,48 +194,48 @@ def unit_rows(A: np.ndarray):
 
 def batch_bank_logits(features: np.ndarray, bank: PrototypeBank,
                       tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Mode-dispatching logits for an (m, n) feature matrix; returns (m, C)."""
-    F = np.asarray(features, dtype=np.float64)
-    if bank.mode == MODE_HYPERBOLIC:
-        X = geometry.batch_exp_map_origin(F)
-        D = geometry.batch_distance(X, bank.prototypes)
-        return _shift_logits(D, bank.delta, bank.d_min)
-    if bank.mode == MODE_LINEAR:
-        return F @ bank.prototypes.T
-    U, _ = unit_rows(F)
-    Q, _ = unit_rows(bank.prototypes)
-    S = U @ Q.T
-    S /= tau
-    return S
+    """The bank's head's (m, C) logits of an (m, n) feature matrix."""
+    return bank.head.logits(np.asarray(features, dtype=np.float64), bank, tau)
 
 
 def top_logits(features: np.ndarray, bank: PrototypeBank,
                tau: float = DEFAULT_TAU) -> tuple[np.ndarray, np.ndarray]:
     """(pred, top): each row's first arg-max of batch_bank_logits and the
-    logit there, bit for bit.
+    logit there, bit for bit, by the bank's head's winner-only path if any."""
+    F = np.asarray(features, dtype=np.float64)
+    if bank.head.top is not None:
+        return bank.head.top(F, bank)
+    S = batch_bank_logits(F, bank, tau=tau)
+    pred = np.argmax(S, axis=1)
+    return pred, S[np.arange(len(pred)), pred]
 
-    A hyperbolic bank takes arccosh and the logit shift at each row's
-    nearest prototype only.  The logit falls monotonically with the cosh
-    distance but may round two near distances to one logit, where the
-    arg-max takes the lower column; so a row with another column within a
-    relative 2^-40 of its minimum (exact ties, duplicate prototypes, the
-    clamp at 1) is scored in full.  Outside that band the distances differ
-    by more than ln(1 + 2^-40) ~ 2^-40 (arccosh grows faster than log),
-    about 8 ULP of any distance whose cosh is finite (below ~710, where one
-    ULP is at most 2^-43), so no other column can tie after the shift.
 
-    The cosh distances are taken unclamped, and only each row's winner and
-    the tied rows are clamped at 1.  max(., 1) is monotone and keeps NaN, so
-    the clamped winner is the clamped row minimum, and the band, whose
-    bound is >= 1, holds the same columns either way.  Where the unclamped
+def _cosine_logits(F, P, tau):
+    """(S, U, |F|, Q, |P|): the cosine logits S of F against P over tau, with
+    the unit rows and norms of both."""
+    (U, fn), (Q, pn) = unit_rows(F), unit_rows(P)
+    S = U @ Q.T
+    S /= tau
+    return S, U, fn, Q, pn
+
+
+def _nearest_top(F, bank):
+    """top_logits of a bank whose logits fall with the cosh distance:
+    arccosh and the shift run at each row's nearest prototype only.
+
+    Two near distances may round to one logit, where the arg-max takes the
+    lower column, so a row with another column within a relative 2^-40 of
+    its minimum (exact ties, duplicate prototypes, the clamp at 1) is scored
+    in full.  Outside that band the distances differ by more than
+    ln(1 + 2^-40) ~ 2^-40 (arccosh grows faster than log), about 8 ULP of
+    any distance whose cosh is finite (below ~710, where one ULP is at most
+    2^-43), so no other column can tie after the shift.  Only the winners
+    and the tied rows are clamped at 1: max(., 1) is monotone and keeps NaN,
+    so the clamped winner is the clamped row minimum and the band, whose
+    bound is >= 1, holds the same columns either way; where the unclamped
     and the clamped arg-min differ, both columns clamp to the minimum, so
     the row is tied and scored in full.
     """
-    F = np.asarray(features, dtype=np.float64)
-    if bank.mode != MODE_HYPERBOLIC:
-        S = batch_bank_logits(F, bank, tau=tau)
-        pred = np.argmax(S, axis=1)
-        return pred, S[np.arange(len(pred)), pred]
     A = geometry._cosh_distance(geometry.batch_exp_map_origin(F), bank.prototypes,
                                 clamp=False)
     pred = np.argmin(A, axis=1)     # a row's first NaN, as argmax takes it
@@ -263,29 +250,6 @@ def top_logits(features: np.ndarray, bank: PrototypeBank,
         pred[tied] = np.argmax(S, axis=1)
         top[tied] = S[np.arange(len(tied)), pred[tied]]
     return pred, top
-
-
-def classify(feature, bank: PrototypeBank, k: int | None = None, tau: float = DEFAULT_TAU):
-    """Predict a class for one feature vector.
-
-    Returns (predicted_index, confidence, top_k) where top_k is a list of
-    (class_name, confidence) sorted by descending confidence.  Ties break
-    toward the lower class index.  k defaults to min(3, C).
-    """
-    if k is None:
-        k = min(3, bank.num_classes)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
-            or not 1 <= k <= bank.num_classes:
-        raise ParameterError(f"k must be an int in [1, {bank.num_classes}], not {k!r}")
-    f = np.asarray(feature, dtype=np.float64)
-    if f.ndim != 1 or not np.all(np.isfinite(f)):
-        raise ContractError("feature must be a finite 1-D vector")
-    scores = batch_bank_logits(f[None], bank, tau=tau)[0]
-    conf = sigmoid(scores)
-    pred = int(np.argmax(scores))  # first max == lowest index on ties
-    order = np.argsort(-conf, kind="stable")[:k]
-    top = [(bank.class_names[int(c)], float(conf[int(c)])) for c in order]
-    return pred, float(conf[pred]), top
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +353,9 @@ def batch_focal_loss(logits: np.ndarray, targets: np.ndarray, gamma: float, alph
 
 def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
                               targets: np.ndarray, gamma: float, alpha: float):
-    """Focal loss through exp0 -> distances -> shifted logits, with analytic
-    gradients w.r.t. the input features and the prototypes.
-
-    features is (m, n); returns (loss, grad_features (m, n),
-    grad_prototypes (C, n+1) in ambient Euclidean coordinates, or None for a
-    frozen bank).
-    """
+    """Focal loss through exp0 -> distances -> shifted logits of an (m, n)
+    feature matrix: (loss, grad_features (m, n), grad_prototypes (C, n+1) in
+    ambient Euclidean coordinates, or None for a frozen bank)."""
     if bank.mode != MODE_HYPERBOLIC:
         raise ContractError("hyperbolic head required")
     F = np.asarray(features, dtype=np.float64)
@@ -417,8 +377,8 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
         W = np.divide(G_D, denom, out=np.zeros_like(G_D), where=~near)
     else:
         W = np.divide(G_D, denom, out=G_D)
-    # cosh_d = -<x,t>_l = -x^T g_l t, so dL/dX = -g_l (W T), dL/dT = -g_l (W^T X):
-    # the products with their spatial columns negated in place
+    # cosh_d = -<x,t>_l = -x^T g_l t, so dL/dX = -g_l (W T), dL/dT = -g_l (W^T X): the
+    # products with their spatial columns negated in place, the bits of -g_l (.)
     grad_X = W @ T
     np.negative(grad_X[:, 1:], out=grad_X[:, 1:])
     grad_F = geometry._grad_exp0(F, grad_X, *exp0_terms)
@@ -431,31 +391,25 @@ def hyperbolic_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
 
 def loss_and_grads(features: np.ndarray, bank: PrototypeBank, targets: np.ndarray,
                    gamma: float, alpha: float, tau: float = DEFAULT_TAU):
-    """Mode-dispatching training loss: (loss, grad_features (m, n),
-    grad_prototypes shaped like bank.prototypes).  A frozen bank gets None
-    for grad_prototypes: its prototype product is never computed."""
-    if bank.mode == MODE_HYPERBOLIC:
-        return hyperbolic_loss_and_grads(features, bank, targets, gamma, alpha)
-    return euclidean_loss_and_grads(features, bank, targets, gamma, alpha, tau=tau)
+    """The bank's head's training loss: (loss, grad_features (m, n),
+    grad_prototypes shaped like bank.prototypes, or None for a frozen bank)."""
+    return bank.head.loss(features, bank, targets, gamma, alpha, tau)
 
 
 def euclidean_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
                              targets: np.ndarray, gamma: float, alpha: float,
                              tau: float = DEFAULT_TAU):
     """Focal loss through the Euclidean baseline head with analytic gradients
-    w.r.t. features (m, n) and prototypes (C, n), or None for a frozen bank."""
-    F = np.asarray(features, dtype=np.float64)
-    P = bank.prototypes
-    if bank.mode == MODE_LINEAR:
+    w.r.t. features (m, n) and prototypes (C, n), or None for a frozen bank.
+    The cosine head is the linear head on unit rows, its logits over tau."""
+    if bank.head.exp0:
+        raise ContractError("euclidean head required")
+    F, P = np.asarray(features, dtype=np.float64), bank.prototypes
+    if not bank.head.cosine:
         S = F @ P.T
         loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
         return loss, G_S @ P, None if bank.frozen else G_S.T @ F
-    if bank.mode != MODE_COSINE:
-        raise ContractError("euclidean head required")
-    U, fn = unit_rows(F)
-    Q, pn = unit_rows(P)
-    S = U @ Q.T
-    S /= tau
+    S, U, fn, Q, pn = _cosine_logits(F, P, tau)
     loss, G_S = batch_focal_loss(S, targets, gamma, alpha)
     G_U = (G_S @ Q) / tau
     # back through row normalization: d/df = (I - u u^T)/||f|| applied to g
@@ -465,3 +419,40 @@ def euclidean_loss_and_grads(features: np.ndarray, bank: PrototypeBank,
     G_Q = (G_S.T @ U) / tau
     grad_P = (G_Q - np.einsum("ij,ij->i", G_Q, Q)[:, None] * Q) / pn
     return loss, grad_F, grad_P
+
+
+@dataclass(frozen=True)
+class Head:
+    """What one head mode does.  A row calls the package's public functions
+    from a lambda, which looks each up at call time, so a wrapper put on the
+    module attribute (a tracer, a test's counter) sees every call."""
+
+    logits: Callable            # (F, bank, tau) -> all-pairs (m, C) logits
+    loss: Callable              # (F, bank, targets, gamma, alpha, tau) -> loss_and_grads'
+    top: Callable | None = None         # (F, bank) -> winner-only top_logits, if any
+    check: Callable = lambda P: None    # refuses prototype rows the head cannot score
+    exp0: bool = False          # rows are exp0 of tangent rows, x0 one column wider
+    shifted: bool = False       # logits shift distances: reads delta; frozen derives d_min
+    cosine: bool = False        # logits are cosine similarities over tau: reads cosine_tau
+    rsgd: bool = False          # RSGD, not Adam, steps a learnable bank's prototypes
+    kind: str = "cosine"        # the hubness distance kind
+
+    def rows(self, W: np.ndarray) -> np.ndarray:
+        """The prototype rows of tangent coordinates W: exp0, or W itself."""
+        return geometry.batch_exp_map_origin(W) if self.exp0 else W
+
+
+HEADS = {
+    MODE_HYPERBOLIC: Head(
+        lambda F, bank, tau: _shift_logits(geometry.batch_distance(
+            geometry.batch_exp_map_origin(F), bank.prototypes), bank.delta, bank.d_min),
+        lambda F, bank, y, gamma, alpha, tau: hyperbolic_loss_and_grads(F, bank, y, gamma, alpha),
+        top=_nearest_top, check=lambda P: geometry.assert_on_manifold(P),
+        exp0=True, shifted=True, rsgd=True, kind="hyperbolic"),
+    MODE_LINEAR: Head(lambda F, bank, tau: F @ bank.prototypes.T,
+                      lambda *args: euclidean_loss_and_grads(*args)),
+    MODE_COSINE: Head(lambda F, bank, tau: _cosine_logits(F, bank.prototypes, tau)[0],
+                      lambda *args: euclidean_loss_and_grads(*args),
+                      check=unit_rows, cosine=True),
+}
+MODES = tuple(HEADS)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry, jsonio
 from .errors import ContractError, ParameterError
-from .heads import MODE_HYPERBOLIC, PrototypeBank, unit_rows
+from .heads import PrototypeBank, unit_rows
 
 KIND_HYPERBOLIC = "hyperbolic"
 KIND_COSINE = "cosine"
@@ -237,7 +237,5 @@ def analyze_points(points, kind: str, k: int = DEFAULT_K) -> HubnessReport:
 
 
 def hubness_report(bank: PrototypeBank, k: int = DEFAULT_K) -> HubnessReport:
-    """Analyze a trained bank's prototypes with its native distance kind:
-    geodesic for hyperbolic banks, cosine otherwise."""
-    kind = KIND_HYPERBOLIC if bank.mode == MODE_HYPERBOLIC else KIND_COSINE
-    return analyze_points(bank.prototypes, kind, k=k)
+    """Analyze a trained bank's prototypes with its head's distance kind."""
+    return analyze_points(bank.prototypes, bank.head.kind, k=k)

@@ -297,10 +297,18 @@ def save_checkpoint(path, config: ExperimentConfig, epoch: int, encoder: Encoder
     })
 
 
+def _member(payload: dict, key: str, decode):
+    """decode(payload[key]); a refusal names its path in the checkpoint."""
+    try:
+        return decode(payload[key])
+    except (ParameterError, ContractError) as e:
+        raise type(e)(f"{key}.{e}") from e
+
+
 def _decode_checkpoint(payload: dict) -> RunState:
     """The run state a checked `checkpoint` document holds; decoding checks
     its config and bank, which the checkpoint schema only types as objects."""
-    config = ExperimentConfig.from_dict(payload["config"])
+    config = _member(payload, "config", ExperimentConfig.from_dict)
     epoch, train_loss = payload["epoch"], payload["train_loss"]
     if epoch > config.epochs:
         raise ParameterError(f"epoch must be in [0, {config.epochs}], not {epoch}")
@@ -310,7 +318,7 @@ def _decode_checkpoint(payload: dict) -> RunState:
     if len(train_loss) != epoch:
         raise ParameterError(f"train_loss holds {len(train_loss)} values for epoch {epoch}")
     encoder = Encoder.from_dict(payload["encoder"]) if payload["encoder"] is not None else None
-    bank = PrototypeBank.from_dict(payload["bank"])
+    bank = _member(payload, "bank", PrototypeBank.from_dict)
     opt = optim.OptimizerState.from_dict(payload["optimizer"])
     rng = np.random.default_rng(0)
     rng.bit_generator.state = payload["rng_state"]
@@ -391,16 +399,20 @@ def prepare(state: RunState, dataset: SyntheticDataset):
     config, bank = state.config, state.bank
     dataset = holdout_unseen(dataset, config.unseen_classes)
     params = _trainable(state.encoder, bank)
-    rsgd = "prototypes" in params and bank.mode == heads.MODE_HYPERBOLIC
+    rsgd = "prototypes" in params and bank.head.rsgd
     if (bank.mode, bank.delta) != (config.head_mode, config.delta):
         raise ParameterError(f"a {bank.mode} prototype bank with delta {bank.delta} cannot "
                              f"train with head_mode {config.head_mode!r}, delta {config.delta}")
     if dataset.unseen_classes and not bank.frozen:
         raise ParameterError("unseen_classes needs a frozen prototype bank (zeroshot); "
                              "train would fit every class")
-    if config.prototype_learning_rate is not None and not rsgd:
-        raise ParameterError("prototype_learning_rate is read only by the RSGD step "
-                             "of a learnable hyperbolic bank")
+    # a setting this run does not read would be accepted and then ignored
+    for name, default, read in (("delta", heads.DEFAULT_DELTA, bank.head.shifted),
+                                ("cosine_tau", heads.DEFAULT_TAU, bank.head.cosine),
+                                ("prototype_learning_rate", None, rsgd)):
+        if getattr(config, name) != default and not read:
+            raise ParameterError(f"{name} {getattr(config, name)} is not read by this run's "
+                                 f"{'frozen ' * bank.frozen}{bank.mode} head")
     if rsgd:
         del params["prototypes"]
     state.opt.check(params)

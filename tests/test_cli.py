@@ -228,6 +228,27 @@ class TestTrain:
                      "--out", str(tmp_path / "o"), "--head", "euclidean-linear"]) == 2
         assert "prototype_learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("head, setting", [
+        ("euclidean-linear", {"delta": 9.0}), ("euclidean-cosine", {"delta": 9.0}),
+        ("euclidean-linear", {"cosine_tau": 3.0}), ("hyperbolic", {"cosine_tau": 3.0})])
+    def test_unread_head_setting_exit_2(self, trained, tmp_path, capsys, head, setting):
+        # a setting the head does not read would train to the default run's bytes
+        _, ds_path, _, _ = trained
+        cfg = write_config(tmp_path / "c.json", **setting)
+        assert main(["train", "--config", cfg, "--dataset", str(ds_path),
+                     "--out", str(tmp_path / "o"), "--head", head]) == 2
+        assert f"{next(iter(setting))} {setting[next(iter(setting))]} is not read" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("head, setting", [
+        ("hyperbolic", {"delta": 2.0}), ("euclidean-cosine", {"cosine_tau": 0.5})])
+    def test_read_head_setting_trains(self, trained, tmp_path, head, setting):
+        _, ds_path, _, _ = trained
+        cfg = write_config(tmp_path / "c.json", epochs=1, **setting)
+        assert main(["train", "--config", cfg, "--dataset", str(ds_path),
+                     "--out", str(tmp_path / "o"), "--head", head]) == 0
+
     def test_resumed_zero_shot_matches_uninterrupted_run(self, trained, zero_shot, tmp_path):
         _, ds_path, _, _ = trained
         bank, full = zero_shot
@@ -282,6 +303,22 @@ class TestEval:
         printed = json.loads(capsys.readouterr().out)
         assert "val_accuracy" in printed
         validate_file(metrics_out, "metrics")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["bank"]["class_names"].__setitem__(0, 5),
+         "bank.class_names[0] must be string, not integer 5"),
+        (lambda c: c["config"].update(focal_gamma=-1), "config.focal_gamma is -1, out of"),
+        (lambda c: c["config"].update(learning_rate=float("nan")),
+         "config.learning_rate must be finite, not nan")])
+    def test_checkpoint_refusal_names_its_path(self, trained, tmp_path, capsys, edit,
+                                               message):
+        _, ds_path, _, out = trained
+        ckpt = json.loads((out / "checkpoint.json").read_text())
+        edit(ckpt)
+        bad = tmp_path / "ck.json"
+        bad.write_text(json.dumps(ckpt))
+        assert main(["eval", "--checkpoint", str(bad), "--dataset", str(ds_path)]) == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
 
     def test_zero_shot_checkpoint_matches_run_metrics(self, trained, zero_shot, capsys):
         # eval holds the checkpoint's unseen classes out as its training did
@@ -441,6 +478,50 @@ class TestImportPrototypes:
         assert "d_min" not in capsys.readouterr().out
         assert "d_min" not in json.loads(bank_path.read_text())
         validate_file(bank_path, "prototype_bank")
+
+    @pytest.mark.parametrize("mode", ["euclidean-linear", "euclidean-cosine"])
+    def test_delta_of_a_head_without_shift_exit_2(self, tmp_path, capsys, mode):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("a 1 0\nb 0 1\n")
+        assert main(["import-prototypes", "--embeddings", str(emb), "--mode", mode,
+                     "--delta", "1.4", "--out", str(tmp_path / "o" / "bank.json")]) == 2
+        assert "--delta" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, delta", [([], 1.4), (["--delta", "2.5"], 2.5)])
+    def test_manifest_records_the_resolved_delta(self, tmp_path, flags, delta):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("a 1 0\nb 0 1\n")
+        bank_path = tmp_path / "bank.json"
+        assert main(["import-prototypes", "--embeddings", str(emb), "--out", str(bank_path)]
+                    + flags) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["delta"] == delta
+        assert H.PrototypeBank.load(bank_path).delta == delta
+
+    # what each mode writes for the rows "a 0.6 0.8", "b 0 1": exp0 images
+    # (cosh 1, sinh 1 times the row) or the rows as given; with
+    # --already-hyperbolic, the rows as given for the hyperbolic mode only
+    @pytest.mark.parametrize("mode, written, already", [
+        ("hyperbolic", [[np.cosh(1.0), 0.6 * np.sinh(1.0), 0.8 * np.sinh(1.0)],
+                        [np.cosh(1.0), 0.0, np.sinh(1.0)]], "ok"),
+        ("euclidean-linear", [[0.6, 0.8], [0.0, 1.0]], "refused"),
+        ("euclidean-cosine", [[0.6, 0.8], [0.0, 1.0]], "refused")])
+    def test_rows_each_mode_writes(self, tmp_path, mode, written, already):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("a 0.6 0.8\nb 0 1\n")
+        assert main(["import-prototypes", "--embeddings", str(emb), "--mode", mode,
+                     "--out", str(tmp_path / "bank.json")]) == 0
+        np.testing.assert_allclose(H.PrototypeBank.load(tmp_path / "bank.json").prototypes,
+                                   written, rtol=1e-15)
+        # a hyperboloid row as given: x0 = sqrt(1 + 1.5^2 + 2^2)
+        point = tmp_path / "point.txt"
+        point.write_text(f"a {float(np.sqrt(7.25))!r} 1.5 2\nb 1 0 0\n")
+        code = main(["import-prototypes", "--embeddings", str(point), "--mode", mode,
+                     "--already-hyperbolic", "--out", str(tmp_path / "already.json")])
+        assert code == {"ok": 0, "refused": 2}[already]
+        if already == "ok":
+            assert (H.PrototypeBank.load(tmp_path / "already.json").prototypes.tolist()
+                    == [[np.sqrt(7.25), 1.5, 2.0], [1.0, 0.0, 0.0]])
 
     def test_already_hyperbolic_euclidean_exit_2(self, tmp_path):
         emb = tmp_path / "emb.txt"

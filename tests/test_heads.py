@@ -356,43 +356,6 @@ class TestFocalLoss:
                 assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
-class TestClassify:
-    def test_feature_at_prototype(self):
-        bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
-        pred, conf, top = classify_result = H.classify([1.0, 0.0], bank)
-        assert pred == 0
-        assert conf == pytest.approx(H.sigmoid(1.4))
-        assert conf == pytest.approx(0.8021838885585818)
-
-    def test_equidistant_tie_breaks_low_index(self):
-        bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
-        pred, conf, _ = H.classify([0.0, 0.0], bank)
-        assert pred == 0
-
-    def test_top_k_sorted_and_sized(self, rng):
-        bank = make_hyperbolic_bank(rng.normal(size=(5, 3)))
-        _, _, top = H.classify(rng.normal(size=3), bank, k=3)
-        assert len(top) == 3
-        confs = [c for _, c in top]
-        assert confs == sorted(confs, reverse=True)
-
-    def test_k_too_large(self):
-        bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
-        with pytest.raises(ParameterError):
-            H.classify([0.0, 0.0], bank, k=3)
-
-    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
-    def test_k_below_one_or_not_an_int_refused(self, k):
-        bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
-        with pytest.raises(ParameterError, match=r"k must be an int in \[1, 2\]"):
-            H.classify([0.0, 0.0], bank, k=k)
-
-    @pytest.mark.parametrize("k", [1, 2, np.int64(2)])
-    def test_k_inside_one_to_c_sizes_the_top_list(self, k):
-        bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
-        assert len(H.classify([0.5, 0.0], bank, k=k)[2]) == k
-
-
 class TestLossDispatch:
     @pytest.mark.parametrize("mode", [H.MODE_HYPERBOLIC, H.MODE_LINEAR, H.MODE_COSINE])
     def test_matches_mode_function(self, mode, rng):
@@ -511,8 +474,8 @@ class TestInPlaceScoring:
         before = F.copy(), bank.prototypes.copy()
         read_only(F, bank.prototypes)
         H.batch_bank_logits(F, bank)
+        H.top_logits(F, bank)
         H.loss_and_grads(F, bank, rng.integers(-1, 6, len(F)), *FOCAL)
-        H.classify(F[0], bank)
         assert F.tobytes() == before[0].tobytes()
         assert bank.prototypes.tobytes() == before[1].tobytes()
 
@@ -559,6 +522,17 @@ class TestTopLogits:
         want = np.argmax(S, axis=1)
         assert pred.tobytes() == want.tobytes()
         assert top.tobytes() == S[np.arange(len(want)), want].tobytes()
+
+    def test_feature_at_prototype(self):
+        bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
+        pred, top = H.top_logits(np.array([[1.0, 0.0]]), bank)
+        assert pred.tolist() == [0]
+        assert H.sigmoid(top[0]) == pytest.approx(H.sigmoid(1.4))
+        assert H.sigmoid(top[0]) == pytest.approx(0.8021838885585818)
+
+    def test_equidistant_tie_breaks_low_index(self):
+        bank = make_hyperbolic_bank([[1.0, 0.0], [-1.0, 0.0]])
+        assert H.top_logits(np.array([[0.0, 0.0]]), bank)[0].tolist() == [0]
 
     @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("mode", H.MODES)

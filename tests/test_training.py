@@ -6,7 +6,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lorentzheads import data, geometry as G, heads as H, jsonio, optim, schemas, training as T
+from lorentzheads import data, geometry as G, heads as H, hubness, jsonio, optim, schemas
+from lorentzheads import training as T
 from lorentzheads.errors import ContractError, NumericalError, ParameterError
 from lorentzheads.heads import BACKGROUND
 
@@ -885,3 +886,59 @@ class TestGradientBuffer:
         assert len({id(grad) for _, grad in seen[:batches]}) == 1
         param, grad = seen[0]
         assert grad.shape == param.shape and grad is not param
+
+
+# each mode's answers, written out rather than read back from heads.HEADS:
+# (prototype width at embed_dim 4, a frozen bank derives d_min, RSGD steps a
+# learnable bank, the hubness distance kind)
+HEAD_ANSWERS = {
+    "hyperbolic": (5, True, True, "hyperbolic"),
+    "euclidean-linear": (4, False, False, "cosine"),
+    "euclidean-cosine": (4, False, False, "cosine"),
+}
+
+
+class TestHeadAnswers:
+    def test_every_mode_has_answers(self):
+        assert sorted(HEAD_ANSWERS) == sorted(H.MODES)
+
+    @pytest.mark.parametrize("mode", sorted(HEAD_ANSWERS))
+    def test_answers(self, mode):
+        width, derives_d_min, rsgd, kind = HEAD_ANSWERS[mode]
+        ds = tiny_dataset()
+        state = T.start(quick_config(head_mode=mode, embed_dim=4), ds)
+        bank = state.bank
+        assert bank.prototypes.shape[1] == width
+        assert bank.feature_dim == 4
+        assert T.prepare(state, ds)[1] is rsgd
+        frozen = H.PrototypeBank(mode, bank.prototypes, bank.class_names, frozen=True)
+        assert (frozen.d_min != 1.0) is derives_d_min
+        if derives_d_min:
+            assert frozen.d_min == frozen.min_pairwise_distance()
+        assert hubness.hubness_report(bank, k=2).kind == kind
+
+    @pytest.mark.parametrize("mode", sorted(HEAD_ANSWERS))
+    def test_one_loss_call_per_batch_through_the_module_attributes(self, mode, monkeypatch):
+        # the head's row calls the loss entry points, and train the RSGD step,
+        # by their module attributes, so wrappers put there see every call
+        calls = {"hyperbolic": 0, "euclidean": 0, "rsgd": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(H, "hyperbolic_loss_and_grads",
+                            counted("hyperbolic", H.hyperbolic_loss_and_grads))
+        monkeypatch.setattr(H, "euclidean_loss_and_grads",
+                            counted("euclidean", H.euclidean_loss_and_grads))
+        monkeypatch.setattr(optim, "riemannian_step", counted("rsgd", optim.riemannian_step))
+        ds = tiny_dataset()
+        cfg = quick_config(head_mode=mode, embed_dim=8, epochs=1, batch_size=50)
+        T.train(cfg, ds)
+        batches = math.ceil(len(ds.train_idx) / 50)
+        rsgd = HEAD_ANSWERS[mode][2]    # the hyperbolic head only
+        assert calls == {"hyperbolic": batches if rsgd else 0,
+                         "euclidean": 0 if rsgd else batches,
+                         "rsgd": batches if rsgd else 0}
