@@ -7,8 +7,8 @@ optional fraction of background samples comes from a diffuse Gaussian
 covering the feature range.  Generation is a pure function of the parameters,
 which `generate`'s signature alone declares, and the seed.  A file is decoded
 once it passes the shipped `dataset` schema, which `jsonio.read` checks as it
-decodes the features a row block at a time into one float64 matrix;
-`validate` checks what no schema can.
+decodes the features a row block at a time, from a window of the file's
+text, into one float64 matrix; `validate` checks what no schema can.
 """
 
 from __future__ import annotations

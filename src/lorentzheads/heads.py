@@ -65,7 +65,6 @@ class PrototypeBank:
     def __post_init__(self):
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         self.validate()
-        self.d_min = self.min_pairwise_distance() if self.frozen and self.head.shifted else 1.0
 
     @property
     def head(self) -> Head:
@@ -81,6 +80,8 @@ class PrototypeBank:
         return self.prototypes.shape[1] - self.head.exp0
 
     def validate(self) -> None:
+        """Refuse a bank whose fields disagree, then derive d_min; what the
+        head's row check and the derivation raise name `prototypes`."""
         if self.mode not in HEADS:
             raise ParameterError(f"unknown mode {self.mode!r}")
         if self.prototypes.ndim != 2 or self.prototypes.shape[0] < 2:
@@ -91,7 +92,11 @@ class PrototypeBank:
             raise ParameterError(f"delta must be finite and > 0, not {self.delta}")
         if not np.all(np.isfinite(self.prototypes)):
             raise ContractError("prototypes contain non-finite entries")
-        self.head.check(self.prototypes)
+        try:
+            self.head.check(self.prototypes)
+            self.d_min = self.min_pairwise_distance() if self.frozen and self.head.shifted else 1.0
+        except (ParameterError, ContractError) as e:
+            raise type(e)(f"prototypes: {e}") from e
 
     def min_pairwise_distance(self) -> float:
         """Brute-force minimum geodesic distance between hyperbolic prototypes."""

@@ -11,12 +11,15 @@ time.
 `read` gives what json.load gives, but that it decodes each top-level member
 the file's schema declares an array of number arrays into a float64 matrix,
 one block of rows per C-decoder call, checked against the schema's row
-schema and converted by numpy as it is decoded; the blocks are joined once
-the file's text is freed.  It walks such a file's top-level object itself
-and decodes every other member with one `raw_decode` call; a file whose
-schema declares no matrix is decoded in one call.  A malformed object,
-or a matrix that is not rows of numbers of one width, is decoded whole, so
-it is refused as json.load and the schema check refused it.
+schema and converted by numpy as it is decoded.  It walks such a file's
+top-level object itself through a window of its text, filled `_WINDOW`
+characters per read and dropping what it has walked past, so the file's
+whole text is never held; every other member takes one `raw_decode` call
+once the window holds all of it.  A file whose schema declares no matrix is
+decoded in one call.  Where the walker meets anything else, a malformed
+object or a matrix that is not rows of numbers of one width, `read` decodes
+the file whole instead, so it is refused as json.load and the schema check
+refused it.
 """
 
 import dataclasses
@@ -39,6 +42,8 @@ _ws = json.decoder.WHITESPACE.match
 # the numbers `write` encodes, and `read` decodes, per call: 2**10 to 2**14
 # write a dataset about as fast, 2**16 and 2**17 measurably slower
 _BLOCK = 2 ** 12
+# the characters `read` asks the file for per call as its window advances
+_WINDOW = 2 ** 16
 # each JSON type's schema name -> the Python types json decodes it to
 _TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
           "array": list, "object": dict, "null": type(None)}
@@ -235,89 +240,151 @@ def write(path, doc, indent=None) -> None:
         raise
 
 
-def _object(s: str, start: int, matrices: dict):
-    """(the object at s[start], a "{", and the index past it), decoded member
-    by member: one named in `matrices`, the row schemas of the
-    array-of-number-arrays members, by `_matrix`, any other by one
-    `raw_decode` call.  A later duplicate key wins, as in json.  An empty or
-    malformed object is decoded whole by json's decoder, which refuses a
-    malformed one as json.loads does, with the running Python's message."""
-    pairs = []
-    i = _ws(s, start + 1).end()
-    while s[i:i + 1] == '"':
-        key, i = json.decoder.scanstring(s, i + 1)
-        i = _ws(s, i).end()
-        if s[i:i + 1] != ":":
-            break
-        i = _ws(s, i + 1).end()
-        value, i = _matrix(s, i, matrices[key]) if key in matrices else _decoder.raw_decode(s, i)
-        pairs.append((key, value))
-        i = _ws(s, i).end()
-        if s[i:i + 1] == "}":
-            return dict(pairs), i + 1
-        if s[i:i + 1] != ",":
-            break
-        i = _ws(s, i + 1).end()
-    return _decoder.raw_decode(s, start)
+class _GiveUp(Exception):
+    """The window walker met text it does not walk: `read` decodes the file
+    whole instead."""
 
 
-def _matrix(s: str, start: int, row_schema: dict):
-    """(the value at s[start], the index past it) for a member declared an
-    array of number arrays: a tuple of float64 row blocks, each about `_BLOCK`
-    numbers decoded by one call, which `read` joins.  A block ends at the last
-    row that starts within 9/10 of the block's estimated text length, the
-    shortest mean row length seen so far times the rows a block holds, so no
-    pass over the matrix finds the rows.  Where a block is not rows of numbers
-    matching `row_schema` and as wide as the first block's, or is no JSON,
-    the member is decoded whole, as json.loads decodes it: the document check
-    or the decoder then names the fault by its place in the file."""
-    i = _ws(s, start + 1).end()
-    first = s.find("]", i)
-    if s[start:start + 1] != "[" or s[i:i + 1] != "[" or first < 0:
-        return _decoder.raw_decode(s, start)
-    rows_per_block = max(_BLOCK // (s.count(",", i, first) + 1), 1)
-    row_chars = first + 1 - i
+class _Window:
+    """The open text file `f` as the walker sees it: `s[i:]` is text read
+    and not yet walked past, `eof` whether the file has no more."""
+
+    def __init__(self, f):
+        self.f, self.s, self.i, self.eof = f, "", 0, False
+
+    def fill(self, n: int) -> None:
+        """Read `_WINDOW` characters at a time until `s[i:]` holds `n` or the
+        file ends; the text walked past is dropped."""
+        parts = [self.s[self.i:]]
+        have = len(parts[0])
+        while have < n and not self.eof:
+            parts.append(self.f.read(_WINDOW))
+            have += len(parts[-1])
+            self.eof = not parts[-1]
+        self.s, self.i = "".join(parts), 0
+
+    def more(self) -> None:
+        """Read on until `s[i:]` is twice as long, or give up at the end of
+        the file: text that did not decode may be cut short by the window."""
+        if self.eof:
+            raise _GiveUp
+        self.fill(2 * (len(self.s) - self.i) + 1)
+
+    def next(self, skip: int = 0) -> str:
+        """The character after `skip` more and then any JSON whitespace, which
+        is walked past; "" at the end of the file."""
+        self.i += skip
+        while True:
+            self.i = _ws(self.s, self.i).end()
+            if self.i < len(self.s) or self.eof:
+                return self.s[self.i:self.i + 1]
+            self.fill(1)
+
+    def take(self, decode, ends: str = ""):
+        """The value `decode(s, i)` gives, once the window holds all of it:
+        with `ends`, only once one of those characters follows it, since a
+        number cut short by the window decodes too."""
+        while True:
+            try:
+                value, end = decode(self.s, self.i)
+            except (ValueError, RecursionError):
+                pass
+            else:
+                j = _ws(self.s, end).end()
+                if not ends or j < len(self.s) and self.s[j] in ends:
+                    self.i = end
+                    return value
+            self.more()
+
+
+def _walk(w: _Window, matrices: dict) -> dict:
+    """The top-level object of `w`'s file, as json.load decodes it, but that
+    each member named in `matrices`, the row schemas of the
+    array-of-number-arrays members, is a float64 matrix decoded by `_rows`;
+    any other member is decoded by one `raw_decode` call once the window
+    holds all of it.  A later duplicate key wins, as in json.  Raises
+    _GiveUp where the text is not such an object."""
+    if w.next() != "{":
+        raise _GiveUp
+    doc, c = {}, w.next(1)
+    while c != "}" or doc:          # a "}" after a "," ends no member: give up
+        if c != '"':
+            raise _GiveUp
+        key = w.take(lambda s, i: json.decoder.scanstring(s, i + 1))
+        if w.next() != ":":
+            raise _GiveUp
+        w.next(1)
+        doc[key] = _rows(w, matrices[key]) if key in matrices else w.take(_decoder.raw_decode, ",}")
+        c = w.next()
+        if c == "}":
+            break
+        if c != ",":
+            raise _GiveUp
+        c = w.next(1)
+    if w.next(1):           # more than whitespace after the object
+        raise _GiveUp
+    return doc
+
+
+def _rows(w: _Window, row_schema: dict) -> np.ndarray:
+    """The number matrix at `w`'s place, decoded in row blocks of about
+    `_BLOCK` numbers, one `raw_decode` call and one `np.asarray` each, and
+    joined once it ends.  A block ends at the last row that starts within
+    9/10 of the block's estimated text length, the shortest mean row length
+    seen so far times the rows a block holds, and the window is filled to
+    that length first.  Gives up where a block is not rows of numbers
+    matching `row_schema` and as wide as the first block's, or is no JSON."""
+    if w.next() != "[" or w.next(1) != "[":
+        raise _GiveUp
+    while (first := w.s.find("]", w.i)) < 0:
+        w.more()
+    rows_per_block = max(_BLOCK // (w.s.count(",", w.i, first) + 1), 1)
+    row_chars = first + 1 - w.i
     blocks = []
     while True:
+        n = rows_per_block * row_chars
+        w.fill(n)
+        s, i = w.s, w.i
         # a row starts at s[i]; a block is at least that row
-        q = s.rfind("[", i + 1, i + rows_per_block * row_chars * 9 // 10)
+        q = s.rfind("[", i + 1, i + n * 9 // 10)
         if q < 0:
             q = s.find("[", i + 1)
         piece = (s[i:q] if q >= 0 else s[i:]).rstrip(" \t\n\r")
+        cut = q >= 0 and piece.endswith(",")     # rows, and maybe more rows from s[q]
+        text = "[" + (piece[:-1] + "]" if cut else piece)
         try:
-            if q >= 0 and piece.endswith(","):      # rows, and more rows from s[q]
-                rows, end = _decoder.decode("[" + piece[:-1] + "]"), None
-            else:                                   # the last rows, then the matrix's "]"
-                rows, end = _decoder.raw_decode("[" + piece)
+            rows, end = _decoder.raw_decode(text)
             block = np.asarray(rows, dtype=np.float64) if _one_pass(rows, row_schema) else None
-        except (ValueError, OverflowError):
-            block = None
+        except (ValueError, OverflowError, RecursionError):
+            if q >= 0:      # no more text changes what lies before s[q]
+                raise _GiveUp from None
+            w.more()        # the window may cut the last rows short
+            continue
         if block is None or blocks and block.shape[1] != blocks[0].shape[1]:
-            return _decoder.raw_decode(s, start)
+            raise _GiveUp
         blocks.append(block)
-        if end is not None:
-            return tuple(blocks), i - 1 + end
+        if not (cut and end == len(text)):      # the matrix's own "]" ended it
+            w.i = i - 1 + end
+            return np.concatenate(blocks)
         row_chars = min(row_chars, (q - i) // len(rows))
-        i = q
+        w.i = q
 
 
-def _parse(s: str, schema: dict | None):
-    """The JSON document `s` as json.loads decodes it, but that each
-    array-of-number-arrays member `schema` declares is a tuple of row blocks;
-    an object that can hold none is decoded in one call."""
-    if s.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
-    i = _ws(s, 0).end()
-    matrices = {k: sub["items"] for k, sub in (schema or {}).get("properties", {}).items()
-                if _is_matrix(sub)}
-    if s[i:i + 1] == "{" and matrices:
-        doc, i = _object(s, i, matrices)
-    else:
-        doc, i = _decoder.raw_decode(s, i)
-    i = _ws(s, i).end()
-    if i != len(s):
-        raise json.JSONDecodeError("Extra data", s, i)
-    return doc
+def _load(path, matrices: dict):
+    """The JSON document at `path`, walked through a window when its schema
+    declares `matrices`; a file with none, or one the walker gives up on, is
+    decoded whole as json.loads decodes it, which refuses a malformed file
+    with the running Python's message."""
+    with open(path, encoding="utf-8") as f:
+        if matrices:
+            try:
+                return _walk(_Window(f), matrices)
+            except (_GiveUp, UnicodeDecodeError):
+                f.seek(0)
+        text = f.read()
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _decoder.decode(text)
 
 
 def read(path, decode, schema=None):
@@ -325,14 +392,14 @@ def read(path, decode, schema=None):
     schema named `schema`, if given; every malformed-file error names `path`.
     The file decodes to what json.load gives, but that each member the schema
     declares an array of number arrays is a float64 matrix, decoded a row
-    block at a time and checked as it is decoded: the whole matrix is never a
-    tree of Python floats."""
+    block at a time from a window of the file and checked as it is decoded:
+    neither the file's whole text nor the matrix as a tree of Python floats
+    is ever held."""
     try:
         schema = schemas.load_schema(schema) if schema else None
-        with open(path, encoding="utf-8") as f:
-            doc = _parse(f.read(), schema)
-        if isinstance(doc, dict):     # the text is freed: join each matrix's blocks
-            doc = {k: np.concatenate(v) if isinstance(v, tuple) else v for k, v in doc.items()}
+        matrices = {k: sub["items"] for k, sub in (schema or {}).get("properties", {}).items()
+                    if _is_matrix(sub)}
+        doc = _load(path, matrices)
         if schema:
             _check(doc, schema, "")
         return decode(doc)

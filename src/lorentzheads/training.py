@@ -36,6 +36,19 @@ from .data import BUCKETS, ClassTree, SyntheticDataset, holdout_unseen
 from .errors import ContractError, NumericalError, ParameterError
 from .heads import BACKGROUND, PrototypeBank
 
+# the score cells, rows times prototypes, `evaluate` computes per pass.  One
+# pass over the 2,000 validation rows of a 64-class bank allocates and frees
+# about 3 MB, which glibc's malloc, unless a larger block was freed earlier in
+# the process, hands back to the kernel and faults in again on every call
+# (780-840 minor faults per call, 1.9x its time); passes of 2**16 cells stay
+# below that, and keep a pass's m x C scores at 512 KiB however many classes
+# a bank holds.  Rows that fit one pass are scored in one call; more are
+# split into passes of equal size, give or take a row, not into full passes
+# and a last one of a few rows, which BLAS may multiply with another kernel
+# and so to other bits.
+_EVAL_CELLS = 2 ** 16
+
+
 @dataclass
 class ExperimentConfig:
     """Training settings; every field is read.  eval_every sets only the
@@ -206,8 +219,13 @@ def evaluate(bank: PrototypeBank, encoder: Encoder | None, features: np.ndarray,
     """
     t0 = time.perf_counter()
     labels = np.asarray(labels)
-    emb = embed(encoder, features)
-    pred, top = heads.top_logits(emb, bank, tau=tau)
+    rows = max(_EVAL_CELLS // len(bank.prototypes), 1)
+    if len(features) <= rows:
+        pred, top = heads.top_logits(embed(encoder, features), bank, tau=tau)
+    else:
+        pred, top = map(np.concatenate, zip(*[
+            heads.top_logits(embed(encoder, part), bank, tau=tau)
+            for part in np.array_split(features, -(-len(features) // rows))]))
     max_conf = heads.sigmoid(top)
     gated = np.where(max_conf > 0.5, pred, BACKGROUND)
 

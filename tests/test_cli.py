@@ -61,6 +61,16 @@ def zero_shot(trained):
     return bank, out
 
 
+def _raise_x0(rows):
+    """Lift the first prototype's x0 by 0.5, off the hyperboloid."""
+    rows[0][0] += 0.5
+
+
+def _coincide(rows):
+    """Make every prototype the first."""
+    rows[1:] = [rows[0]] * (len(rows) - 1)
+
+
 class TestGenerate:
     def test_summary_and_manifest(self, tmp_path, capsys):
         ds_path = tmp_path / "ds.json"
@@ -319,6 +329,36 @@ class TestEval:
         bad.write_text(json.dumps(ckpt))
         assert main(["eval", "--checkpoint", str(bad), "--dataset", str(ds_path)]) == 2
         assert f"{bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run, edit, message", [
+        ("run", _raise_x0, "bank.prototypes: point is off the hyperboloid: |<x,x>_l + 1| = "),
+        ("zs", _coincide, "bank.prototypes: all prototypes coincide; d_min undefined")])
+    def test_checkpoint_prototype_refusal_names_prototypes(self, trained, zero_shot, tmp_path,
+                                                           capsys, run, edit, message):
+        # what the head's row check and the d_min derivation raise: the
+        # learnable bank of a plain run, the frozen one of a zero-shot run
+        root, ds_path, _, _ = trained
+        ckpt = json.loads((root / run / "checkpoint.json").read_text())
+        edit(ckpt["bank"]["prototypes"])
+        bad = tmp_path / "ck.json"
+        bad.write_text(json.dumps(ckpt))
+        assert main(["eval", "--checkpoint", str(bad), "--dataset", str(ds_path)]) == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (_raise_x0, "prototypes: point is off the hyperboloid: |<x,x>_l + 1| = "),
+        (_coincide, "prototypes: all prototypes coincide; d_min undefined")])
+    def test_bank_prototype_refusal_names_prototypes(self, trained, zero_shot, tmp_path,
+                                                     capsys, edit, message):
+        root, ds_path, _, _ = trained
+        doc = json.loads((root / "means_bank.json").read_text())   # zero_shot's bank
+        edit(doc["prototypes"])
+        bad = tmp_path / "bank.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["zeroshot", "--config", str(root / "zs_config.json"), "--dataset",
+                     str(ds_path), "--prototypes", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_zero_shot_checkpoint_matches_run_metrics(self, trained, zero_shot, capsys):
         # eval holds the checkpoint's unseen classes out as its training did

@@ -333,10 +333,16 @@ def test_refusal_names_the_path(tmp_path, edit, message):
 # -- the block reader ---------------------------------------------------------
 
 
+def _whole(path, matrices):
+    """json.loads of the whole text of the file at `path`."""
+    with open(path, encoding="utf-8") as f:
+        return json.loads(f.read())
+
+
 def _json_load(path, decode):
     """What `jsonio.read(path, decode)` gave before it decoded matrices in
     blocks: `decode` of json.load's document, errors wrapped as read wraps them."""
-    with mock.patch.object(jsonio, "_parse", lambda text, schema: json.loads(text)):
+    with mock.patch.object(jsonio, "_load", _whole):
         return jsonio.read(path, decode)
 
 
@@ -516,8 +522,7 @@ def test_read_refuses_as_json_load(tmp_path, kind, form, fault, where):
             assert f"{member}[{row}][0] must be number" in message
 
 
-@pytest.mark.parametrize("kind", sorted(_KINDS))
-@pytest.mark.parametrize("text", [
+_EDGE_TEXTS = [
     "\ufeff{}",  # a UTF-8 BOM
     "{} {}", "{}x", "[]", "[" * 200000, "", " ", "{", '{"a"', '{"a" 1}', '{"a": }',
     '{"a": 1 "b": 2}', '{"a": 1,}', '{"a": 1, }', "{,}", '{"a": [[1, 2], [3 4]]}',
@@ -531,7 +536,11 @@ def test_read_refuses_as_json_load(tmp_path, kind, form, fault, where):
     '{"features": [[1], [2]\f]}', '{"features": [[1],\f[2]]}', '{"features":[[1],[2]]}',
     '{"features": [[1], [2],', '{"features": [[1], [2], ', '{"features": [[1],',
     '{"features": [[1], [2]], "x": [[3], [4]]}', '{"features": [[1], [2]], "x": [3, [4]]}',
-])
+]
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("text", _EDGE_TEXTS)
 def test_read_edge_documents(tmp_path, kind, text):
     """Hand-written documents: BOM, trailing data, non-objects, nesting too
     deep for the decoder, syntax errors around and inside a matrix, empty
@@ -552,6 +561,131 @@ def test_read_duplicate_key_last_wins(tmp_path):
     assert _assert_parity(path, "dataset")[0] == "ok"
     path.write_text(text[:-2] + ', "features": [[1.0], ["x"]]}\n')
     assert "features[1][0] must be number" in _assert_parity(path, "dataset")[1]
+
+
+def _walked(monkeypatch) -> list:
+    """Whether the window walker took each file loaded from now on (True),
+    or gave up on it, so that `read` decoded the file whole (False)."""
+    real, seen = jsonio._walk, []
+
+    def walk(w, matrices):
+        seen.append(False)
+        doc = real(w, matrices)
+        seen[-1] = True
+        return doc
+
+    monkeypatch.setattr(jsonio, "_walk", walk)
+    return seen
+
+
+# windows of a few characters, so that a window ends inside every key, number,
+# row, line end and separator of the documents below
+_WINDOWS = [1, 2, 3, 7, 13]
+
+
+@pytest.mark.parametrize("window", _WINDOWS)
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("form", _FORMS)
+def test_read_through_small_windows(tmp_path, monkeypatch, window, kind, form):
+    """The parity cases of test_read_matches_json_load, read a few
+    characters per call: each loads as json.load + from_dict gave, in row
+    blocks, and the walker takes it without decoding the file whole."""
+    monkeypatch.setattr(jsonio, "_WINDOW", window)
+    path, walked = tmp_path / "doc.json", _walked(monkeypatch)
+    for blocks in (1, 2):
+        for offset in (-1, 0, 1):
+            rows = blocks * (jsonio._BLOCK // 16) + offset
+            _save(path, _document(path, kind, rows), form)
+            walked.clear()
+            assert _assert_parity(path, kind)[0] == "ok"
+            counts = _streamed_rows(path, kind)
+            assert sum(counts) == rows and len(counts) >= blocks
+            assert walked == [True, True], (blocks, offset)
+
+
+def _walkable(text: str, member: str) -> bool:
+    """Whether `text` is a JSON object each of whose `member` values is rows
+    of equally many numbers: a file the walker must take, not give up on."""
+    try:
+        pairs = json.loads(text, object_pairs_hook=list)
+    except (ValueError, RecursionError):
+        return False
+    matrices = [v for k, v in pairs if k == member] if text.lstrip().startswith("{") else [0]
+    return all(isinstance(m, list) and m
+               and all(isinstance(r, list) and r and {type(x) for x in r} <= {int, float}
+                       for r in m) and len(set(map(len, m))) == 1 for m in matrices)
+
+
+@pytest.mark.parametrize("window", _WINDOWS)
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_read_edge_documents_through_small_windows(tmp_path, monkeypatch, window, kind):
+    """The hand-written documents, read a few characters per call, decode or
+    are refused as json.load + from_dict did; the walker takes every object
+    whose matrices are rows of numbers of one width, through the whole-file
+    window and through the small one, and gives up on every other text."""
+    path, walked = tmp_path / "doc.json", _walked(monkeypatch)
+    for text in _EDGE_TEXTS:
+        path.write_text(text, encoding="utf-8")
+        walked.clear()
+        for size in (len(text) + 1, window):    # the whole file, then a few characters
+            monkeypatch.setattr(jsonio, "_WINDOW", size)
+            _assert_parity(path, kind)
+        assert walked == [_walkable(text, _KINDS[kind][1])] * 2, text[:40]
+
+
+def test_read_multibyte_name_across_windows(tmp_path, monkeypatch):
+    """A dataset written as raw UTF-8 whose class name of 2-, 3- and 4-byte
+    characters a window boundary cuts, at each place within it, loads as
+    json.load + from_dict gave, and the walker takes it."""
+    path = tmp_path / "ds.json"
+    doc = _document(path, "dataset", 40)
+    name = "caf\u00e9 \u2603\U0001f600\u00e9"
+    doc["tree"]["leaf_classes"][1] = name
+    text = json.dumps(doc, ensure_ascii=False) + "\n"
+    path.write_text(text, encoding="utf-8")
+    assert len(path.read_bytes()) > len(text)
+    start, walked = text.index(name), _walked(monkeypatch)
+    for cut in range(start + 1, start + len(name)):
+        monkeypatch.setattr(jsonio, "_WINDOW", cut)
+        walked.clear()
+        assert _assert_parity(path, "dataset")[1].tree.leaf_classes[1] == name
+        assert walked == [True], cut
+
+
+@pytest.mark.parametrize("kind, key, value", [("dataset", "seed", 1234567),
+                                              ("bank", "delta", 12.375)])
+def test_read_number_across_windows(tmp_path, monkeypatch, kind, key, value):
+    """A top-level number a window boundary cuts, at each place within it,
+    decodes whole: a number's first digits decode too, so the walker reads
+    on until a separator follows."""
+    path = tmp_path / "doc.json"
+    doc = _document(path, kind, 40)
+    doc[key] = value
+    jsonio.write(path, doc)
+    text, walked = path.read_text(), _walked(monkeypatch)
+    start = text.index(f'"{key}": ') + len(key) + 4
+    for cut in range(start + 1, start + len(str(value))):
+        monkeypatch.setattr(jsonio, "_WINDOW", cut)
+        walked.clear()
+        assert getattr(_assert_parity(path, kind)[1], key) == value
+        assert walked == [True], cut
+
+
+@pytest.mark.parametrize("window", _WINDOWS)
+def test_read_longer_rows_through_small_windows(tmp_path, monkeypatch, window):
+    """Rows of more than half a block's numbers are a block each, and the
+    window is filled to the shortest row's text: after a row of short
+    numbers, each longer row is cut with no row after it in the window, and
+    the walker reads on rather than giving up."""
+    path = tmp_path / "bank.json"
+    doc = _document(path, "bank", 4, jsonio._BLOCK // 2 + 1)
+    doc["prototypes"][0] = [0.5] * len(doc["prototypes"][0])
+    jsonio.write(path, doc)
+    monkeypatch.setattr(jsonio, "_WINDOW", window)
+    walked = _walked(monkeypatch)
+    assert _assert_parity(path, "bank")[0] == "ok"
+    assert _streamed_rows(path, "bank") == [1, 1, 1, 1]
+    assert walked == [True, True]
 
 
 @pytest.mark.parametrize("width", [jsonio._BLOCK - 1, jsonio._BLOCK + 5])
@@ -584,8 +718,9 @@ def test_read_keeps_every_bit(tmp_path):
 
 
 def test_dataset_load_peak_memory(tmp_path):
-    """Peak memory stays near the file's bytes and text, which the read
-    holds together for a moment: no tree of Python floats for all features."""
+    """Peak memory stays below the file's size: the read holds a window of
+    the text, never all of it, and no tree of Python floats for all
+    features; what remains is the decoded blocks and their join."""
     path = tmp_path / "ds.json"
     data.generate(num_samples=8000, num_features=16, seed=0).save(path)
     tracemalloc.start()
@@ -594,7 +729,7 @@ def test_dataset_load_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.3 * os.path.getsize(path)
+    assert peak < 1.0 * os.path.getsize(path)
 
 
 @pytest.mark.parametrize("form", _FORMS)

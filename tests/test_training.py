@@ -942,3 +942,18 @@ class TestHeadAnswers:
         assert calls == {"hyperbolic": batches if rsgd else 0,
                          "euclidean": 0 if rsgd else batches,
                          "rsgd": batches if rsgd else 0}
+
+
+@pytest.mark.parametrize("mode", H.MODES)
+def test_evaluate_in_passes_reports_as_one_pass(monkeypatch, mode):
+    """Scoring the rows seven or six at a time gives the report one pass
+    over every row gives, field for field."""
+    ds = data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600, seed=3)
+    cfg = T.ExperimentConfig(epochs=1, embed_dim=8, seed=3, head_mode=mode)
+    bank, encoder, _, _ = T.train(cfg, ds)
+    reports = []
+    for rows in (7, len(ds.val_idx)):
+        monkeypatch.setattr(T, "_EVAL_CELLS", rows * len(bank.prototypes))
+        report = T.evaluate_split(bank, encoder, ds, "val")
+        reports.append(dataclasses.replace(report, wall_clock_sec=0.0))
+    assert len(ds.val_idx) % 7 and reports[0] == reports[1]
