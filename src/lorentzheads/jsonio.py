@@ -16,10 +16,10 @@ top-level object itself through a window of its text, filled `_WINDOW`
 characters per read and dropping what it has walked past, so the file's
 whole text is never held; every other member takes one `raw_decode` call
 once the window holds all of it.  A file whose schema declares no matrix is
-decoded in one call.  Where the walker meets anything else, a malformed
-object or a matrix that is not rows of numbers of one width, `read` decodes
-the file whole instead, so it is refused as json.load and the schema check
-refused it.
+decoded in one call, as is a pipe, which cannot be read again.  Where the
+walker meets anything else, a malformed object or a matrix that is not rows
+of numbers of one width, `read` decodes the file whole instead, so it is
+refused as json.load and the schema check refused it.
 """
 
 import dataclasses
@@ -372,11 +372,12 @@ def _rows(w: _Window, row_schema: dict) -> np.ndarray:
 
 def _load(path, matrices: dict):
     """The JSON document at `path`, walked through a window when its schema
-    declares `matrices`; a file with none, or one the walker gives up on, is
-    decoded whole as json.loads decodes it, which refuses a malformed file
-    with the running Python's message."""
+    declares `matrices`; a file with none, one that cannot be read again (a
+    pipe), or one the walker gives up on, is decoded whole as json.loads
+    decodes it, which refuses a malformed file with the running Python's
+    message."""
     with open(path, encoding="utf-8") as f:
-        if matrices:
+        if matrices and f.seekable():
             try:
                 return _walk(_Window(f), matrices)
             except (_GiveUp, UnicodeDecodeError):
@@ -393,8 +394,8 @@ def read(path, decode, schema=None):
     The file decodes to what json.load gives, but that each member the schema
     declares an array of number arrays is a float64 matrix, decoded a row
     block at a time from a window of the file and checked as it is decoded:
-    neither the file's whole text nor the matrix as a tree of Python floats
-    is ever held."""
+    neither the file's whole text, unless the file is a pipe, nor the matrix
+    as a tree of Python floats is ever held."""
     try:
         schema = schemas.load_schema(schema) if schema else None
         matrices = {k: sub["items"] for k, sub in (schema or {}).get("properties", {}).items()

@@ -36,16 +36,17 @@ from .data import BUCKETS, ClassTree, SyntheticDataset, holdout_unseen
 from .errors import ContractError, NumericalError, ParameterError
 from .heads import BACKGROUND, PrototypeBank
 
-# the score cells, rows times prototypes, `evaluate` computes per pass.  One
-# pass over the 2,000 validation rows of a 64-class bank allocates and frees
-# about 3 MB, which glibc's malloc, unless a larger block was freed earlier in
-# the process, hands back to the kernel and faults in again on every call
-# (780-840 minor faults per call, 1.9x its time); passes of 2**16 cells stay
-# below that, and keep a pass's m x C scores at 512 KiB however many classes
-# a bank holds.  Rows that fit one pass are scored in one call; more are
-# split into passes of equal size, give or take a row, not into full passes
-# and a last one of a few rows, which BLAS may multiply with another kernel
-# and so to other bits.
+# the score cells, rows times prototypes, `evaluate` scores per pass.  Scoring
+# the 2,000 validation rows of a 64-class bank at once holds about 2.3 MB of
+# temporaries, which glibc's malloc, unless a larger block was freed earlier
+# in the process, hands back to the kernel and faults in again on every call
+# (400-800 minor faults per call, up to 1.9x its time); passes of 2**16 cells
+# stay below that however many classes a bank holds.  The rows are embedded
+# in one call and scored in passes of equal size, give or take a row, of at
+# least 2 rows, so no pass's product becomes a matrix-vector product, which
+# BLAS computes to other bits; each pass writes into the full-length results,
+# so one pass costs no more than a direct call (np.array_split and
+# np.concatenate cost 4% of a 1,600-row evaluation).
 _EVAL_CELLS = 2 ** 16
 
 
@@ -219,13 +220,13 @@ def evaluate(bank: PrototypeBank, encoder: Encoder | None, features: np.ndarray,
     """
     t0 = time.perf_counter()
     labels = np.asarray(labels)
-    rows = max(_EVAL_CELLS // len(bank.prototypes), 1)
-    if len(features) <= rows:
-        pred, top = heads.top_logits(embed(encoder, features), bank, tau=tau)
-    else:
-        pred, top = map(np.concatenate, zip(*[
-            heads.top_logits(embed(encoder, part), bank, tau=tau)
-            for part in np.array_split(features, -(-len(features) // rows))]))
+    emb = embed(encoder, features)
+    m = len(emb)
+    passes = max(-(-m // max(_EVAL_CELLS // len(bank.prototypes), 4)), 1)
+    pred, top = np.empty(m, dtype=np.intp), np.empty(m)
+    for i in range(passes):
+        part = slice(m * i // passes, m * (i + 1) // passes)
+        pred[part], top[part] = heads.top_logits(emb[part], bank, tau=tau)
     max_conf = heads.sigmoid(top)
     gated = np.where(max_conf > 0.5, pred, BACKGROUND)
 

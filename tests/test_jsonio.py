@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from importlib.resources import files
 from pathlib import Path
@@ -457,19 +458,45 @@ def _streamed_rows(path, kind: str) -> list:
 _FORMS = ["package", "indent", "crlf"]
 
 
+def _walked(monkeypatch) -> list:
+    """Whether the window walker took each file loaded from now on (True),
+    or gave up on it, so that `read` decoded the file whole (False)."""
+    real, seen = jsonio._walk, []
+
+    def walk(w, matrices):
+        seen.append(False)
+        doc = real(w, matrices)
+        seen[-1] = True
+        return doc
+
+    monkeypatch.setattr(jsonio, "_walk", walk)
+    return seen
+
+
+# windows of a few characters, so that a window ends inside every key, number,
+# row, line end and separator of the documents below
+_WINDOWS = [1, 2, 3, 7, 13]
+
+
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 @pytest.mark.parametrize("form", _FORMS)
 @pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_read_matches_json_load(tmp_path, kind, form, blocks, offset):
+def test_read_matches_json_load(tmp_path, monkeypatch, kind, form, blocks, offset):
     """k blocks' worth of rows, one short of it and one past it, load as
-    json.load + from_dict gave, in row blocks."""
+    json.load + from_dict gave, in row blocks, through the package's window
+    and through windows of a few characters; the walker takes each without
+    decoding the file whole."""
     rows = blocks * (jsonio._BLOCK // 16) + offset
-    path = tmp_path / "doc.json"
+    path, walked = tmp_path / "doc.json", _walked(monkeypatch)
     _save(path, _document(path, kind, rows), form)
-    assert _assert_parity(path, kind)[0] == "ok"
-    counts = _streamed_rows(path, kind)
-    assert sum(counts) == rows and len(counts) >= blocks
+    for window in [jsonio._WINDOW] + _WINDOWS:
+        monkeypatch.setattr(jsonio, "_WINDOW", window)
+        walked.clear()
+        assert _assert_parity(path, kind)[0] == "ok"
+        counts = _streamed_rows(path, kind)
+        assert sum(counts) == rows and len(counts) >= blocks
+        assert walked == [True, True], window
 
 
 def _garble(doc, member, row, fault):
@@ -561,46 +588,6 @@ def test_read_duplicate_key_last_wins(tmp_path):
     assert _assert_parity(path, "dataset")[0] == "ok"
     path.write_text(text[:-2] + ', "features": [[1.0], ["x"]]}\n')
     assert "features[1][0] must be number" in _assert_parity(path, "dataset")[1]
-
-
-def _walked(monkeypatch) -> list:
-    """Whether the window walker took each file loaded from now on (True),
-    or gave up on it, so that `read` decoded the file whole (False)."""
-    real, seen = jsonio._walk, []
-
-    def walk(w, matrices):
-        seen.append(False)
-        doc = real(w, matrices)
-        seen[-1] = True
-        return doc
-
-    monkeypatch.setattr(jsonio, "_walk", walk)
-    return seen
-
-
-# windows of a few characters, so that a window ends inside every key, number,
-# row, line end and separator of the documents below
-_WINDOWS = [1, 2, 3, 7, 13]
-
-
-@pytest.mark.parametrize("window", _WINDOWS)
-@pytest.mark.parametrize("kind", sorted(_KINDS))
-@pytest.mark.parametrize("form", _FORMS)
-def test_read_through_small_windows(tmp_path, monkeypatch, window, kind, form):
-    """The parity cases of test_read_matches_json_load, read a few
-    characters per call: each loads as json.load + from_dict gave, in row
-    blocks, and the walker takes it without decoding the file whole."""
-    monkeypatch.setattr(jsonio, "_WINDOW", window)
-    path, walked = tmp_path / "doc.json", _walked(monkeypatch)
-    for blocks in (1, 2):
-        for offset in (-1, 0, 1):
-            rows = blocks * (jsonio._BLOCK // 16) + offset
-            _save(path, _document(path, kind, rows), form)
-            walked.clear()
-            assert _assert_parity(path, kind)[0] == "ok"
-            counts = _streamed_rows(path, kind)
-            assert sum(counts) == rows and len(counts) >= blocks
-            assert walked == [True, True], (blocks, offset)
 
 
 def _walkable(text: str, member: str) -> bool:
@@ -699,6 +686,38 @@ def test_read_rows_wider_than_a_block(tmp_path, width):
                        background_fraction=0.0, train_fraction=0.9)
     ds.save(path)
     assert _assert_parity(path, "dataset")[0] == "ok"
+
+
+def _piped(path, text: str, call):
+    """call() while a thread writes `text` into the FIFO at `path`."""
+    writer = threading.Thread(target=path.write_text, args=(text,),
+                              kwargs={"encoding": "utf-8"}, daemon=True)
+    writer.start()
+    try:
+        return call()
+    finally:
+        writer.join(timeout=10)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("fault", [None, "cut", "bom"])
+def test_read_pipe_as_json_load(tmp_path, monkeypatch, kind, fault):
+    """A file read from a pipe, which cannot be read again should the walker
+    give up, is decoded whole in one read: a valid one loads as json.load +
+    from_dict gave, and one cut inside its matrix or opening with a BOM is
+    refused as they refused it, with json's message."""
+    path = tmp_path / "pipe"
+    text = json.dumps(_document(tmp_path / "doc.json", kind, 300))
+    text = {None: text, "cut": text[:len(text) // 2], "bom": "\ufeff" + text}[fault]
+    os.mkfifo(path)
+    cls, walked = _KINDS[kind][0], _walked(monkeypatch)
+    new = _piped(path, text, lambda: _outcome(lambda: cls.load(path)))
+    old = _piped(path, text, lambda: _outcome(lambda: _json_load(path, cls.from_dict)))
+    if fault is None:
+        assert new[0] == old[0] == "ok" and _fields(new[1]) == _fields(old[1])
+    else:
+        assert new == old and f"{path}: malformed file (JSONDecodeError: " in new[1]
+    assert walked == []
 
 
 def test_read_keeps_every_bit(tmp_path):
