@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -161,19 +162,23 @@ def _parse_embedding_file(path):
                 continue
             name, vals = parts[0], parts[1:]
             if name in seen:
-                raise ParameterError(f"duplicate class name {name!r} (line {lineno})")
+                raise ParameterError(f"{path}: duplicate class name {name!r} (line {lineno})")
             if rows and len(vals) != len(rows[0]):
-                raise ParameterError(f"ragged row at line {lineno}")
+                raise ParameterError(f"{path}: ragged row at line {lineno}")
             if not vals:
-                raise ParameterError(f"empty vector at line {lineno}")
+                raise ParameterError(f"{path}: empty vector at line {lineno}")
             try:
-                rows.append([float(v) for v in vals])
+                row = [float(v) for v in vals]
             except ValueError as e:
-                raise ParameterError(f"bad number at line {lineno}: {e}") from None
+                raise ParameterError(f"{path}: bad number at line {lineno}: {e}") from None
+            if not all(map(math.isfinite, row)):   # float() reads nan, inf and 1e400
+                bad = next(v for v, x in zip(vals, row) if not math.isfinite(x))
+                raise ParameterError(f"{path}: non-finite number {bad!r} at line {lineno}")
+            rows.append(row)
             names.append(name)
             seen.add(name)
     if len(names) < 2:
-        raise ParameterError("need at least 2 classes")
+        raise ParameterError(f"{path}: need at least 2 classes")
     return names, np.asarray(rows, dtype=np.float64)
 
 
@@ -186,7 +191,14 @@ def cmd_import_prototypes(args) -> int:
         raise ParameterError(f"--delta is read only by a head whose logits shift distances, "
                              f"not by {args.mode}")
     delta = heads.DEFAULT_DELTA if args.delta is None else args.delta
-    protos = vectors if args.already_hyperbolic else head.rows(vectors)
+    protos = vectors
+    if head.exp0 and not args.already_hyperbolic:
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below, not warned about
+            protos = head.rows(vectors)
+            far = ~np.isfinite(protos[:, 0] ** 2)   # the hyperboloid check squares x0
+        if far.any():
+            raise ParameterError(f"{args.embeddings}: class {names[far.argmax()]!r} is too far "
+                                 f"out: its row's x0 = cosh(norm), squared, overflows")
     bank = heads.PrototypeBank(args.mode, protos, names, delta=delta, frozen=True)
     manifest = RunManifest(
         os.path.dirname(os.path.abspath(args.out)), command="import-prototypes",

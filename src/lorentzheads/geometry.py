@@ -7,23 +7,24 @@ in Minkowski space R^{n,1} with signature (-, +, ..., +):
 
 where <x, y>_l = -x0*y0 + sum_i xi*yi.  Curvature is fixed at -1.  All
 operations are closed-form and run in float64; small-argument branches guard
-the removable singularities of sinh(t)/t and the log map.
+the removable singularities of sinh(t)/t and of the exp0 Jacobian.
 
 The point primitives (lorentz_inner, manifold_violation, assert_on_manifold,
 project_to_manifold, tangent_project, exp_map_at) take either one point
 (n+1,) or a row matrix (m, n+1) and work along the last axis, so a whole
-prototype bank is checked or updated in one call.  exp_map_origin,
-hyperbolic_distance and log_map_at stay single-point; the batch_* helpers
-below are their all-pairs and row-wise forms.  A public primitive checks its
-inputs, then runs a private unchecked kernel (_tangent_project, _exp_map_at,
-_exp0_rows, _grad_exp0), which the training step calls directly on arrays it
-has already checked.  They write their small-argument series only when a
-row needs one (_exp0_rows and _grad_exp0: a row below the cut-off or NaN;
-_exp_map_at: a row below it); otherwise the formula alone runs, with no
-masked pass.  Row norms are np.linalg.norm's own formula for real rows, without its
-wrapper.  _cosh_distance forms each row block's x0*y0^T with einsum, which
-writes every product once into the reused block buffer.  The kernels have
-the bits of the np.where and multiply.outer forms kept in
+prototype bank is checked or updated in one call.  exp0, its Jacobian and
+the geodesic distance have batched forms only: batch_exp_map_origin and
+grad_exp_map_origin map rows, and batch_distance takes all pairs of two
+point sets.  A public primitive checks its inputs, then runs a private
+unchecked kernel (_tangent_project, _exp_map_at, _exp0_rows, _grad_exp0),
+which the training step calls directly on arrays it has already checked.
+They write their small-argument series only when a row needs one
+(_exp0_rows and _grad_exp0: a row below the cut-off or NaN; _exp_map_at: a
+row below it); otherwise the formula alone runs, with no masked pass.  Row
+norms are np.linalg.norm's own formula for real rows, without its wrapper.
+_cosh_distance forms each row block's x0*y0^T with einsum, which writes
+every product once into the reused block buffer.  The kernels have the bits
+of the np.where and multiply.outer forms kept in
 tests/reference_kernels.py.
 """
 
@@ -41,19 +42,16 @@ EPS_TANGENT = 1e-8
 _EPS_SMALL = 1e-6
 # Default slack when validating inputs that may carry accumulated drift.
 _CHECK_ATOL = 1e-6
-# Dimension counts accepted by the point primitives: one point or a row matrix.
-_POINTS = (1, 2)
 # Elements in one row block of an all-pairs temporary: 2^17 float64, 1 MiB.
 # A fresh block per step pays its page faults again, so loops reuse one.
 _BLOCK_ELEMENTS = 2**17
 
 
-def _as_array(a, name: str, ndims=(1,)) -> np.ndarray:
-    """Finite float64 array with one of the allowed dimension counts."""
+def _as_array(a, name: str) -> np.ndarray:
+    """Finite float64 point (n+1,) or row matrix (m, n+1)."""
     v = np.asarray(a, dtype=np.float64)
-    if v.ndim not in ndims:
-        kind = "a vector or a row matrix" if ndims == _POINTS else "a 1-D vector"
-        raise DimensionError(f"{name} must be {kind}, got shape {v.shape}")
+    if v.ndim not in (1, 2):
+        raise DimensionError(f"{name} must be a vector or a row matrix, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ContractError(f"{name} contains non-finite entries")
     return v
@@ -69,18 +67,11 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -x[..., 0] * y[..., 0] + _spatial_dot(x, y)
 
 
-def origin(n: int) -> np.ndarray:
-    """The hyperboloid origin (1, 0, ..., 0) in R^{n+1}."""
-    o = np.zeros(n + 1)
-    o[0] = 1.0
-    return o
-
-
 def lorentz_inner(x, y):
     """Lorentzian scalar product -x0*y0 + sum_{i>=1} xi*yi: a float for two
     points, the (m,) row-wise products for two (m, n+1) matrices."""
-    x = _as_array(x, "x", _POINTS)
-    y = _as_array(y, "y", _POINTS)
+    x = _as_array(x, "x")
+    y = _as_array(y, "y")
     if x.shape != y.shape or x.shape[-1] < 2:
         raise DimensionError(f"incompatible shapes {x.shape} vs {y.shape}")
     ip = _inner(x, y)
@@ -95,7 +86,7 @@ def manifold_violation(x):
 
 def assert_on_manifold(x, atol: float = _CHECK_ATOL) -> None:
     """Raise ContractError unless the point, or every row, lies on H^n."""
-    x = _as_array(x, "x", _POINTS)
+    x = _as_array(x, "x")
     x0 = x[..., 0]
     if np.any(x0 <= 0.0):
         raise ContractError("point is not on the upper sheet (x0 <= 0)")
@@ -125,13 +116,13 @@ def _recompute_x0(out: np.ndarray) -> np.ndarray:
 
 def project_to_manifold(raw) -> np.ndarray:
     """Repair numerical drift: keep the spatial part, recompute x0 (per row)."""
-    return _recompute_x0(_as_array(raw, "raw", _POINTS).copy())
+    return _recompute_x0(_as_array(raw, "raw").copy())
 
 
 def _as_pair(x, g):
     """x and g as finite float64 points or row matrices of one shape."""
-    x = _as_array(x, "x", _POINTS)
-    g = _as_array(g, "g", _POINTS)
+    x = _as_array(x, "x")
+    g = _as_array(g, "g")
     if x.shape != g.shape:
         raise DimensionError(f"incompatible shapes {x.shape} vs {g.shape}")
     return x, g
@@ -147,21 +138,12 @@ def tangent_project(x, g) -> np.ndarray:
     return _tangent_project(*_as_pair(x, g))
 
 
-def exp_map_origin(v) -> np.ndarray:
-    """Map an n-vector of tangent coordinates at the origin onto H^n.
-
-    Spatial part sinh(||v||) * v/||v||, time coordinate cosh(||v||); the
-    zero vector maps to the origin.  The one-row case of _exp0_rows.
-    """
-    return _exp0_rows(_as_array(v, "v")[None])[0][0]
-
-
 def exp_map_at(x, u) -> np.ndarray:
     """Exponential map at x applied to a tangent vector u, row by row for
     matrices: cosh(||u||_l) x + sinh(||u||_l) u/||u||_l, re-projected to the
     manifold."""
-    x = _as_array(x, "x", _POINTS)
-    u = _as_array(u, "u", _POINTS)
+    x = _as_array(x, "x")
+    u = _as_array(u, "u")
     assert_on_manifold(x)
     assert_tangent(x, u)
     return _exp_map_at(x, u)
@@ -192,41 +174,6 @@ def _exp_map_at(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _recompute_x0(raw)
 
 
-def hyperbolic_distance(x, y) -> float:
-    """Geodesic distance arccosh(-<x,y>_l).  Where -<x,y>_l rounds to 1 or
-    below, arccosh reads 0 for any d below ~1.5e-8; there the Lorentz norm
-    of x - y, which is 2 sinh(d/2), gives d instead (0 for x = y)."""
-    x = _as_array(x, "x")
-    y = _as_array(y, "y")
-    assert_on_manifold(x)
-    assert_on_manifold(y)
-    if x.shape != y.shape:
-        raise DimensionError(f"incompatible shapes {x.shape} vs {y.shape}")
-    arg = -lorentz_inner(x, y)
-    if arg > 1.0:
-        return float(np.arccosh(arg))
-    chord = np.sqrt(max(_inner(x - y, x - y), 0.0))
-    return float(2.0 * np.arcsinh(chord / 2.0))
-
-
-def log_map_at(x, y) -> np.ndarray:
-    """Inverse of exp_map_at: the tangent vector at x pointing to y with
-    Lorentz norm d(x, y).  Returns the zero vector for y = x."""
-    x = _as_array(x, "x")
-    y = _as_array(y, "y")
-    assert_on_manifold(x)
-    assert_on_manifold(y)
-    if np.array_equal(x, y):
-        return np.zeros_like(x)
-    alpha = max(-lorentz_inner(x, y), 1.0)
-    d = float(np.arccosh(alpha))
-    if d < 1e-9:
-        return np.zeros_like(x)
-    # ||y - alpha*x||_l = sqrt(alpha^2 - 1) = sinh(d)
-    u = (d / np.sqrt(alpha * alpha - 1.0)) * (y - alpha * x)
-    return tangent_project(x, u)
-
-
 # ---------------------------------------------------------------------------
 # Batched helpers used by the classification heads and the training loop.
 # The row layout is (m, n) for tangent coordinates and (m, n+1) for points.
@@ -254,7 +201,9 @@ def _exp0_rows(V: np.ndarray):
 
 
 def batch_exp_map_origin(V: np.ndarray) -> np.ndarray:
-    """Row-wise exp_map_origin for an (m, n) matrix; returns (m, n+1)."""
+    """exp0 of each row of an (m, n) matrix of tangent coordinates at the
+    origin: (cosh(r), sinh(r) v/r) with r = ||v||, the origin for v = 0;
+    returns (m, n+1)."""
     return _exp0_rows(np.asarray(V, dtype=np.float64))[0]
 
 
@@ -321,11 +270,11 @@ def batch_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def grad_exp_map_origin(V: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Pull an ambient cotangent back through exp_map_origin (rows).
+    """Pull an ambient cotangent back through batch_exp_map_origin.
 
     For x = exp0(v), computes J(v)^T g for each row pair (v, g) where
-    J is the (n+1, n) Jacobian of exp_map_origin.  V is (m, n), G is
-    (m, n+1); returns (m, n).
+    J is the (n+1, n) Jacobian of exp0.  V is (m, n), G is (m, n+1);
+    returns (m, n).
     """
     V = np.asarray(V, dtype=np.float64)
     return _grad_exp0(V, np.asarray(G, dtype=np.float64), *_exp0_rows(V)[1])

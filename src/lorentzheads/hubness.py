@@ -52,7 +52,7 @@ def _checked_points(points, kind: str) -> np.ndarray:
         geometry.assert_on_manifold(P)
         return P
     if kind == KIND_COSINE:
-        return unit_rows(geometry._as_array(P, "x", (2,)))[0]
+        return unit_rows(geometry._as_array(P, "x"))[0]
     raise ContractError(f"unknown distance kind {kind!r}")
 
 

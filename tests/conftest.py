@@ -14,7 +14,7 @@ def rng():
 
 
 def random_manifold_point(rng, n, scale=1.0):
-    return geometry.exp_map_origin(rng.normal(0.0, scale, n))
+    return geometry.batch_exp_map_origin(rng.normal(0.0, scale, (1, n)))[0]
 
 
 def random_tangent(rng, x, scale=1.0, max_norm=3.0):

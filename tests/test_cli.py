@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -476,18 +477,48 @@ class TestImportPrototypes:
                      "--already-hyperbolic", "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_rejections_exit_2(self, tmp_path):
+    def test_rejections_exit_2(self, tmp_path, capsys):
+        # each refusal starts with the file's path; float() reads nan, inf
+        # and 1e400, which the parser refuses at their line, with no warning
         cases = {
-            "single.txt": "only 1 0\n",
-            "dup.txt": "a 1 0\na 0 1\n",
-            "ragged.txt": "a 1 0\nb 1\n",
-            "token.txt": "a 1 0\nb 1 x\n",
+            "single.txt": ("only 1 0\n", "need at least 2 classes"),
+            "dup.txt": ("a 1 0\na 0 1\n", "duplicate class name 'a' (line 2)"),
+            "ragged.txt": ("a 1 0\nb 1\n", "ragged row at line 2"),
+            "empty.txt": ("a\nb\n", "empty vector at line 1"),
+            "token.txt": ("a 1 0\nb 1 x\n",
+                          "bad number at line 2: could not convert string to float: 'x'"),
+            "nan.txt": ("a 1 0\nb 1 nan\nc 0 1\n", "non-finite number 'nan' at line 2"),
+            "inf.txt": ("a 1 0\nb -inf 1\n", "non-finite number '-inf' at line 2"),
+            "big.txt": ("a 1e400 0\nb 0 1\n", "non-finite number '1e400' at line 1"),
         }
-        for fname, text in cases.items():
+        for fname, (text, message) in cases.items():
             p = tmp_path / fname
             p.write_text(text)
-            assert main(["import-prototypes", "--embeddings", str(p),
-                         "--out", str(tmp_path / "bank.json")]) == 2, fname
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["import-prototypes", "--embeddings", str(p),
+                             "--out", str(tmp_path / "o" / "bank.json")]) == 2, fname
+            assert capsys.readouterr().err == f"error: {p}: {message}\n"
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("row", ["800 2", "800 0", "400 2", "1e200 1e200"],
+                             ids=["exp0-overflows", "zero-times-inf", "x0-squared-overflows",
+                                  "norm-overflows"])
+    def test_row_too_far_out_names_file_and_class(self, tmp_path, capsys, row):
+        # exp0 of the row, or the square of its x0 the hyperboloid check
+        # reads, overflows: one line on stderr, no numpy warning
+        emb = tmp_path / "emb.txt"
+        emb.write_text(f"b 3 4\na {row}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["import-prototypes", "--embeddings", str(emb),
+                         "--out", str(tmp_path / "o" / "bank.json")]) == 2
+            # a Euclidean bank keeps the row as given
+            assert main(["import-prototypes", "--embeddings", str(emb), "--mode",
+                         "euclidean-linear", "--out", str(tmp_path / "lin.json")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {emb}: class 'a' is too far out") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_duplicate_on_the_last_of_many_lines(self, tmp_path, capsys):
         # every name is checked against every earlier one; a set keeps the

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +13,16 @@ from lorentzheads import geometry as G
 from lorentzheads.errors import ContractError, DimensionError
 
 import reference_kernels
+from reference_geometry import hyperbolic_distance, log_map_at, origin
 from conftest import random_manifold_point, random_tangent
 
 COSH1 = np.cosh(1.0)
 SINH1 = np.sinh(1.0)
+# Public functions that no package code calls, kept because perfbench's
+# workloads.trace_targets traces them by name and its smoke run fails on a
+# deleted traced name; they go when the benchmark stops tracing them.
+TRACED_ONLY = {"lorentz_inner", "project_to_manifold", "tangent_project", "exp_map_at",
+               "batch_minkowski_inner", "grad_exp_map_origin"}
 
 
 class TestLorentzInner:
@@ -44,30 +53,29 @@ class TestLorentzInner:
 
 class TestExpMapOrigin:
     def test_zero_maps_to_origin(self):
-        np.testing.assert_array_equal(G.exp_map_origin([0.0, 0.0]), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(G.batch_exp_map_origin([[0.0, 0.0]]), [[1.0, 0.0, 0.0]])
 
     def test_unit_step(self):
         np.testing.assert_allclose(
-            G.exp_map_origin([1.0, 0.0]), [COSH1, SINH1, 0.0], atol=1e-15
+            G.batch_exp_map_origin([[1.0, 0.0]]), [[COSH1, SINH1, 0.0]], atol=1e-15
         )
 
     def test_small_norm_branch(self):
-        p = G.exp_map_origin([1e-4, 0.0])
-        d = G.hyperbolic_distance(p, G.origin(2))
+        p = G.batch_exp_map_origin([[1e-4, 0.0]])[0]
+        d = hyperbolic_distance(p, origin(2))
         assert d == pytest.approx(1e-4, abs=1e-9)
 
     def test_manifold_closure(self, rng):
-        for _ in range(100):
-            p = G.exp_map_origin(rng.normal(0.0, 1.2, 6))
-            assert G.manifold_violation(p) < 1e-9
-
+        P = G.batch_exp_map_origin(rng.normal(0.0, 1.2, (100, 6)))
+        assert G.manifold_violation(P).max() < 1e-9
 
     def test_one_formula_with_the_batch_map(self, rng):
-        # one row of batch_exp_map_origin, bit for bit, on both branches
+        # a row mapped alone gets its bits in the batch, on both branches:
+        # the batch below takes the series path, a lone big row does not
         V = rng.normal(0.0, 1.2, (5, 6))
         V[2] *= 1e-9
-        for v, row in zip(V, G.batch_exp_map_origin(V)):
-            np.testing.assert_array_equal(G.exp_map_origin(v), row)
+        for i, row in enumerate(G.batch_exp_map_origin(V)):
+            np.testing.assert_array_equal(G.batch_exp_map_origin(V[i:i + 1])[0], row)
 
 
 class TestExpMapAt:
@@ -83,7 +91,7 @@ class TestExpMapAt:
             G.exp_map_at(x, np.zeros(3), check=False)
 
     def test_matches_origin_map(self):
-        out = G.exp_map_at(G.origin(2), [0.0, 1.0, 0.0])
+        out = G.exp_map_at(origin(2), [0.0, 1.0, 0.0])
         np.testing.assert_allclose(out, [COSH1, SINH1, 0.0], atol=1e-15)
 
     def test_arc_length(self, rng):
@@ -91,7 +99,7 @@ class TestExpMapAt:
             x = random_manifold_point(rng, 4)
             u = random_tangent(rng, x)
             nrm = np.sqrt(G.lorentz_inner(u, u))
-            d = G.hyperbolic_distance(x, G.exp_map_at(x, u))
+            d = G.batch_distance(x[None], G.exp_map_at(x, u)[None])[0, 0]
             assert d == pytest.approx(nrm, abs=1e-8)
 
     def test_non_tangent_rejected(self, rng):
@@ -101,46 +109,38 @@ class TestExpMapAt:
 
 
 class TestLogMapAt:
-    def test_coincident(self, rng):
-        x = random_manifold_point(rng, 3)
-        np.testing.assert_array_equal(G.log_map_at(x, x), np.zeros(4))
-
-    def test_inverse_of_exp_example(self):
-        u = G.log_map_at(G.origin(2), [COSH1, SINH1, 0.0])
-        np.testing.assert_allclose(u, [0.0, 1.0, 0.0], atol=1e-12)
+    """exp_map_at against the oracle log map of tests/reference_geometry.py."""
 
     def test_round_trip(self, rng):
         for _ in range(100):
             x = random_manifold_point(rng, 5)
             y = random_manifold_point(rng, 5)
-            u = G.log_map_at(x, y)
+            u = log_map_at(x, y)
             np.testing.assert_allclose(G.exp_map_at(x, u), y, atol=1e-7)
 
     def test_norm_equals_distance(self, rng):
         x = random_manifold_point(rng, 5)
         y = random_manifold_point(rng, 5)
-        u = G.log_map_at(x, y)
+        u = log_map_at(x, y)
         nrm = np.sqrt(G.lorentz_inner(u, u))
-        assert nrm == pytest.approx(G.hyperbolic_distance(x, y), abs=1e-9)
+        assert nrm == pytest.approx(G.batch_distance(x[None], y[None])[0, 0], abs=1e-9)
 
 
 class TestDistance:
     def test_self_distance_zero(self, rng):
-        x = random_manifold_point(rng, 6)
-        assert G.hyperbolic_distance(x, x) == 0.0
+        # the all-pairs formula reads the rounding of x0*y0 - spatial near 0,
+        # which grows with the radius (batch_distance's docstring)
+        X = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (20, 6)))
+        np.testing.assert_allclose(np.diagonal(G.batch_distance(X, X)), 0.0, atol=1e-5)
 
     def test_closed_form(self):
-        assert G.hyperbolic_distance(G.origin(1), [COSH1, SINH1]) == pytest.approx(1.0)
+        D = G.batch_distance([origin(1)], [[COSH1, SINH1]])
+        assert D[0, 0] == pytest.approx(1.0)
 
     def test_symmetry(self, rng):
-        for _ in range(50):
-            x = random_manifold_point(rng, 4)
-            y = random_manifold_point(rng, 4)
-            assert G.hyperbolic_distance(x, y) == G.hyperbolic_distance(y, x)
-
-    def test_off_manifold_rejected(self):
-        with pytest.raises(ContractError):
-            G.hyperbolic_distance([2.0, 0.0], [1.0, 0.0])
+        X = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (50, 4)))
+        Y = G.batch_exp_map_origin(rng.normal(0.0, 1.0, (50, 4)))
+        np.testing.assert_array_equal(G.batch_distance(X, Y), G.batch_distance(Y, X).T)
 
     def test_triangle_inequality_sampled(self, rng):
         X = G.batch_exp_map_origin(rng.normal(0.0, 1.5, (30, 4)))
@@ -154,7 +154,7 @@ class TestDistance:
         # geodesic distance grows linearly along a ray while cosine distance
         # between the corresponding normalized vectors stays bounded by 2
         t = 10.0
-        d = G.hyperbolic_distance(G.exp_map_origin([t, 0.0]), G.origin(2))
+        d = G.batch_distance(G.batch_exp_map_origin([[t, 0.0]]), [origin(2)])[0, 0]
         assert d == pytest.approx(t, abs=1e-8)
         assert d > 2.0 + 7.9  # far beyond any cosine-distance value
 
@@ -222,13 +222,13 @@ class TestTangentProject:
     vu=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
 )
 def test_exp_log_inverse_property(vx, vu):
-    x = G.exp_map_origin(np.asarray(vx))
+    x = G.batch_exp_map_origin([vx])[0]
     u = G.tangent_project(x, np.asarray(vu))
     nrm = np.sqrt(max(G.lorentz_inner(u, u), 0.0))
     if nrm > 5.0:
         u = u * (5.0 / nrm)
     y = G.exp_map_at(x, u)
-    back = G.log_map_at(x, y)
+    back = log_map_at(x, y)
     np.testing.assert_allclose(back, u, atol=1e-6)
 
 
@@ -237,7 +237,7 @@ def test_exp_log_inverse_property(vx, vu):
 @example(v=[0.0, 0.0, 1e-08, 1e-08])   # cosh(|v|) rounds to 1: arccosh alone reads 0
 def test_norm_transport_property(v):
     v = np.asarray(v)
-    d = G.hyperbolic_distance(G.exp_map_origin(v), G.origin(4))
+    d = hyperbolic_distance(G.batch_exp_map_origin(v[None])[0], origin(4))
     assert d == pytest.approx(np.linalg.norm(v), abs=1e-8)
 
 
@@ -245,7 +245,7 @@ def test_batch_matches_scalar_ops(rng):
     V = rng.normal(0.0, 1.5, (10, 4))
     X = G.batch_exp_map_origin(V)
     for i in range(10):
-        np.testing.assert_allclose(X[i], G.exp_map_origin(V[i]), rtol=1e-15)
+        np.testing.assert_allclose(X[i], G.batch_exp_map_origin(V[i:i + 1])[0], rtol=1e-15)
     # the point primitives on a row matrix equal their single-point results
     U = G.tangent_project(X, rng.normal(0.0, 1.0, X.shape))
     U[3] *= 1e-9                          # one row through the series branch
@@ -272,7 +272,7 @@ def test_batch_matches_scalar_ops(rng):
     for i in range(10):
         for j in range(10):
             assert D[i, j] == pytest.approx(
-                G.hyperbolic_distance(X[i], X[j]), abs=1e-12
+                hyperbolic_distance(X[i], X[j]), abs=1e-12
             )
 
 
@@ -340,3 +340,19 @@ def test_all_pairs_distance_holds_one_matrix(rng):
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * D.nbytes
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    # a name the package's code reads (a call, or an attribute such as
+    # geometry.batch_distance); docstrings and comments do not count
+    read = set()
+    for path in Path(G.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    public = {name for name, f in vars(G).items()
+              if inspect.isfunction(f) and f.__module__ == G.__name__ and name[0] != "_"}
+    assert TRACED_ONLY <= public
+    assert sorted(public - read - TRACED_ONLY) == []

@@ -8,6 +8,8 @@ from lorentzheads import heads as H
 from lorentzheads import hubness
 from lorentzheads.errors import ContractError, ParameterError
 
+from reference_geometry import origin
+
 
 def brute_force_k_occurrence(D, k):
     """Independent O(N^2) scan: sort (distance, index) pairs per row."""
@@ -209,12 +211,12 @@ class TestAnalysisRefusals:
 
 class TestPairwiseDistances:
     def test_identical_points(self):
-        P = np.stack([G.exp_map_origin([0.5, 0.5])] * 2)
+        P = G.batch_exp_map_origin([[0.5, 0.5]] * 2)
         D = hubness.pairwise_distances(P, "hyperbolic")
         assert D[0, 1] == pytest.approx(0.0, abs=1e-7)
 
     def test_geometry_oracle(self):
-        P = np.stack([G.origin(1), [np.cosh(1.0), np.sinh(1.0)]])
+        P = np.stack([origin(1), [np.cosh(1.0), np.sinh(1.0)]])
         D = hubness.pairwise_distances(P, "hyperbolic")
         assert D[0, 1] == pytest.approx(1.0)
 
@@ -323,7 +325,7 @@ class TestSkewness:
         # one centroid prototype among far-apart satellites becomes everyone's
         # nearest neighbor
         satellites = G.batch_exp_map_origin(3.0 * np.eye(6))
-        hub = G.origin(6)[None, :]
+        hub = origin(6)[None, :]
         P = np.concatenate([hub, satellites])
         occ = hubness.k_occurrence(hubness.pairwise_distances(P, "hyperbolic"), 1)
         assert occ.counts[0] == 6
