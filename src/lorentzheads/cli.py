@@ -191,6 +191,7 @@ def cmd_import_prototypes(args) -> int:
         raise ParameterError(f"--delta is read only by a head whose logits shift distances, "
                              f"not by {args.mode}")
     delta = heads.DEFAULT_DELTA if args.delta is None else args.delta
+    heads.check_delta(delta)
     protos = vectors
     if head.exp0 and not args.already_hyperbolic:
         with np.errstate(over="ignore", invalid="ignore"):   # refused below, not warned about
@@ -199,7 +200,10 @@ def cmd_import_prototypes(args) -> int:
         if far.any():
             raise ParameterError(f"{args.embeddings}: class {names[far.argmax()]!r} is too far "
                                  f"out: its row's x0 = cosh(norm), squared, overflows")
-    bank = heads.PrototypeBank(args.mode, protos, names, delta=delta, frozen=True)
+    try:    # the bank's refusals are about the file's rows, the flags checked above
+        bank = heads.PrototypeBank(args.mode, protos, names, delta=delta, frozen=True)
+    except (ParameterError, ContractError) as e:
+        raise type(e)(f"{args.embeddings}: {e}") from e
     manifest = RunManifest(
         os.path.dirname(os.path.abspath(args.out)), command="import-prototypes",
         config={"embeddings": args.embeddings, "mode": args.mode, "delta": delta,

@@ -34,13 +34,11 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
-# Tolerance for the manifold constraint |<x,x>_l + 1|.
-EPS_MANIFOLD = 1e-9
 # Tolerance for tangency |<x,u>_l|.
 EPS_TANGENT = 1e-8
 # Below this Lorentz norm a tangent vector is treated as zero.
 _EPS_SMALL = 1e-6
-# Default slack when validating inputs that may carry accumulated drift.
+# Slack when validating points that may carry accumulated drift.
 _CHECK_ATOL = 1e-6
 # Elements in one row block of an all-pairs temporary: 2^17 float64, 1 MiB.
 # A fresh block per step pays its page faults again, so loops reuse one.
@@ -84,7 +82,7 @@ def manifold_violation(x):
     return np.abs(_inner(x, x) + 1.0)
 
 
-def assert_on_manifold(x, atol: float = _CHECK_ATOL) -> None:
+def assert_on_manifold(x) -> None:
     """Raise ContractError unless the point, or every row, lies on H^n."""
     x = _as_array(x, "x")
     x0 = x[..., 0]
@@ -92,7 +90,7 @@ def assert_on_manifold(x, atol: float = _CHECK_ATOL) -> None:
         raise ContractError("point is not on the upper sheet (x0 <= 0)")
     with np.errstate(over="ignore"):   # an overflow is refused below, not warned about
         # the constraint residual scales like x0^2 * machine eps for far points
-        tol = atol * np.maximum(1.0, x0 * x0)
+        tol = _CHECK_ATOL * np.maximum(1.0, x0 * x0)
         v = np.atleast_1d(manifold_violation(x))
     if not np.isfinite(tol).all():   # no residual exceeds inf
         raise ContractError("point is too far out to check: x0 * x0 overflows")
@@ -101,9 +99,9 @@ def assert_on_manifold(x, atol: float = _CHECK_ATOL) -> None:
         raise ContractError(f"point is off the hyperboloid: |<x,x>_l + 1| = {v[bad][0]:.3e}")
 
 
-def assert_tangent(x, u, atol: float = EPS_TANGENT) -> None:
+def assert_tangent(x, u) -> None:
     ip = np.atleast_1d(lorentz_inner(x, u))
-    bad = np.abs(ip) > atol
+    bad = np.abs(ip) > EPS_TANGENT
     if np.any(bad):
         raise ContractError(f"vector is not tangent at base point: <x,u>_l = {ip[bad][0]:.3e}")
 

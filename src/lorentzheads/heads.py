@@ -50,6 +50,12 @@ def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def check_delta(delta: float) -> None:
+    """Refuse a distance shift `delta` that is not finite and > 0."""
+    if not 0.0 < delta < np.inf:
+        raise ParameterError(f"delta must be finite and > 0, not {delta}")
+
+
 @dataclass
 class PrototypeBank:
     """C class prototypes plus head configuration.  d_min, read by the
@@ -88,8 +94,7 @@ class PrototypeBank:
             raise ParameterError("prototypes must hold at least 2 rows")
         if len(self.class_names) != self.prototypes.shape[0]:
             raise ParameterError("class_names must hold one name per prototype row")
-        if not 0.0 < self.delta < np.inf:
-            raise ParameterError(f"delta must be finite and > 0, not {self.delta}")
+        check_delta(self.delta)
         if not np.all(np.isfinite(self.prototypes)):
             raise ContractError("prototypes contain non-finite entries")
         try:

@@ -3,10 +3,11 @@ validator that checks a decoded file against its shipped schema.
 
 `write` produces the bytes of `json.dumps(plain(doc), sort_keys=True)` plus a
 newline, but encodes them in pieces with the C encoder (`json.dump` always
-runs the pure-Python one): a list or array in row blocks of about `_BLOCK`
-numbers, one encoder call per block, so no string ever holds more than one
-block's text.  A numpy array is converted with `.tolist()` one block at a
-time.
+runs the pure-Python one): a numpy array in row blocks of at most `_BLOCK`
+numbers, a wider row split within itself, each block converted with
+`.tolist()` and encoded in one call, so no string ever holds more than one
+block of an array's text; any other value, a list included, in one call,
+since every member that grows with the data is an array.
 
 `read` gives what json.load gives, but that it decodes each top-level member
 the file's schema declares an array of number arrays into a float64 matrix,
@@ -161,41 +162,11 @@ def _fields(obj):
     return obj
 
 
-def _numbers(value) -> int:
-    """How many numbers the JSON text of `value` holds, counting an empty
-    array and a string as one: the measure of a block."""
-    if isinstance(value, np.ndarray):
-        return max(value.size, 1)
-    value = _fields(value)
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, (list, tuple)):
-        return 1
-    return max(sum(map(_numbers, value)), 1)
-
-
-def _blocks(items):
-    """The (start, stop) item ranges of the list or array `items`, each as
-    many items as hold at most `_BLOCK` numbers, but at least one."""
-    if isinstance(items, np.ndarray):
-        step = max(_BLOCK // max(math.prod(items.shape[1:]), 1), 1)
-        yield from ((s, s + step) for s in range(0, len(items), step))
-        return
-    start, count = 0, 0
-    for i, n in enumerate(map(_numbers, items)):
-        if i > start and count + n > _BLOCK:
-            yield start, i
-            start, count = i, 0
-        count += n
-    if items:
-        yield start, len(items)
-
-
 def _pieces(value):
     """The JSON text of `value` in pieces: a dict key by key in sorted order,
-    a list or array in blocks of items, each `_encode`d in one call, but an
-    item of more than `_BLOCK` numbers in pieces of its own; anything else
-    whole."""
+    an array in blocks of rows of at most `_BLOCK` numbers, each `_encode`d in
+    one call, but a row of more than `_BLOCK` numbers in pieces of its own;
+    anything else, a list included, in one call."""
     value = _fields(value)
     if isinstance(value, dict):
         yield "{"
@@ -204,16 +175,18 @@ def _pieces(value):
             yield (", " if i else "") + _encode({key: 0})[1:-4] + ": "
             yield from _pieces(item)
         yield "}"
-    elif isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim:
+    elif isinstance(value, np.ndarray) and value.ndim:
+        width = math.prod(value.shape[1:])
+        step = max(_BLOCK // max(width, 1), 1)
         yield "["
-        for i, (s, e) in enumerate(_blocks(value)):
-            if i:
+        for s in range(0, len(value), step):
+            if s:
                 yield ", "
-            if e - s == 1 and _numbers(value[s]) > _BLOCK:
+            if width > _BLOCK:
                 yield from _pieces(value[s])
             else:
-                # '[1, 2]'[1:-1] == '1, 2': a block's items without brackets
-                yield _encode(plain(value[s:e]))[1:-1]
+                # '[1, 2]'[1:-1] == '1, 2': a block's rows without brackets
+                yield _encode(value[s:s + step].tolist())[1:-1]
         yield "]"
     else:
         yield _encode(plain(value))
@@ -221,7 +194,7 @@ def _pieces(value):
 
 def write(path, doc, indent=None) -> None:
     """Write `doc` to `path` as UTF-8 with sorted keys and a trailing newline,
-    each list or array in row blocks of about `_BLOCK` numbers.  The file is
+    each numpy array in row blocks of at most `_BLOCK` numbers.  The file is
     written beside `path` and then moved onto it, so a failed write leaves
     the old file as it was.  Only the manifest is indented; it is a few kB
     and goes through `json.dump`."""
@@ -373,19 +346,15 @@ def _rows(w: _Window, row_schema: dict) -> np.ndarray:
 def _load(path, matrices: dict):
     """The JSON document at `path`, walked through a window when its schema
     declares `matrices`; a file with none, one that cannot be read again (a
-    pipe), or one the walker gives up on, is decoded whole as json.loads
-    decodes it, which refuses a malformed file with the running Python's
-    message."""
+    pipe), or one the walker gives up on, is decoded whole by json.loads,
+    which refuses a malformed file with the running Python's message."""
     with open(path, encoding="utf-8") as f:
         if matrices and f.seekable():
             try:
                 return _walk(_Window(f), matrices)
             except (_GiveUp, UnicodeDecodeError):
                 f.seek(0)
-        text = f.read()
-    if text.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    return _decoder.decode(text)
+        return json.loads(f.read())
 
 
 def read(path, decode, schema=None):

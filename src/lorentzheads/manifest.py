@@ -23,7 +23,9 @@ def _now() -> str:
 
 class RunManifest:
     """`out_dir/manifest.json`: created, with `out_dir`, once a command has
-    read its inputs, and finalized after the run ends."""
+    read its inputs, and finalized after the run ends.  An input that is no
+    regular file, such as a pipe, is recorded with no digest: the command
+    has read its bytes, which cannot be read again."""
 
     def __init__(self, out_dir, command: str, config: dict, seed, input_paths=()):
         os.makedirs(out_dir, exist_ok=True)
@@ -33,7 +35,8 @@ class RunManifest:
             "config": config,
             "seed": seed,
             "tool_version": _tool_version(),
-            "inputs": {str(p): sha256_file(p) for p in input_paths},
+            "inputs": {str(p): sha256_file(p) if os.path.isfile(p) else None
+                       for p in input_paths},
             "outputs": {},
             "started_at": _now(),
             "finished_at": None,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import jsonschema
@@ -196,6 +197,44 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--dataset", str(ds_path),
                      "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+    def test_piped_dataset_has_no_digest(self, trained, tmp_path):
+        """A pipe is read once: the run trains on what it held, and the
+        manifest records no digest for it, not that of the drained pipe."""
+        _, ds_path, cfg_path, out = trained
+        r, w = os.pipe()
+
+        def feed_pipe():
+            with os.fdopen(w, "wb") as f:
+                f.write(ds_path.read_bytes())
+
+        feed = threading.Thread(target=feed_pipe)
+        feed.start()
+        try:
+            piped = f"/dev/fd/{r}"
+            assert main(["train", "--config", cfg_path, "--dataset", piped,
+                         "--out", str(tmp_path / "o")]) == 0
+        finally:
+            feed.join()
+            os.close(r)
+        assert (tmp_path / "o" / "checkpoint.json").read_bytes() == \
+            (out / "checkpoint.json").read_bytes()
+        validate_file(tmp_path / "o" / "manifest.json", "manifest")
+        inputs = json.loads((tmp_path / "o" / "manifest.json").read_text())["inputs"]
+        assert inputs == {cfg_path: sha256_file(cfg_path), piped: None}
+
+    def test_dataset_on_stdin_keeps_its_digest(self, trained, tmp_path):
+        """/dev/stdin redirected from a file opens that file: a regular file,
+        whose digest the manifest records."""
+        _, ds_path, cfg_path, _ = trained
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        with open(ds_path, "rb") as stdin:
+            run = subprocess.run([sys.executable, "-m", "lorentzheads.cli", "train", "--config",
+                                  cfg_path, "--dataset", "/dev/stdin", "--out",
+                                  str(tmp_path / "o")], stdin=stdin, env=env, capture_output=True)
+        assert run.returncode == 0, run.stderr
+        inputs = json.loads((tmp_path / "o" / "manifest.json").read_text())["inputs"]
+        assert inputs["/dev/stdin"] == sha256_file(ds_path)
 
     def test_missing_dataset_exit_2(self, trained, tmp_path):
         _, _, cfg_path, _ = trained
@@ -537,6 +576,22 @@ class TestImportPrototypes:
         emb.write_text("a 1 0\nb 0 1\n")
         assert main(["import-prototypes", "--embeddings", str(emb), "--delta", delta,
                      "--out", str(tmp_path / "o" / "bank.json")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rows, flags, message", [
+        ("a 1 0\nb 1 0\n", [], "{}: prototypes: all prototypes coincide; d_min undefined"),
+        ("a 0 0\nb 1 0\n", ["--mode", "euclidean-cosine"],
+         "{}: prototypes: cosine similarity requires nonzero vectors"),
+        ("a 1 0\nb 0 1\n", ["--delta", "-1"], "delta must be finite and > 0, not -1.0"),
+    ], ids=["coincide", "cosine-zero", "delta"])
+    def test_bank_refusals_name_the_file_not_the_flag(self, tmp_path, capsys, rows, flags,
+                                                      message):
+        # what the rows break names the embeddings file; what a flag breaks does not
+        emb = tmp_path / "emb.txt"
+        emb.write_text(rows)
+        assert main(["import-prototypes", "--embeddings", str(emb), *flags,
+                     "--out", str(tmp_path / "o" / "bank.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(emb)}\n"
         assert not (tmp_path / "o").exists()
 
     def test_coinciding_euclidean_rows(self, tmp_path, capsys):

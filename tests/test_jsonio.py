@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -118,11 +119,12 @@ def test_dataset_save_streams_rows(tmp_path):
     assert peak < 3 * os.path.getsize(path)
 
 
-def _spied_write(monkeypatch, path, doc):
+def _spied_write(monkeypatch, path, doc, bound=None):
     """jsonio.write, failing if one piece written to the file holds more than
-    a block's numbers.  A block of n numbers, or of n empty rows, has n - 1
-    commas; none of the documents below holds a string with a comma."""
-    real_open = open
+    `bound` numbers, a block's by default.  A block of n numbers, or of n
+    empty rows, has n - 1 commas; none of the documents below holds a string
+    with a comma."""
+    real_open, bound = open, bound or jsonio._BLOCK
 
     def spy_open(*args, **kwargs):
         f = real_open(*args, **kwargs)
@@ -130,7 +132,7 @@ def _spied_write(monkeypatch, path, doc):
 
         def writelines(pieces):
             for piece in pieces:
-                assert piece.count(",") < jsonio._BLOCK, piece[:80]
+                assert piece.count(",") < bound, piece[:80]
                 write(piece)
 
         f.writelines = writelines
@@ -148,30 +150,23 @@ def _rows_per_block(width: int) -> int:
 @pytest.mark.parametrize("offset", [-1, 0, 1, "2k+1"])
 def test_write_block_boundaries(tmp_path, monkeypatch, width, offset):
     """Matrices of one row short of a block, a block, one row past it and two
-    blocks and a row, as arrays and as lists, 1-D alongside, equal json.dumps."""
+    blocks and a row, 1-D alongside, equal json.dumps."""
     k = _rows_per_block(width)
     rows = 2 * k + 1 if offset == "2k+1" else k + offset
     matrix = np.random.default_rng(width).normal(size=(rows, width))
     vector = np.arange(jsonio._BLOCK + offset if offset != "2k+1" else 2 * jsonio._BLOCK + 1)
-    doc = {"m": matrix, "l": matrix.tolist(), "v": vector, "w": vector.tolist(),
-           "t": tuple(map(tuple, matrix.tolist()))}
+    doc = {"m": matrix, "v": vector}
     _spied_write(monkeypatch, tmp_path / "doc.json", doc)
     assert (tmp_path / "doc.json").read_text() == _dumps(doc)
 
 
 _ROWS = _rows_per_block(3)
 _ODD_DOCS = {
-    # rows of 0 to 6 numbers: the blocks' item counts vary
-    "ragged": [list(range(i % 7)) for i in range(3 * _ROWS)],
-    "nested-3d": np.arange(2 * jsonio._BLOCK * 3 + 6.0).reshape(-1, 2, 3).tolist(),
     "array-3d": np.arange(2 * jsonio._BLOCK * 3 + 6.0).reshape(-1, 2, 3) / 7,
     # rows wider than a block are split within the row
     "wide": np.linspace(0, 1, 3 * jsonio._BLOCK + 2).reshape(2, -1),
-    "wide-list": np.linspace(0, 1, 3 * jsonio._BLOCK + 2).reshape(2, -1).tolist(),
-    "odd-last-block": np.ones((_ROWS + 1, 3)).tolist()[:-1]
-    + [[float("nan"), float("inf"), -float("inf")], [2 ** 128, -2 ** 70, 10 ** 30]],
-    "dataclass-in-list": [Pair(np.linspace(-1, 1, 3 * jsonio._BLOCK).reshape(-1, 3), 7),
-                          {"x": Pair(np.zeros((2, 0)), 1)}, np.int64(5), np.float32(0.5)],
+    "wide-3d": np.linspace(0, 1, 4 * jsonio._BLOCK + 4).reshape(2, 2, -1),
+    "empty-rows": np.zeros((2 * jsonio._BLOCK + 1, 0)),
 }
 
 
@@ -182,12 +177,36 @@ def test_write_blocks_odd_documents(tmp_path, monkeypatch, name):
     assert (tmp_path / "doc.json").read_text() == _dumps(doc)
 
 
+_LIST_DOCS = {
+    # rows of 0 to 6 numbers
+    "ragged": [list(range(i % 7)) for i in range(3 * _ROWS)],
+    "nested-3d": np.arange(2 * jsonio._BLOCK * 3 + 6.0).reshape(-1, 2, 3).tolist(),
+    "wide-list": np.linspace(0, 1, 3 * jsonio._BLOCK + 2).reshape(2, -1).tolist(),
+    "odd-last-block": np.ones((_ROWS + 1, 3)).tolist()[:-1]
+    + [[float("nan"), float("inf"), -float("inf")], [2 ** 128, -2 ** 70, 10 ** 30]],
+    "dataclass-in-list": [Pair(np.linspace(-1, 1, 3 * jsonio._BLOCK).reshape(-1, 3), 7),
+                          {"x": Pair(np.zeros((2, 0)), 1)}, np.int64(5), np.float32(0.5)],
+    "tuples": tuple(map(tuple, np.random.default_rng(0).normal(size=(_ROWS + 1, 3)).tolist())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LIST_DOCS))
+def test_write_lists_match_dumps(tmp_path, name):
+    """A list or tuple, which `write` encodes in one call, whatever it holds,
+    has the bytes json.dumps gives it."""
+    doc = {"doc": _LIST_DOCS[name], "after": [1, [2]]}
+    jsonio.write(tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_text() == _dumps(doc)
+
+
 def test_write_spy_catches_a_whole_matrix(tmp_path, monkeypatch):
-    """The spy above fails a writer that encodes a matrix in one call."""
+    """The spy above fails a writer that encodes a matrix in one call: one
+    whose blocks are larger than the bound the spy checks."""
     doc = {"m": np.zeros((jsonio._BLOCK, 2))}
-    monkeypatch.setattr(jsonio, "_blocks", lambda items: iter([(0, len(items))]))
+    bound = jsonio._BLOCK
+    monkeypatch.setattr(jsonio, "_BLOCK", 2 * bound)
     with pytest.raises(AssertionError):
-        _spied_write(monkeypatch, tmp_path / "doc.json", doc)
+        _spied_write(monkeypatch, tmp_path / "doc.json", doc, bound)
 
 
 def _contract(doc):
@@ -411,11 +430,11 @@ def _assert_parity(path, kind: str) -> tuple:
 
 
 class _Spy:
-    """jsonio's decoder, recording the rows of every matrix a call decodes,
-    whole or as a member of an object."""
+    """jsonio's decoder and json.loads, recording the rows of every matrix a
+    call decodes, whole or as a member of an object."""
 
-    def __init__(self, decoder):
-        self.decoder, self.blocks = decoder, []
+    def __init__(self, decoder, loads):
+        self.decoder, self.real_loads, self.blocks = decoder, loads, []
 
     def _seen(self, value):
         for v in value.values() if isinstance(value, dict) else [value]:
@@ -423,19 +442,27 @@ class _Spy:
                 self.blocks.append(v)
         return value
 
-    def decode(self, s):
-        return self._seen(self.decoder.decode(s))
+    def loads(self, s):
+        return self._seen(self.real_loads(s))
 
     def raw_decode(self, s, i=0):
         value, end = self.decoder.raw_decode(s, i)
         return self._seen(value), end
 
 
+@contextlib.contextmanager
+def _spying():
+    """A `_Spy` standing in for jsonio's decoder and for json.loads, which
+    decodes a file whole."""
+    spy = _Spy(jsonio._decoder, json.loads)
+    with mock.patch.object(jsonio, "_decoder", spy), mock.patch.object(json, "loads", spy.loads):
+        yield spy
+
+
 def _block_rows(path, kind: str) -> list:
     """The row count of each matrix block a load of `path` decodes, its
     refusal, if any, aside."""
-    spy = _Spy(jsonio._decoder)
-    with mock.patch.object(jsonio, "_decoder", spy):
+    with _spying() as spy:
         try:
             _KINDS[kind][0].load(path)
         except (ParameterError, ContractError):
@@ -446,8 +473,7 @@ def _block_rows(path, kind: str) -> list:
 def _streamed_rows(path, kind: str) -> list:
     """`_block_rows`, failing if one decode call parses more than a block's
     numbers: at most `_BLOCK`, or one row."""
-    spy = _Spy(jsonio._decoder)
-    with mock.patch.object(jsonio, "_decoder", spy):
+    with _spying() as spy:
         _KINDS[kind][0].load(path)
     for rows in spy.blocks:
         widest = max(map(len, rows))
