@@ -5,15 +5,22 @@ drawn from a broad isotropic Gaussian, leaf-class means scatter around their
 parent mean, and individual samples scatter around their leaf mean.  An
 optional fraction of background samples comes from a diffuse Gaussian
 covering the feature range.  Generation is a pure function of the parameters,
-which `generate`'s signature alone declares, and the seed.  A file is decoded
-once it passes the shipped `dataset` schema, which `jsonio.read` checks as it
-decodes the features a row block at a time, from a window of the file's
-text, into one float64 matrix; `validate` checks what no schema can.
+which `generate`'s signature alone declares, and the seed.
+
+A dataset file is one uncompressed npz, whatever its name: the arrays
+`features` (float64, 2-D), `labels`, `train` and `val` (int64, 1-D), and a
+0-d string `meta`, the other fields as JSON with sorted keys.  A JSON file
+holding the `dataset` document, which `to_dict` gives, loads too.  Either
+becomes that document, which is checked against the shipped `dataset`
+schema, arrays by dtype and shape, before it is decoded; `validate` checks
+what no schema can.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +31,11 @@ from .heads import BACKGROUND
 
 # the frequency buckets of an imbalanced dataset, most frequent first
 BUCKETS = ("frequent", "common", "rare")
+# the bytes a zip archive, and so an npz file, starts with
+_ZIP = b"PK\x03\x04"
+# the array members of a dataset's npz file and their dtypes; `meta` holds the rest
+_ARRAYS = {"features": np.float64, "labels": np.int64, "train": np.int64, "val": np.int64}
+_MEMBERS = sorted([*_ARRAYS, "meta"])
 
 
 @dataclass
@@ -115,17 +127,28 @@ class SyntheticDataset:
 
     # -- serialization ------------------------------------------------------
 
-    def save(self, path) -> None:
-        jsonio.write(path, {
+    def to_dict(self) -> dict:
+        """The `dataset` document: what a JSON dataset file holds, arrays as they are."""
+        return {
             "params": self.params,
-            "tree": self.tree,
+            "tree": dataclasses.asdict(self.tree),
             "seed": self.seed,
             "features": self.features,
             "labels": self.labels,
             "splits": {"train": self.train_idx, "val": self.val_idx},
             "buckets": self.buckets,
             "unseen_classes": self.unseen_classes,
-        })
+        }
+
+    def save(self, path) -> None:
+        """Write the dataset's npz file to `path` itself, whatever its name,
+        by `jsonio.write_atomic`."""
+        doc = self.to_dict()
+        arrays = {"features": doc.pop("features"), "labels": doc.pop("labels"),
+                  **doc.pop("splits")}
+        arrays = {k: np.asarray(v, dtype=_ARRAYS[k]) for k, v in arrays.items()}
+        meta = np.array(json.dumps(jsonio.plain(doc), sort_keys=True))
+        jsonio.write_atomic(path, lambda f: np.savez(f, meta=meta, **arrays))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticDataset":
@@ -150,7 +173,33 @@ class SyntheticDataset:
 
     @classmethod
     def load(cls, path) -> "SyntheticDataset":
-        return jsonio.read(path, cls._decode, "dataset")
+        """The dataset in the npz or JSON file at `path`."""
+        return jsonio.read(path, cls._decode, "dataset", _parse)
+
+
+def _parse(data: bytes) -> dict:
+    """The `dataset` document a file's bytes hold: an npz file's arrays put
+    back in the places its `meta` document lacks, any other file decoded as
+    JSON."""
+    if not data.startswith(_ZIP):
+        return jsonio.loads(data)
+    try:
+        with np.load(io.BytesIO(data), allow_pickle=False) as z:
+            members = {k: z[k] for k in z.files}
+    except Exception as e:      # the bytes are in memory: what the archive raises is its fault
+        raise ParameterError(f"malformed file ({type(e).__name__}: {e})") from e
+    if sorted(members) != _MEMBERS:
+        raise ParameterError(f"an npz dataset holds the members {_MEMBERS}, "
+                             f"not {sorted(members)}")
+    meta = members.pop("meta")
+    if meta.dtype.kind != "U" or meta.ndim:
+        raise ParameterError(f"meta must be a 0-d string, not a {meta.ndim}-D {meta.dtype} array")
+    doc = json.loads(meta.item())
+    arrays = {"features": members["features"], "labels": members["labels"],
+              "splits": {"train": members["train"], "val": members["val"]}}
+    if not isinstance(doc, dict) or doc.keys() & arrays.keys():
+        raise ParameterError(f"meta must be a JSON object without the keys {sorted(arrays)}")
+    return {**doc, **arrays}
 
 
 def generate(

@@ -1,32 +1,17 @@
 """The on-disk JSON format of every artifact: one writer, one reader, and one
-validator that checks a decoded file against its shipped schema.
+validator that checks a decoded document against its shipped schema.
 
-`write` produces the bytes of `json.dumps(plain(doc), sort_keys=True)` plus a
-newline, but encodes them in pieces with the C encoder (`json.dump` always
-runs the pure-Python one): a numpy array in row blocks of at most `_BLOCK`
-numbers, a wider row split within itself, each block converted with
-`.tolist()` and encoded in one call, so no string ever holds more than one
-block of an array's text; any other value, a list included, in one call,
-since every member that grows with the data is an array.
-
-`read` gives what json.load gives, but that it decodes each top-level member
-the file's schema declares an array of number arrays into a float64 matrix,
-one block of rows per C-decoder call, checked against the schema's row
-schema and converted by numpy as it is decoded.  It walks such a file's
-top-level object itself through a window of its text, filled `_WINDOW`
-characters per read and dropping what it has walked past, so the file's
-whole text is never held; every other member takes one `raw_decode` call
-once the window holds all of it.  A file whose schema declares no matrix is
-decoded in one call, as is a pipe, which cannot be read again.  Where the
-walker meets anything else, a malformed object or a matrix that is not rows
-of numbers of one width, `read` decodes the file whole instead, so it is
-refused as json.load and the schema check refused it.
+`write` writes `json.dumps(plain(doc), sort_keys=True)` plus a newline, by
+`write_atomic`, which moves a finished file onto its path.  `read` reads a
+file's bytes once, decodes them whole, by `loads` unless the caller parses
+them itself (a dataset's npz file), checks the document against its schema
+and hands it to a decoder.  The validator takes numpy arrays as well, by
+dtype and shape, so a document of arrays is checked as its lists would be.
 """
 
 import dataclasses
 import itertools
 import json
-import math
 import operator
 import os
 
@@ -35,19 +20,13 @@ import numpy as np
 from . import schemas
 from .errors import ContractError, ParameterError
 
-# json.dumps' own encoder: with indent=None it runs the C implementation
+# the text by which uniqueItems tells items apart: json.dumps' with sorted keys
 _encode = json.JSONEncoder(sort_keys=True).encode
-# the C decoder json.loads runs, and the JSON whitespace it skips
-_decoder = json.JSONDecoder()
-_ws = json.decoder.WHITESPACE.match
-# the numbers `write` encodes, and `read` decodes, per call: 2**10 to 2**14
-# write a dataset about as fast, 2**16 and 2**17 measurably slower
-_BLOCK = 2 ** 12
-# the characters `read` asks the file for per call as its window advances
-_WINDOW = 2 ** 16
 # each JSON type's schema name -> the Python types json decodes it to
 _TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
           "array": list, "object": dict, "null": type(None)}
+# the dtype of a numpy array whose items have the schema type
+_DTYPES = {"number": np.dtype(np.float64), "integer": np.dtype(np.int64)}
 # the schema keywords `validate` applies; a schema using another is refused
 _KEYWORDS = {"$schema", "type", "properties", "required", "additionalProperties", "items",
              "minItems", "uniqueItems", "enum", "minimum", "maximum", "exclusiveMinimum"}
@@ -88,25 +67,44 @@ def _one_pass(rows: list, schema: dict) -> bool:
     return found == {int} and not (_breaks(min(rows), schema) or _breaks(max(rows), schema))
 
 
-def _is_matrix(schema: dict) -> bool:
-    """Whether `schema` declares an array of arrays of numbers, which `read`
-    decodes to a float64 matrix: one that only row counts can break."""
-    rows = schema.get("items", {})
-    return (schema.get("type") == "array" and rows.get("type") == "array"
-            and rows.get("items") == {"type": "number"}
-            and schema.keys() | rows.keys() <= {"type", "items", "minItems"})
+def _check_array(value: np.ndarray, schema: dict, path: str) -> None:
+    """Refuse the numpy array `value` unless `schema` nests arrays `value.ndim`
+    deep around numbers, for a float64 array, or integers, for an int64 one,
+    and the list `value.tolist()` would match it: each axis holds at least
+    its level's minItems, and no item breaks the items' bounds."""
+    levels, leaf = [], schema
+    while leaf.get("type") == "array":
+        levels.append(leaf.get("minItems", 0))
+        leaf = leaf.get("items", {})
+    dtype = _DTYPES.get(leaf.get("type")) if isinstance(leaf.get("type"), str) else None
+    if value.dtype != dtype or value.ndim != len(levels):
+        want = f"a {len(levels)}-D {dtype} array" if dtype else schema.get("type", "JSON")
+        raise ParameterError(f"{path or 'the document'} must be {want}, "
+                             f"not a {value.ndim}-D {value.dtype} array")
+    for axis, least in enumerate(levels):
+        # an empty axis leaves the axes within it no items to count
+        if value.shape[axis] < least and 0 not in value.shape[:axis]:
+            where = path + "[0]" * axis or "the document"
+            raise ParameterError(f"{where} must hold at least {least} items")
+    bounds = {k: leaf[k] for k in leaf.keys() & _BOUNDS.keys()}
+    broken = np.zeros(value.shape, dtype=bool)
+    for k, bound in bounds.items():
+        broken |= _BOUNDS[k](value, bound)
+    if broken.any():
+        at = np.unravel_index(broken.argmax(), value.shape)
+        where = path + "".join(f"[{i}]" for i in at) or "the document"
+        raise ParameterError(f"{where} is {value[at].item()!r}, out of the bounds {bounds}")
 
 
 def _check(value, schema: dict, path: str) -> None:
-    """Refuse `value`, at JSON path `path`, unless it matches `schema`.  A 2-D
-    float64 array matches an array-of-number-arrays schema as the list of its
-    rows would: its row 0 stands for every row."""
+    """Refuse `value`, at JSON path `path`, unless it matches `schema`; a
+    numpy array is checked by `_check_array`."""
     where = path or "the document"
     if schema.keys() - _KEYWORDS:
         raise NotImplementedError(f"schema keywords {sorted(schema.keys() - _KEYWORDS)}")
-    matrix = (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64
-              and _is_matrix(schema))
-    if "type" in schema and not (matrix or _of_type(type(value), schema["type"])):
+    if isinstance(value, np.ndarray):
+        return _check_array(value, schema, path)
+    if "type" in schema and not _of_type(type(value), schema["type"]):
         found = next((n for n in _TYPES if _of_type(type(value), n)), type(value).__name__)
         raise ParameterError(f"{where} must be {schema['type']}, not {found}"
                              + f" {value!r}" * (found not in ("array", "object")))
@@ -124,11 +122,9 @@ def _check(value, schema: dict, path: str) -> None:
             if sub is False:
                 raise ParameterError(f"{where} holds the unknown key {key!r}")
             _check(item, {} if sub is True else sub, f"{path}.{key}" if path else key)
-    elif isinstance(value, list) or matrix:
+    elif isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             raise ParameterError(f"{where} must hold at least {schema['minItems']} items")
-        if matrix:
-            value = value[:1].tolist()
         if "items" in schema and not _one_pass(value, schema["items"]):
             for i, item in enumerate(value):
                 _check(item, schema["items"], f"{path}[{i}]")
@@ -147,7 +143,8 @@ def plain(obj):
     numbers, a dataclass a dict of its fields."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    obj = _fields(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -155,57 +152,14 @@ def plain(obj):
     return obj
 
 
-def _fields(obj):
-    """A dataclass instance's fields by name; any other `obj` itself."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    return obj
-
-
-def _pieces(value):
-    """The JSON text of `value` in pieces: a dict key by key in sorted order,
-    an array in blocks of rows of at most `_BLOCK` numbers, each `_encode`d in
-    one call, but a row of more than `_BLOCK` numbers in pieces of its own;
-    anything else, a list included, in one call."""
-    value = _fields(value)
-    if isinstance(value, dict):
-        yield "{"
-        for i, (key, item) in enumerate(sorted(value.items())):
-            # the key as json turns it into a string: '{"9": 0}'[1:-4] == '"9"'
-            yield (", " if i else "") + _encode({key: 0})[1:-4] + ": "
-            yield from _pieces(item)
-        yield "}"
-    elif isinstance(value, np.ndarray) and value.ndim:
-        width = math.prod(value.shape[1:])
-        step = max(_BLOCK // max(width, 1), 1)
-        yield "["
-        for s in range(0, len(value), step):
-            if s:
-                yield ", "
-            if width > _BLOCK:
-                yield from _pieces(value[s])
-            else:
-                # '[1, 2]'[1:-1] == '1, 2': a block's rows without brackets
-                yield _encode(value[s:s + step].tolist())[1:-1]
-        yield "]"
-    else:
-        yield _encode(plain(value))
-
-
-def write(path, doc, indent=None) -> None:
-    """Write `doc` to `path` as UTF-8 with sorted keys and a trailing newline,
-    each numpy array in row blocks of at most `_BLOCK` numbers.  The file is
-    written beside `path` and then moved onto it, so a failed write leaves
-    the old file as it was.  Only the manifest is indented; it is a few kB
-    and goes through `json.dump`."""
+def write_atomic(path, dump) -> None:
+    """Call `dump` on a binary file opened at `path` plus ".tmp", then move
+    that file onto `path`, so a failed write leaves the old file as it was
+    and no other file behind."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            if indent is None:
-                f.writelines(_pieces(doc))
-            else:
-                json.dump(plain(doc), f, sort_keys=True, indent=indent)
-            f.write("\n")
+        with open(tmp, "wb") as f:
+            dump(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -213,165 +167,29 @@ def write(path, doc, indent=None) -> None:
         raise
 
 
-class _GiveUp(Exception):
-    """The window walker met text it does not walk: `read` decodes the file
-    whole instead."""
+def write(path, doc, indent=None) -> None:
+    """Write `doc` to `path`, by `write_atomic`, as the UTF-8 bytes of
+    `json.dumps(plain(doc), sort_keys=True)` plus a newline.  Only the
+    manifest is indented."""
+    text = json.dumps(plain(doc), sort_keys=True, indent=indent) + "\n"
+    write_atomic(path, lambda f: f.write(text.encode("utf-8")))
 
 
-class _Window:
-    """The open text file `f` as the walker sees it: `s[i:]` is text read
-    and not yet walked past, `eof` whether the file has no more."""
-
-    def __init__(self, f):
-        self.f, self.s, self.i, self.eof = f, "", 0, False
-
-    def fill(self, n: int) -> None:
-        """Read `_WINDOW` characters at a time until `s[i:]` holds `n` or the
-        file ends; the text walked past is dropped."""
-        parts = [self.s[self.i:]]
-        have = len(parts[0])
-        while have < n and not self.eof:
-            parts.append(self.f.read(_WINDOW))
-            have += len(parts[-1])
-            self.eof = not parts[-1]
-        self.s, self.i = "".join(parts), 0
-
-    def more(self) -> None:
-        """Read on until `s[i:]` is twice as long, or give up at the end of
-        the file: text that did not decode may be cut short by the window."""
-        if self.eof:
-            raise _GiveUp
-        self.fill(2 * (len(self.s) - self.i) + 1)
-
-    def next(self, skip: int = 0) -> str:
-        """The character after `skip` more and then any JSON whitespace, which
-        is walked past; "" at the end of the file."""
-        self.i += skip
-        while True:
-            self.i = _ws(self.s, self.i).end()
-            if self.i < len(self.s) or self.eof:
-                return self.s[self.i:self.i + 1]
-            self.fill(1)
-
-    def take(self, decode, ends: str = ""):
-        """The value `decode(s, i)` gives, once the window holds all of it:
-        with `ends`, only once one of those characters follows it, since a
-        number cut short by the window decodes too."""
-        while True:
-            try:
-                value, end = decode(self.s, self.i)
-            except (ValueError, RecursionError):
-                pass
-            else:
-                j = _ws(self.s, end).end()
-                if not ends or j < len(self.s) and self.s[j] in ends:
-                    self.i = end
-                    return value
-            self.more()
+def loads(data: bytes):
+    """The JSON document the UTF-8 bytes `data` hold, as json.loads decodes
+    their text; a BOM is refused."""
+    return json.loads(data.decode("utf-8"))
 
 
-def _walk(w: _Window, matrices: dict) -> dict:
-    """The top-level object of `w`'s file, as json.load decodes it, but that
-    each member named in `matrices`, the row schemas of the
-    array-of-number-arrays members, is a float64 matrix decoded by `_rows`;
-    any other member is decoded by one `raw_decode` call once the window
-    holds all of it.  A later duplicate key wins, as in json.  Raises
-    _GiveUp where the text is not such an object."""
-    if w.next() != "{":
-        raise _GiveUp
-    doc, c = {}, w.next(1)
-    while c != "}" or doc:          # a "}" after a "," ends no member: give up
-        if c != '"':
-            raise _GiveUp
-        key = w.take(lambda s, i: json.decoder.scanstring(s, i + 1))
-        if w.next() != ":":
-            raise _GiveUp
-        w.next(1)
-        doc[key] = _rows(w, matrices[key]) if key in matrices else w.take(_decoder.raw_decode, ",}")
-        c = w.next()
-        if c == "}":
-            break
-        if c != ",":
-            raise _GiveUp
-        c = w.next(1)
-    if w.next(1):           # more than whitespace after the object
-        raise _GiveUp
-    return doc
-
-
-def _rows(w: _Window, row_schema: dict) -> np.ndarray:
-    """The number matrix at `w`'s place, decoded in row blocks of about
-    `_BLOCK` numbers, one `raw_decode` call and one `np.asarray` each, and
-    joined once it ends.  A block ends at the last row that starts within
-    9/10 of the block's estimated text length, the shortest mean row length
-    seen so far times the rows a block holds, and the window is filled to
-    that length first.  Gives up where a block is not rows of numbers
-    matching `row_schema` and as wide as the first block's, or is no JSON."""
-    if w.next() != "[" or w.next(1) != "[":
-        raise _GiveUp
-    while (first := w.s.find("]", w.i)) < 0:
-        w.more()
-    rows_per_block = max(_BLOCK // (w.s.count(",", w.i, first) + 1), 1)
-    row_chars = first + 1 - w.i
-    blocks = []
-    while True:
-        n = rows_per_block * row_chars
-        w.fill(n)
-        s, i = w.s, w.i
-        # a row starts at s[i]; a block is at least that row
-        q = s.rfind("[", i + 1, i + n * 9 // 10)
-        if q < 0:
-            q = s.find("[", i + 1)
-        piece = (s[i:q] if q >= 0 else s[i:]).rstrip(" \t\n\r")
-        cut = q >= 0 and piece.endswith(",")     # rows, and maybe more rows from s[q]
-        text = "[" + (piece[:-1] + "]" if cut else piece)
-        try:
-            rows, end = _decoder.raw_decode(text)
-            block = np.asarray(rows, dtype=np.float64) if _one_pass(rows, row_schema) else None
-        except (ValueError, OverflowError, RecursionError):
-            if q >= 0:      # no more text changes what lies before s[q]
-                raise _GiveUp from None
-            w.more()        # the window may cut the last rows short
-            continue
-        if block is None or blocks and block.shape[1] != blocks[0].shape[1]:
-            raise _GiveUp
-        blocks.append(block)
-        if not (cut and end == len(text)):      # the matrix's own "]" ended it
-            w.i = i - 1 + end
-            return np.concatenate(blocks)
-        row_chars = min(row_chars, (q - i) // len(rows))
-        w.i = q
-
-
-def _load(path, matrices: dict):
-    """The JSON document at `path`, walked through a window when its schema
-    declares `matrices`; a file with none, one that cannot be read again (a
-    pipe), or one the walker gives up on, is decoded whole by json.loads,
-    which refuses a malformed file with the running Python's message."""
-    with open(path, encoding="utf-8") as f:
-        if matrices and f.seekable():
-            try:
-                return _walk(_Window(f), matrices)
-            except (_GiveUp, UnicodeDecodeError):
-                f.seek(0)
-        return json.loads(f.read())
-
-
-def read(path, decode, schema=None):
-    """`decode` the UTF-8 JSON file at `path`, which must match the shipped
-    schema named `schema`, if given; every malformed-file error names `path`.
-    The file decodes to what json.load gives, but that each member the schema
-    declares an array of number arrays is a float64 matrix, decoded a row
-    block at a time from a window of the file and checked as it is decoded:
-    neither the file's whole text, unless the file is a pipe, nor the matrix
-    as a tree of Python floats is ever held."""
+def read(path, decode, schema=None, parse=loads):
+    """`decode` the document `parse` makes of the bytes of the file at `path`,
+    read once, so a pipe reads too; it must match the shipped schema named
+    `schema`, if given.  Every malformed-file error names `path`."""
     try:
-        schema = schemas.load_schema(schema) if schema else None
-        matrices = {k: sub["items"] for k, sub in (schema or {}).get("properties", {}).items()
-                    if _is_matrix(sub)}
-        doc = _load(path, matrices)
+        with open(path, "rb") as f:
+            doc = parse(f.read())
         if schema:
-            _check(doc, schema, "")
+            validate(doc, schema)
         return decode(doc)
     except (ParameterError, ContractError) as e:
         raise type(e)(f"{path}: {e}") from e

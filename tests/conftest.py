@@ -25,10 +25,24 @@ def random_tangent(rng, x, scale=1.0, max_norm=3.0):
     return u
 
 
+def document(path):
+    """The JSON document the file at `path` holds; for a dataset's npz file,
+    read here by numpy alone, `meta` with the arrays as lists in their places."""
+    raw = Path(path).read_bytes()
+    if not raw.startswith(b"PK\x03\x04"):
+        return json.loads(raw)
+    with np.load(path) as z:
+        doc = json.loads(str(z["meta"]))
+        doc.update(features=z["features"].tolist(), labels=z["labels"].tolist(),
+                   splits={"train": z["train"].tolist(), "val": z["val"].tolist()})
+    return doc
+
+
 def validate_file(path, schema_name: str) -> None:
-    """Check the JSON file at `path` against the shipped schema `schema_name`
-    with both validators: jsonschema, the oracle, and the package's own."""
-    doc = json.loads(Path(path).read_text())
+    """Check the file at `path`, as `document` reads it, against the shipped
+    schema `schema_name` with both validators: jsonschema, the oracle, and
+    the package's own."""
+    doc = document(path)
     jsonschema.validate(doc, schemas.load_schema(schema_name))
     jsonio.validate(doc, schema_name)
 

@@ -15,7 +15,7 @@ from lorentzheads.cli import GENERATE_FLAGS, build_parser, main
 from lorentzheads.errors import ParameterError
 from lorentzheads.manifest import sha256_file
 
-from conftest import validate_file
+from conftest import document, validate_file
 
 GEN_ARGS = ["--n-features", "8", "--super", "2", "--classes", "4",
             "--samples", "600", "--seed", "0"]
@@ -441,7 +441,7 @@ class TestEval:
 
     def test_empty_val_split_exit_2(self, trained, tmp_path):
         _, ds_path, _, out = trained
-        payload = json.loads(ds_path.read_text())
+        payload = document(ds_path)
         DATASET_EDITS["train-dataset-empty-val"](payload)
         (tmp_path / "ds.json").write_text(json.dumps(payload))
         assert main(["eval", "--checkpoint", str(out / "checkpoint.json"),
@@ -728,7 +728,7 @@ class TestMalformedFiles:
         kind, corrupt = MALFORMED[case]
         source = ds_path if kind == "dataset" else out / "checkpoint.json"
         bad = tmp_path / f"{kind}.json"
-        bad.write_text(json.dumps(corrupt(json.loads(source.read_text()))))
+        bad.write_text(json.dumps(corrupt(document(source))))
         argv = {
             "dataset": ["train", "--config", cfg_path, "--dataset", str(bad),
                         "--out", str(tmp_path / "o")],
@@ -748,6 +748,20 @@ class TestMalformedFiles:
         assert f"{cfg}: malformed file (nested too deeply)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_cut_npz_dataset_exits_2_without_a_traceback(self, trained, tmp_path):
+        """A dataset cut short, as `head -c` leaves it, exits 2 from the
+        command line with one error line naming the file, and writes nothing."""
+        _, ds_path, cfg_path, _ = trained
+        cut = tmp_path / "cut.json"
+        cut.write_bytes(ds_path.read_bytes()[:20000])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-m", "lorentzheads.cli", "train", "--config",
+                              cfg_path, "--dataset", str(cut), "--out", str(tmp_path / "o")],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr == f"error: {cut}: malformed file (BadZipFile: File is not a zip file)\n"
+        assert not (tmp_path / "o").exists()
+
     def test_internal_key_error_is_not_an_input_error(self, tmp_path, monkeypatch):
         def broken(**kwargs):
             raise KeyError("internal")
@@ -755,6 +769,35 @@ class TestMalformedFiles:
         monkeypatch.setattr(data, "generate", broken)
         with pytest.raises(KeyError):
             main(["generate", "--out", str(tmp_path / "ds.json")] + GEN_ARGS)
+
+
+def _without_clock(path) -> dict:
+    return {k: v for k, v in json.loads(path.read_text()).items() if k != "wall_clock_sec"}
+
+
+@pytest.mark.parametrize("head", H.MODES + ("zeroshot",))
+def test_json_dataset_runs_as_its_npz(trained, zero_shot, tmp_path, head):
+    """A JSON copy of the npz dataset trains to the same checkpoint, byte for
+    byte, and to the same metrics, and eval scores both alike."""
+    _, ds_path, cfg_path, _ = trained
+    bank, _ = zero_shot
+    copy = tmp_path / "ds_copy.json"
+    jsonio.write(copy, data.SyntheticDataset.load(ds_path).to_dict())
+    runs = []
+    for ds, out in ((ds_path, tmp_path / "npz"), (copy, tmp_path / "json")):
+        if head == "zeroshot":
+            argv = ["zeroshot", "--config", write_config(tmp_path / "zs.json", unseen_classes=[3]),
+                    "--prototypes", bank]
+        else:
+            argv = ["train", "--config", cfg_path, "--head", head]
+        assert main(argv + ["--dataset", str(ds), "--out", str(out)]) == 0
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--dataset", str(ds),
+                     "--out", str(out / "eval.json")]) == 0
+        runs.append(out)
+    npz, listed = runs
+    assert (npz / "checkpoint.json").read_bytes() == (listed / "checkpoint.json").read_bytes()
+    for name in ("metrics.json", "eval.json"):
+        assert _without_clock(npz / name) == _without_clock(listed / name), name
 
 
 # a resumed run's edits to its checkpoint's config, and to the dataset's shape
@@ -948,7 +991,7 @@ def _dataset(path, **shape):
 
 def _edited_dataset(kind, tmp_path, ds_path):
     """A copy of the dataset at ds_path with the DATASET_EDITS edit `kind` applied."""
-    payload = json.loads(ds_path.read_text())
+    payload = document(ds_path)
     DATASET_EDITS[kind](payload)
     edited = tmp_path / "ds_edited.json"
     edited.write_text(json.dumps(payload))
@@ -992,7 +1035,7 @@ def _refused_argv(kind, tmp_path, trained):
             argv = ["--config", cfg_path]
         elif kind == "train-dataset-unseen-name":
             # the name form a config accepts, but a dataset stores indices
-            payload = json.loads(ds_path.read_text())
+            payload = document(ds_path)
             ds_path = tmp_path / "ds_named.json"
             ds_path.write_text(json.dumps({**payload, "unseen_classes": ["leaf_1"]}))
             argv = ["--config", cfg_path]
@@ -1144,7 +1187,7 @@ def test_validators_agree_on_edited_files(trained, tmp_path, kind):
     for the split index 3.0, which JSON Schema reads as the integer 3."""
     _, ds_path, _, run = trained
     if kind in DATASET_EDITS:
-        name, doc = "dataset", json.loads(ds_path.read_text())
+        name, doc = "dataset", document(ds_path)
         DATASET_EDITS[kind](doc)
     elif kind in BANK_EDITS:
         write_bank(tmp_path / "bank.json", np.random.default_rng(0).normal(0.0, 1.0, (4, 8)))

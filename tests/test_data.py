@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from lorentzheads import data
+from lorentzheads import cli, data, jsonio
 from lorentzheads.errors import ContractError, ParameterError
 from lorentzheads.heads import BACKGROUND
+
+from conftest import document, same_bits
 
 
 class TestGenerate:
@@ -76,7 +78,7 @@ class TestGenerate:
         """A power-law dataset has no cover check, which a repeat could slip by."""
         path = tmp_path / "ds.json"
         data.imbalance_profile(data.generate(num_samples=1000, seed=3), 1.0).save(path)
-        doc = json.loads(path.read_text())
+        doc = document(path)
         doc["splits"]["train"] += doc["splits"]["train"][:5]
         path.write_text(json.dumps(doc))
         with pytest.raises(ContractError, match=f"{path}: split indices must not repeat"):
@@ -173,7 +175,7 @@ class TestDatasetUnseenClasses:
                                                seed=0), [1])
         path = tmp_path / "ds.json"
         ds.save(path)
-        payload = json.loads(path.read_text())
+        payload = document(path)
         payload["unseen_classes"] = [entry]
         path.write_text(json.dumps(payload))
         with pytest.raises(error, match="unseen_classes"):
@@ -205,9 +207,116 @@ class TestDatasetChecks:
             with pytest.raises(ContractError, match="buckets"):
                 dataclasses.replace(ds, buckets=buckets)
         ds.save(tmp_path / "ds.json")
-        doc = json.loads((tmp_path / "ds.json").read_text())
+        doc = document(tmp_path / "ds.json")
         with pytest.raises(error, match="buckets"):
             data.SyntheticDataset.from_dict({**doc, "buckets": buckets})
+
+
+def _members(path) -> dict:
+    """The members of the npz file at `path`, by name."""
+    with np.load(path) as z:
+        return {k: z[k] for k in z.files}
+
+
+def _write_npz(path, members: dict) -> None:
+    with open(path, "wb") as f:
+        np.savez(f, **members)
+
+
+def _edit_members(edit):
+    """A case that writes the dataset's members, changed in place by `edit`."""
+    def write(path, members):
+        edit(members)
+        _write_npz(path, members)
+    return write
+
+
+def _write_raw(raw: bytes):
+    """A case that writes raw bytes, given the valid file's."""
+    return lambda path, members: path.write_bytes(raw(path.read_bytes()))
+
+
+# malformed npz datasets: name -> (writer of the bad file over the valid one,
+# what the refusal says after the file's path)
+BAD_NPZ = {
+    "truncated": (_write_raw(lambda b: b[:len(b) // 2]), "malformed file (BadZipFile: "),
+    "not-a-zip": (_write_raw(lambda b: b"PK\x03\x04" + b"\x00" * 40), "malformed file ("),
+    "bad-crc": (_write_raw(lambda b: b[:200] + bytes([b[200] ^ 1]) + b[201:]),
+                "malformed file (BadZipFile: Bad CRC-32"),
+    "missing-member": (_edit_members(lambda m: m.pop("val")), "an npz dataset holds the members"),
+    "extra-member": (_edit_members(lambda m: m.update(extra=np.zeros(2))),
+                     "an npz dataset holds the members"),
+    "float-labels": (_edit_members(lambda m: m.update(labels=m["labels"].astype(float))),
+                     "labels must be a 1-D int64 array, not a 1-D float64 array"),
+    "string-features": (_edit_members(lambda m: m.update(features=m["features"].astype(str))),
+                        "features must be a 2-D float64 array, not a 2-D <U"),
+    "flat-features": (_edit_members(lambda m: m.update(features=m["features"].ravel())),
+                      "features must be a 2-D float64 array, not a 1-D float64 array"),
+    "object-member": (_edit_members(lambda m: m.update(train=np.array([{}], dtype=object))),
+                      "malformed file (ValueError: Object arrays cannot be loaded"),
+    "meta-not-json": (_edit_members(lambda m: m.update(meta=np.array("{seed: 1"))),
+                      "malformed file (JSONDecodeError: "),
+    "meta-not-string": (_edit_members(lambda m: m.update(meta=np.array(1.5))),
+                        "meta must be a 0-d string, not a 0-D float64 array"),
+    "meta-not-object": (_edit_members(lambda m: m.update(meta=np.array("[]"))),
+                        "meta must be a JSON object"),
+    "meta-holds-features": (
+        _edit_members(lambda m: m.update(meta=np.array(json.dumps(
+            {**json.loads(m["meta"].item()), "features": [[1.0]]})))),
+        "meta must be a JSON object without the keys ['features', 'labels', 'splits']"),
+    "meta-fails-schema": (
+        _edit_members(lambda m: m.update(meta=np.array(json.dumps(
+            {**json.loads(m["meta"].item()), "seed": "1"})))),
+        "seed must be integer, not string '1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NPZ))
+def test_malformed_npz_exits_2_naming_the_file(tmp_path, capsys, case):
+    """Each malformed npz dataset is refused by `train` with exit 2, one
+    error line naming the file, no traceback and no output written."""
+    write, message = BAD_NPZ[case]
+    bad = tmp_path / "ds.json"
+    data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600).save(bad)
+    write(bad, _members(bad))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": 1, "embed_dim": 8}')
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--dataset", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+class TestNpzFile:
+    def test_save_writes_exactly_the_named_file(self, tmp_path):
+        """save("ds.json") writes an npz to ds.json itself, no ds.json.npz
+        and no .tmp file, with the members and dtypes of the format."""
+        ds = data.generate(num_samples=600, num_classes=4, num_super=2, seed=2)
+        ds.save(tmp_path / "ds.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.json"]
+        assert (tmp_path / "ds.json").read_bytes().startswith(b"PK\x03\x04")
+        members = _members(tmp_path / "ds.json")
+        assert {k: (v.dtype.str, v.ndim) for k, v in members.items()} == {
+            "features": ("<f8", 2), "labels": ("<i8", 1), "train": ("<i8", 1),
+            "val": ("<i8", 1), "meta": (members["meta"].dtype.str, 0)}
+        meta = members["meta"].item()
+        assert meta == json.dumps(json.loads(meta), sort_keys=True)
+        assert sorted(json.loads(meta)) == ["buckets", "params", "seed", "tree",
+                                            "unseen_classes"]
+
+    def test_json_dataset_loads_as_its_npz(self, tmp_path):
+        """A JSON file holding the dataset's document and the npz the dataset
+        saves load to the same dataset, bit for bit."""
+        ds = data.imbalance_profile(data.generate(num_samples=1000, seed=3), 1.0)
+        jsonio.write(tmp_path / "ds_json.json", ds.to_dict())
+        ds.save(tmp_path / "ds.json")
+        a, b = (data.SyntheticDataset.load(tmp_path / n) for n in ("ds_json.json", "ds.json"))
+        for name in ("features", "labels", "train_idx", "val_idx"):
+            assert same_bits(getattr(a, name), getattr(b, name)), name
+            assert getattr(a, name).dtype == getattr(b, name).dtype
+        assert jsonio.plain(a.to_dict()) == jsonio.plain(b.to_dict())
 
 
 class TestStrictTypes:
@@ -215,7 +324,7 @@ class TestStrictTypes:
     def test_non_integer_seed_refused(self, tmp_path, seed):
         path = tmp_path / "ds.json"
         data.generate(num_samples=600, num_classes=4, num_super=2, seed=2).save(path)
-        payload = json.loads(path.read_text())
+        payload = document(path)
         path.write_text(json.dumps({**payload, "seed": seed}))
         with pytest.raises(ParameterError, match="seed"):
             data.SyntheticDataset.load(path)
@@ -224,7 +333,7 @@ class TestStrictTypes:
     def test_non_integer_parent_refused(self, tmp_path, parent):
         path = tmp_path / "ds.json"
         data.generate(num_samples=600, num_classes=4, num_super=2, seed=2).save(path)
-        payload = json.loads(path.read_text())
+        payload = document(path)
         payload["tree"]["parents"][1] = parent
         path.write_text(json.dumps(payload))
         with pytest.raises(ParameterError, match="parent"):

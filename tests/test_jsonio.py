@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import json
 import os
@@ -16,9 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lorentzheads import data, heads, hubness, jsonio, schemas, training
 from lorentzheads.errors import ContractError, ParameterError
+
+from conftest import same_bits
 
 
 @dataclasses.dataclass
@@ -73,8 +75,8 @@ def test_write_matches_dumps(tmp_path, doc):
 
 
 def test_artifacts_match_dumps(tmp_path, monkeypatch):
-    """A dataset, checkpoints, a metrics report and a hubness report are
-    each written with the bytes json.dumps gives their document."""
+    """A dataset's document, checkpoints, a metrics report and a hubness
+    report are each written with the bytes json.dumps gives their document."""
     real, written = jsonio.write, []
 
     def checked(path, doc, indent=None):
@@ -85,7 +87,7 @@ def test_artifacts_match_dumps(tmp_path, monkeypatch):
 
     monkeypatch.setattr(jsonio, "write", checked)
     ds = data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600, seed=3)
-    ds.save(tmp_path / "ds.json")
+    jsonio.write(tmp_path / "ds.json", ds.to_dict())
     cfg = training.ExperimentConfig(epochs=2, eval_every=1, embed_dim=8, seed=3)
     bank, _, _, _ = training.train(cfg, data.SyntheticDataset.load(tmp_path / "ds.json"),
                                    out_dir=tmp_path)
@@ -94,119 +96,54 @@ def test_artifacts_match_dumps(tmp_path, monkeypatch):
                        "hubness.json"]
 
 
-@pytest.mark.parametrize("indent", [None, 2])
-def test_failed_write_keeps_the_old_file(tmp_path, indent):
+def _savez_cut_short(f, **arrays):
+    """np.savez that fails having written part of an archive."""
+    f.write(b"PK\x03\x04")
+    raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("indent", [None, 2, "dataset"])
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, indent):
+    """A document that json cannot encode, or a dataset whose archive fails
+    part-way, leaves the old file as it was and nothing beside it."""
     path = tmp_path / "doc.json"
-    jsonio.write(path, {"a": 1}, indent=indent)
-    before = path.read_bytes()
-    with pytest.raises(TypeError, match="set"):
-        jsonio.write(path, {"a": [1.0, 2.0], "z": {1}}, indent=indent)
+    if indent == "dataset":
+        ds = data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600)
+        ds.save(path)
+        before = path.read_bytes()
+        monkeypatch.setattr(np, "savez", _savez_cut_short)
+        with pytest.raises(OSError, match="No space left"):
+            ds.save(path)
+    else:
+        jsonio.write(path, {"a": 1}, indent=indent)
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="set"):
+            jsonio.write(path, {"a": [1.0, 2.0], "z": {1}}, indent=indent)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["doc.json"]
 
 
-def test_dataset_save_streams_rows(tmp_path):
-    """Peak memory stays near the converted document: no string holds the
-    whole 8000 x 16 feature matrix's text."""
-    ds = data.generate(num_samples=8000, num_features=16, seed=0)
-    path = tmp_path / "ds.json"
-    tracemalloc.start()
-    try:
-        ds.save(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * os.path.getsize(path)
-
-
-def _spied_write(monkeypatch, path, doc, bound=None):
-    """jsonio.write, failing if one piece written to the file holds more than
-    `bound` numbers, a block's by default.  A block of n numbers, or of n
-    empty rows, has n - 1 commas; none of the documents below holds a string
-    with a comma."""
-    real_open, bound = open, bound or jsonio._BLOCK
-
-    def spy_open(*args, **kwargs):
-        f = real_open(*args, **kwargs)
-        write = f.write
-
-        def writelines(pieces):
-            for piece in pieces:
-                assert piece.count(",") < bound, piece[:80]
-                write(piece)
-
-        f.writelines = writelines
-        return f
-
-    monkeypatch.setattr(jsonio, "open", spy_open, raising=False)
-    jsonio.write(path, doc)
-
-
-def _rows_per_block(width: int) -> int:
-    return jsonio._BLOCK // max(width, 1)
-
-
-@pytest.mark.parametrize("width", [0, 1, 3, 16, 17])
-@pytest.mark.parametrize("offset", [-1, 0, 1, "2k+1"])
-def test_write_block_boundaries(tmp_path, monkeypatch, width, offset):
-    """Matrices of one row short of a block, a block, one row past it and two
-    blocks and a row, 1-D alongside, equal json.dumps."""
-    k = _rows_per_block(width)
-    rows = 2 * k + 1 if offset == "2k+1" else k + offset
-    matrix = np.random.default_rng(width).normal(size=(rows, width))
-    vector = np.arange(jsonio._BLOCK + offset if offset != "2k+1" else 2 * jsonio._BLOCK + 1)
-    doc = {"m": matrix, "v": vector}
-    _spied_write(monkeypatch, tmp_path / "doc.json", doc)
-    assert (tmp_path / "doc.json").read_text() == _dumps(doc)
-
-
-_ROWS = _rows_per_block(3)
-_ODD_DOCS = {
-    "array-3d": np.arange(2 * jsonio._BLOCK * 3 + 6.0).reshape(-1, 2, 3) / 7,
-    # rows wider than a block are split within the row
-    "wide": np.linspace(0, 1, 3 * jsonio._BLOCK + 2).reshape(2, -1),
-    "wide-3d": np.linspace(0, 1, 4 * jsonio._BLOCK + 4).reshape(2, 2, -1),
-    "empty-rows": np.zeros((2 * jsonio._BLOCK + 1, 0)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_ODD_DOCS))
-def test_write_blocks_odd_documents(tmp_path, monkeypatch, name):
-    doc = {"doc": _ODD_DOCS[name], "after": [1, [2]]}
-    _spied_write(monkeypatch, tmp_path / "doc.json", doc)
-    assert (tmp_path / "doc.json").read_text() == _dumps(doc)
-
-
+# numbers in the lists below: thousands, as in a checkpoint's weights
+_N = 4096
 _LIST_DOCS = {
     # rows of 0 to 6 numbers
-    "ragged": [list(range(i % 7)) for i in range(3 * _ROWS)],
-    "nested-3d": np.arange(2 * jsonio._BLOCK * 3 + 6.0).reshape(-1, 2, 3).tolist(),
-    "wide-list": np.linspace(0, 1, 3 * jsonio._BLOCK + 2).reshape(2, -1).tolist(),
-    "odd-last-block": np.ones((_ROWS + 1, 3)).tolist()[:-1]
+    "ragged": [list(range(i % 7)) for i in range(_N)],
+    "nested-3d": np.arange(2 * _N * 3 + 6.0).reshape(-1, 2, 3).tolist(),
+    "wide-list": np.linspace(0, 1, 3 * _N + 2).reshape(2, -1).tolist(),
+    "odd-last-block": np.ones((_N // 3 + 1, 3)).tolist()[:-1]
     + [[float("nan"), float("inf"), -float("inf")], [2 ** 128, -2 ** 70, 10 ** 30]],
-    "dataclass-in-list": [Pair(np.linspace(-1, 1, 3 * jsonio._BLOCK).reshape(-1, 3), 7),
+    "dataclass-in-list": [Pair(np.linspace(-1, 1, 3 * _N).reshape(-1, 3), 7),
                           {"x": Pair(np.zeros((2, 0)), 1)}, np.int64(5), np.float32(0.5)],
-    "tuples": tuple(map(tuple, np.random.default_rng(0).normal(size=(_ROWS + 1, 3)).tolist())),
+    "tuples": tuple(map(tuple, np.random.default_rng(0).normal(size=(_N // 3 + 1, 3)).tolist())),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_LIST_DOCS))
 def test_write_lists_match_dumps(tmp_path, name):
-    """A list or tuple, which `write` encodes in one call, whatever it holds,
-    has the bytes json.dumps gives it."""
+    """A list or tuple, whatever it holds, has the bytes json.dumps gives it."""
     doc = {"doc": _LIST_DOCS[name], "after": [1, [2]]}
     jsonio.write(tmp_path / "doc.json", doc)
     assert (tmp_path / "doc.json").read_text() == _dumps(doc)
-
-
-def test_write_spy_catches_a_whole_matrix(tmp_path, monkeypatch):
-    """The spy above fails a writer that encodes a matrix in one call: one
-    whose blocks are larger than the bound the spy checks."""
-    doc = {"m": np.zeros((jsonio._BLOCK, 2))}
-    bound = jsonio._BLOCK
-    monkeypatch.setattr(jsonio, "_BLOCK", 2 * bound)
-    with pytest.raises(AssertionError):
-        _spied_write(monkeypatch, tmp_path / "doc.json", doc, bound)
 
 
 def _contract(doc):
@@ -277,14 +214,19 @@ def test_unsupported_keyword_raises():
             jsonio.validate({"a": "x"}, "any")
 
 
-def _accepts(doc, schema) -> bool:
-    """Whether jsonio.validate takes `doc` under `schema`."""
+def _refusal(doc, schema):
+    """jsonio.validate's refusal of `doc` under `schema`: None where it takes it."""
     with mock.patch.object(schemas, "load_schema", lambda name: schema):
         try:
             jsonio.validate(doc, "any")
-        except ParameterError:
-            return False
-    return True
+        except ParameterError as e:
+            return str(e)
+    return None
+
+
+def _accepts(doc, schema) -> bool:
+    """Whether jsonio.validate takes `doc` under `schema`."""
+    return _refusal(doc, schema) is None
 
 
 # jsonschema with its one difference from jsonio.validate taken out: an
@@ -320,12 +262,48 @@ def test_validate_agrees_with_jsonschema(schema, value):
     assert _accepts(value, schema) == _IntOracle(schema).is_valid(value)
 
 
-def test_integral_float_is_no_integer(tmp_path):
+def _leaf(schema: dict) -> tuple:
+    """How deep `schema` nests arrays, and the schema of their items."""
+    depth = 0
+    while schema.get("type") == "array":
+        depth, schema = depth + 1, schema.get("items", {})
+    return depth, schema
+
+
+# the nested schemas an array may match: arrays around numbers or integers
+_ARRAY_SCHEMAS = [sub for sub in SUBSCHEMAS
+                  if _leaf(sub)[0] and _leaf(sub)[1].get("type") in ("number", "integer")]
+_DTYPES = {"number": (np.float64, st.floats(allow_nan=True, allow_infinity=True)
+                      | st.sampled_from([-1.0, -0.0, 0.0])),
+           "integer": (np.int64, st.integers(-3, 3))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(schema=st.sampled_from(_ARRAY_SCHEMAS), data=st.data())
+@example(schema={"type": "array", "items": {"type": "array", "minItems": 1,
+                                             "items": {"type": "integer", "minimum": 0}}},
+         data=None)
+def test_array_rule_agrees_with_lists(schema, data):
+    """An array of the dtype a schema's items ask for is refused exactly when
+    its list is, with the same message: by shape, by minItems, also within
+    an empty axis, and by bounds, which NaN breaks none of."""
+    depth, leaf = _leaf(schema)
+    dtype, elements = _DTYPES[leaf["type"]]
+    if data is None:        # rows of no items, then no rows at all
+        values = [np.zeros((2, 0), dtype), np.zeros((0, 0), dtype), np.array([[1, -1]])]
+    else:
+        shape = data.draw(st.lists(st.integers(0, 3), min_size=depth, max_size=depth))
+        values = [data.draw(hnp.arrays(dtype, shape, elements=elements))]
+    for value in values:
+        assert _refusal(value, schema) == _refusal(value.tolist(), schema)
+    assert "must be a" in _refusal(np.zeros((1,) * (depth + 1), dtype), schema)
+
+
+def test_integral_float_is_no_integer():
     """The one intended difference: JSON Schema reads a seed of 2.0 as the
     integer 2, jsonio.validate refuses it as the decoders always have."""
-    data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600).save(
-        tmp_path / "ds.json")
-    doc = {**json.loads((tmp_path / "ds.json").read_text()), "seed": 2.0}
+    ds = data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600)
+    doc = {**jsonio.plain(ds.to_dict()), "seed": 2.0}
     jsonschema.validate(doc, schemas.load_schema("dataset"))
     with pytest.raises(ParameterError, match=re.escape("seed must be integer, not number 2.0")):
         jsonio.validate(doc, "dataset")
@@ -341,29 +319,21 @@ def test_integral_float_is_no_integer(tmp_path):
      "tree.leaf_classes must hold distinct items"),
     (lambda d: d["features"].__setitem__(2, []), "features[2] must hold at least 1 items"),
 ])
-def test_refusal_names_the_path(tmp_path, edit, message):
-    data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600).save(
-        tmp_path / "ds.json")
-    doc = json.loads((tmp_path / "ds.json").read_text())
+def test_refusal_names_the_path(edit, message):
+    doc = jsonio.plain(data.generate(num_features=8, num_super=2, num_classes=4,
+                                     num_samples=600).to_dict())
     edit(doc)
     with pytest.raises(ParameterError, match=re.escape(message)):
         jsonio.validate(doc, "dataset")
 
 
-# -- the block reader ---------------------------------------------------------
-
-
-def _whole(path, matrices):
-    """json.loads of the whole text of the file at `path`."""
-    with open(path, encoding="utf-8") as f:
-        return json.loads(f.read())
+# -- the reader
 
 
 def _json_load(path, decode):
-    """What `jsonio.read(path, decode)` gave before it decoded matrices in
-    blocks: `decode` of json.load's document, errors wrapped as read wraps them."""
-    with mock.patch.object(jsonio, "_load", _whole):
-        return jsonio.read(path, decode)
+    """`decode` of json.load's document of the file at `path`, its errors
+    wrapped as `read` wraps them: what a load of a JSON file must match."""
+    return jsonio.read(path, decode, parse=lambda raw: json.loads(raw.decode("utf-8")))
 
 
 def _outcome(call):
@@ -388,14 +358,14 @@ def _fields(obj) -> dict:
     return out
 
 
-# the two file kinds whose members `read` decodes in blocks: (class, matrix member)
+# the file kinds that hold a number matrix: (class, matrix member)
 _KINDS = {"dataset": (data.SyntheticDataset, "features"),
           "bank": (heads.PrototypeBank, "prototypes")}
 
 
 def _document(path, kind: str, rows: int, width: int = 16) -> dict:
-    """The document of a valid dataset or Euclidean bank whose matrix has
-    `rows` rows of `width` numbers, as saved to `path`."""
+    """The JSON document of a valid dataset or Euclidean bank whose matrix has
+    `rows` rows of `width` numbers, written to `path` by `jsonio.write`."""
     if kind == "dataset":
         obj = data.generate(num_features=width, num_samples=rows, num_classes=2, num_super=2,
                             background_fraction=0.0, seed=rows)
@@ -403,8 +373,9 @@ def _document(path, kind: str, rows: int, width: int = 16) -> dict:
         obj = heads.PrototypeBank(
             heads.MODE_LINEAR, np.random.default_rng(rows).normal(size=(rows, width)),
             [f"c{i}" for i in range(rows)])
-    obj.save(path)
-    return json.loads(path.read_text())
+    doc = jsonio.plain(obj.to_dict())
+    jsonio.write(path, doc)
+    return doc
 
 
 def _save(path, doc, form: str) -> None:
@@ -429,100 +400,20 @@ def _assert_parity(path, kind: str) -> tuple:
     return new
 
 
-class _Spy:
-    """jsonio's decoder and json.loads, recording the rows of every matrix a
-    call decodes, whole or as a member of an object."""
-
-    def __init__(self, decoder, loads):
-        self.decoder, self.real_loads, self.blocks = decoder, loads, []
-
-    def _seen(self, value):
-        for v in value.values() if isinstance(value, dict) else [value]:
-            if isinstance(v, list) and v and all(isinstance(r, list) for r in v):
-                self.blocks.append(v)
-        return value
-
-    def loads(self, s):
-        return self._seen(self.real_loads(s))
-
-    def raw_decode(self, s, i=0):
-        value, end = self.decoder.raw_decode(s, i)
-        return self._seen(value), end
-
-
-@contextlib.contextmanager
-def _spying():
-    """A `_Spy` standing in for jsonio's decoder and for json.loads, which
-    decodes a file whole."""
-    spy = _Spy(jsonio._decoder, json.loads)
-    with mock.patch.object(jsonio, "_decoder", spy), mock.patch.object(json, "loads", spy.loads):
-        yield spy
-
-
-def _block_rows(path, kind: str) -> list:
-    """The row count of each matrix block a load of `path` decodes, its
-    refusal, if any, aside."""
-    with _spying() as spy:
-        try:
-            _KINDS[kind][0].load(path)
-        except (ParameterError, ContractError):
-            pass
-    return list(map(len, spy.blocks))
-
-
-def _streamed_rows(path, kind: str) -> list:
-    """`_block_rows`, failing if one decode call parses more than a block's
-    numbers: at most `_BLOCK`, or one row."""
-    with _spying() as spy:
-        _KINDS[kind][0].load(path)
-    for rows in spy.blocks:
-        widest = max(map(len, rows))
-        assert sum(map(len, rows)) <= max(jsonio._BLOCK, widest), (len(rows), widest)
-    return list(map(len, spy.blocks))
-
-
 _FORMS = ["package", "indent", "crlf"]
-
-
-def _walked(monkeypatch) -> list:
-    """Whether the window walker took each file loaded from now on (True),
-    or gave up on it, so that `read` decoded the file whole (False)."""
-    real, seen = jsonio._walk, []
-
-    def walk(w, matrices):
-        seen.append(False)
-        doc = real(w, matrices)
-        seen[-1] = True
-        return doc
-
-    monkeypatch.setattr(jsonio, "_walk", walk)
-    return seen
-
-
-# windows of a few characters, so that a window ends inside every key, number,
-# row, line end and separator of the documents below
-_WINDOWS = [1, 2, 3, 7, 13]
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 @pytest.mark.parametrize("form", _FORMS)
 @pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_read_matches_json_load(tmp_path, monkeypatch, kind, form, blocks, offset):
-    """k blocks' worth of rows, one short of it and one past it, load as
-    json.load + from_dict gave, in row blocks, through the package's window
-    and through windows of a few characters; the walker takes each without
-    decoding the file whole."""
-    rows = blocks * (jsonio._BLOCK // 16) + offset
-    path, walked = tmp_path / "doc.json", _walked(monkeypatch)
+def test_read_matches_json_load(tmp_path, kind, form, blocks, offset):
+    """Matrices of 255 to 513 rows, as the package writes them or re-indented
+    with LF or CRLF line ends, load as json.load + from_dict gave."""
+    rows = blocks * 256 + offset
+    path = tmp_path / "doc.json"
     _save(path, _document(path, kind, rows), form)
-    for window in [jsonio._WINDOW] + _WINDOWS:
-        monkeypatch.setattr(jsonio, "_WINDOW", window)
-        walked.clear()
-        assert _assert_parity(path, kind)[0] == "ok"
-        counts = _streamed_rows(path, kind)
-        assert sum(counts) == rows and len(counts) >= blocks
-        assert walked == [True, True], window
+    assert _assert_parity(path, kind)[0] == "ok"
 
 
 def _garble(doc, member, row, fault):
@@ -546,37 +437,28 @@ _FAULTS = ["string", "bool", "huge", "nan", "short", "ragged-tail", "syntax"]
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
-@pytest.mark.parametrize("form", _FORMS)
 @pytest.mark.parametrize("fault", _FAULTS)
-@pytest.mark.parametrize("where", ["first", "second-block", "last"])
-def test_read_refuses_as_json_load(tmp_path, kind, form, fault, where):
+def test_read_refuses_as_json_load(tmp_path, kind, fault):
     """A string, a bool, an integer beyond the float range, a NaN, a short
-    row, rows narrower from one on, or a syntax error, at row 0, at the first
-    row of the second block or at the last row: the file is refused as
-    json.load + from_dict refused it, naming the same path or place."""
-    member = _KINDS[kind][1]
-    rows = 2 * (jsonio._BLOCK // 16) + 1
+    row, rows narrower from one on, or a syntax error, in a matrix's middle
+    row: the file is refused as json.load + from_dict refused it, naming the
+    file and, for a mistyped number, its JSON path."""
+    member, rows = _KINDS[kind][1], 300
     path = tmp_path / "doc.json"
-    _save(path, _document(path, kind, rows), form)
-    row = {"first": 0, "second-block": _block_rows(path, kind)[0],
-           "last": rows - 1}[where]
-    _save(path, _garble(_document(path, kind, rows), member, row, fault), form)
+    _save(path, _garble(_document(path, kind, rows), member, rows // 2, fault), "package")
     texts = [path.read_bytes()]
     if fault == "syntax":
         texts = [texts[0].replace(b'"@@"', s.encode()) for s in _SYNTAX]
     for text in texts:
         path.write_bytes(text)
-        if where == "second-block":    # the fault leaves the first block as it was
-            assert _block_rows(path, kind)[0] == row
         status, message = _assert_parity(path, kind)
-        # rows all one number short from row 0 on are a narrower matrix
-        assert status != "ok" and str(path) in message or (fault, row) == ("ragged-tail", 0)
+        assert status != "ok" and message.startswith(f"{path}: ")
         if fault in ("string", "bool"):
-            assert f"{member}[{row}][0] must be number" in message
+            assert f"{member}[{rows // 2}][0] must be number" in message
 
 
 _EDGE_TEXTS = [
-    "\ufeff{}",  # a UTF-8 BOM
+    "﻿{}",  # a UTF-8 BOM
     "{} {}", "{}x", "[]", "[" * 200000, "", " ", "{", '{"a"', '{"a" 1}', '{"a": }',
     '{"a": 1 "b": 2}', '{"a": 1,}', '{"a": 1, }', "{,}", '{"a": [[1, 2], [3 4]]}',
     '{"features": [], "prototypes": []}', '{"features": [1, 2], "prototypes": "x"}',
@@ -616,104 +498,6 @@ def test_read_duplicate_key_last_wins(tmp_path):
     assert "features[1][0] must be number" in _assert_parity(path, "dataset")[1]
 
 
-def _walkable(text: str, member: str) -> bool:
-    """Whether `text` is a JSON object each of whose `member` values is rows
-    of equally many numbers: a file the walker must take, not give up on."""
-    try:
-        pairs = json.loads(text, object_pairs_hook=list)
-    except (ValueError, RecursionError):
-        return False
-    matrices = [v for k, v in pairs if k == member] if text.lstrip().startswith("{") else [0]
-    return all(isinstance(m, list) and m
-               and all(isinstance(r, list) and r and {type(x) for x in r} <= {int, float}
-                       for r in m) and len(set(map(len, m))) == 1 for m in matrices)
-
-
-@pytest.mark.parametrize("window", _WINDOWS)
-@pytest.mark.parametrize("kind", sorted(_KINDS))
-def test_read_edge_documents_through_small_windows(tmp_path, monkeypatch, window, kind):
-    """The hand-written documents, read a few characters per call, decode or
-    are refused as json.load + from_dict did; the walker takes every object
-    whose matrices are rows of numbers of one width, through the whole-file
-    window and through the small one, and gives up on every other text."""
-    path, walked = tmp_path / "doc.json", _walked(monkeypatch)
-    for text in _EDGE_TEXTS:
-        path.write_text(text, encoding="utf-8")
-        walked.clear()
-        for size in (len(text) + 1, window):    # the whole file, then a few characters
-            monkeypatch.setattr(jsonio, "_WINDOW", size)
-            _assert_parity(path, kind)
-        assert walked == [_walkable(text, _KINDS[kind][1])] * 2, text[:40]
-
-
-def test_read_multibyte_name_across_windows(tmp_path, monkeypatch):
-    """A dataset written as raw UTF-8 whose class name of 2-, 3- and 4-byte
-    characters a window boundary cuts, at each place within it, loads as
-    json.load + from_dict gave, and the walker takes it."""
-    path = tmp_path / "ds.json"
-    doc = _document(path, "dataset", 40)
-    name = "caf\u00e9 \u2603\U0001f600\u00e9"
-    doc["tree"]["leaf_classes"][1] = name
-    text = json.dumps(doc, ensure_ascii=False) + "\n"
-    path.write_text(text, encoding="utf-8")
-    assert len(path.read_bytes()) > len(text)
-    start, walked = text.index(name), _walked(monkeypatch)
-    for cut in range(start + 1, start + len(name)):
-        monkeypatch.setattr(jsonio, "_WINDOW", cut)
-        walked.clear()
-        assert _assert_parity(path, "dataset")[1].tree.leaf_classes[1] == name
-        assert walked == [True], cut
-
-
-@pytest.mark.parametrize("kind, key, value", [("dataset", "seed", 1234567),
-                                              ("bank", "delta", 12.375)])
-def test_read_number_across_windows(tmp_path, monkeypatch, kind, key, value):
-    """A top-level number a window boundary cuts, at each place within it,
-    decodes whole: a number's first digits decode too, so the walker reads
-    on until a separator follows."""
-    path = tmp_path / "doc.json"
-    doc = _document(path, kind, 40)
-    doc[key] = value
-    jsonio.write(path, doc)
-    text, walked = path.read_text(), _walked(monkeypatch)
-    start = text.index(f'"{key}": ') + len(key) + 4
-    for cut in range(start + 1, start + len(str(value))):
-        monkeypatch.setattr(jsonio, "_WINDOW", cut)
-        walked.clear()
-        assert getattr(_assert_parity(path, kind)[1], key) == value
-        assert walked == [True], cut
-
-
-@pytest.mark.parametrize("window", _WINDOWS)
-def test_read_longer_rows_through_small_windows(tmp_path, monkeypatch, window):
-    """Rows of more than half a block's numbers are a block each, and the
-    window is filled to the shortest row's text: after a row of short
-    numbers, each longer row is cut with no row after it in the window, and
-    the walker reads on rather than giving up."""
-    path = tmp_path / "bank.json"
-    doc = _document(path, "bank", 4, jsonio._BLOCK // 2 + 1)
-    doc["prototypes"][0] = [0.5] * len(doc["prototypes"][0])
-    jsonio.write(path, doc)
-    monkeypatch.setattr(jsonio, "_WINDOW", window)
-    walked = _walked(monkeypatch)
-    assert _assert_parity(path, "bank")[0] == "ok"
-    assert _streamed_rows(path, "bank") == [1, 1, 1, 1]
-    assert walked == [True, True]
-
-
-@pytest.mark.parametrize("width", [jsonio._BLOCK - 1, jsonio._BLOCK + 5])
-def test_read_rows_wider_than_a_block(tmp_path, width):
-    """A row of more numbers than a block is a block of its own."""
-    path = tmp_path / "bank.json"
-    _document(path, "bank", 3, width)
-    assert _assert_parity(path, "bank")[0] == "ok"
-    assert _streamed_rows(path, "bank") == [1, 1, 1]
-    ds = data.generate(num_features=width, num_samples=24, num_classes=2, num_super=2,
-                       background_fraction=0.0, train_fraction=0.9)
-    ds.save(path)
-    assert _assert_parity(path, "dataset")[0] == "ok"
-
-
 def _piped(path, text: str, call):
     """call() while a thread writes `text` into the FIFO at `path`."""
     writer = threading.Thread(target=path.write_text, args=(text,),
@@ -727,88 +511,94 @@ def _piped(path, text: str, call):
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 @pytest.mark.parametrize("fault", [None, "cut", "bom"])
-def test_read_pipe_as_json_load(tmp_path, monkeypatch, kind, fault):
-    """A file read from a pipe, which cannot be read again should the walker
-    give up, is decoded whole in one read: a valid one loads as json.load +
-    from_dict gave, and one cut inside its matrix or opening with a BOM is
-    refused as they refused it, with json's message."""
+def test_read_pipe_as_json_load(tmp_path, kind, fault):
+    """A file read from a pipe, which cannot be read again, is read once: a
+    valid one loads as json.load + from_dict gave, and one cut inside its
+    matrix or opening with a BOM is refused as they refused it, with json's
+    message."""
     path = tmp_path / "pipe"
     text = json.dumps(_document(tmp_path / "doc.json", kind, 300))
-    text = {None: text, "cut": text[:len(text) // 2], "bom": "\ufeff" + text}[fault]
+    text = {None: text, "cut": text[:len(text) // 2], "bom": "﻿" + text}[fault]
     os.mkfifo(path)
-    cls, walked = _KINDS[kind][0], _walked(monkeypatch)
+    cls = _KINDS[kind][0]
     new = _piped(path, text, lambda: _outcome(lambda: cls.load(path)))
     old = _piped(path, text, lambda: _outcome(lambda: _json_load(path, cls.from_dict)))
     if fault is None:
         assert new[0] == old[0] == "ok" and _fields(new[1]) == _fields(old[1])
     else:
         assert new == old and f"{path}: malformed file (JSONDecodeError: " in new[1]
-    assert walked == []
 
 
 def test_read_keeps_every_bit(tmp_path):
-    """NaN, infinities, signed zeros, subnormals and integers that round:
-    the matrix `read` decodes holds json.load's numbers converted by numpy."""
-    values = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -2.2e-308,
-              2 ** 53 + 1, -(2 ** 64) - 1, 10 ** 308, 1.7976931348623157e308, 0.1, 7]
-    matrix = [values[i:] + values[:i] for i in range(len(values))] * 400
-    path = tmp_path / "doc.json"
-    jsonio.write(path, {"features": matrix})
-    with mock.patch.object(schemas, "load_schema", lambda name: {
-            "type": "object", "properties": {"features": {
-                "type": "array", "items": {"type": "array", "items": {"type": "number"}}}}}):
-        got = jsonio.read(path, lambda d: d["features"], "any")
-    want = np.asarray(json.loads(path.read_text())["features"], dtype=np.float64)
-    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+    """Signed zeros, subnormals, the largest float and integers that round:
+    a JSON dataset holds json.load's numbers converted by numpy, and its npz
+    copy the same bits."""
+    values = [-0.0, 0.0, 5e-324, -2.2e-308, 2 ** 53 + 1, -(2 ** 64) - 1, 10 ** 308,
+              1.7976931348623157e308, 0.1, 7]
+    ds = data.generate(num_features=len(values), num_samples=600, num_classes=4, num_super=2)
+    matrix = [values[i % 10:] + values[:i % 10] for i in range(600)]
+    jsonio.write(tmp_path / "ds.json", {**ds.to_dict(), "features": matrix})
+    from_json = data.SyntheticDataset.load(tmp_path / "ds.json")
+    from_json.save(tmp_path / "ds.npz")
+    from_npz = data.SyntheticDataset.load(tmp_path / "ds.npz")
+    want = np.asarray(matrix, dtype=np.float64)
+    assert same_bits(from_json.features, want) and same_bits(from_npz.features, want)
+    assert _fields(from_json) == _fields(from_npz)
 
 
 def test_dataset_load_peak_memory(tmp_path):
-    """Peak memory stays below the file's size: the read holds a window of
-    the text, never all of it, and no tree of Python floats for all
-    features; what remains is the decoded blocks and their join."""
+    """Loading the 8000 x 16 dataset holds the file's bytes, the arrays
+    decoded from them and numpy's 256 KiB read chunks, and little else: peak
+    memory stays below 2.5 times the arrays' own bytes (2.36 measured)."""
     path = tmp_path / "ds.json"
-    data.generate(num_samples=8000, num_features=16, seed=0).save(path)
+    ds = data.generate(num_samples=8000, num_features=16, seed=0)
+    ds.save(path)
+    nbytes = sum(a.nbytes for a in (ds.features, ds.labels, ds.train_idx, ds.val_idx))
     tracemalloc.start()
     try:
         data.SyntheticDataset.load(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.0 * os.path.getsize(path)
+    assert peak < 2.5 * nbytes
 
 
-@pytest.mark.parametrize("form", _FORMS)
-def test_dataset_load_decodes_blocks(tmp_path, form):
-    """No decode call parses more than a block of the 8000 x 16 features."""
-    path = tmp_path / "ds.json"
-    data.generate(num_samples=8000, num_features=16, seed=0).save(path)
-    _save(path, json.loads(path.read_text()), form)
-    counts = _streamed_rows(path, "dataset")
-    assert sum(counts) == 8000 and len(counts) > 8000 * 16 // jsonio._BLOCK
-
-
-def test_read_spy_catches_a_whole_matrix(tmp_path, monkeypatch):
-    """The spy above fails a reader that decodes the features in one call."""
-    path = tmp_path / "ds.json"
-    data.generate(num_samples=600, num_features=16, seed=0).save(path)
-    monkeypatch.setattr(jsonio, "_is_matrix", lambda schema: False)
-    with pytest.raises(AssertionError):
-        _streamed_rows(path, "dataset")
+def _arrays(ds) -> dict:
+    """`ds`'s document with copies of its arrays, to edit in place."""
+    doc = ds.to_dict()
+    return {**doc, "features": doc["features"].copy(), "labels": doc["labels"].copy(),
+            "splits": {k: v.copy() for k, v in doc["splits"].items()}}
 
 
 @pytest.mark.parametrize("edit, error, message", [
-    (lambda f: f, None, None),
-    (lambda f: f[:, :0], ParameterError, "features[0] must hold at least 1 items"),
-    (lambda f: f.astype(np.float32), ParameterError, "features must be array, not ndarray"),
-    (lambda f: f[:, 0], ParameterError, "features must be array, not ndarray"),
+    (lambda d: d, None, None),
+    (lambda d: d.update(features=d["features"][:, :0]), ParameterError,
+     "features[0] must hold at least 1 items"),
+    (lambda d: d.update(features=d["features"].astype(np.float32)), ParameterError,
+     "features must be a 2-D float64 array, not a 2-D float32 array"),
+    (lambda d: d.update(features=d["features"][:, 0]), ParameterError,
+     "features must be a 2-D float64 array, not a 1-D float64 array"),
+    (lambda d: d.update(features=d["features"].astype(str)), ParameterError,
+     "features must be a 2-D float64 array, not a 2-D <U"),
+    (lambda d: d.update(labels=d["labels"].astype(np.float64)), ParameterError,
+     "labels must be a 1-D int64 array, not a 1-D float64 array"),
+    (lambda d: d["labels"].__setitem__(7, -2), ParameterError,
+     "labels[7] is -2, out of the bounds {'minimum': -1}"),
+    (lambda d: d["splits"]["train"].__setitem__(3, -1), ParameterError,
+     "splits.train[3] is -1, out of the bounds {'minimum': 0}"),
+    (lambda d: d["splits"].update(val=d["splits"]["val"][:0]), ParameterError,
+     "splits.val must hold at least 1 items"),
+    (lambda d: d["tree"].update(parents=np.asarray(d["tree"]["parents"], dtype=float)),
+     ParameterError, "tree.parents must be a 1-D int64 array, not a 1-D float64 array"),
 ])
-def test_check_takes_a_float64_matrix(tmp_path, edit, error, message):
-    """from_dict takes a 2-D float64 array where the schema declares an array
-    of number arrays, as it takes the array's rows; row 0 stands for all."""
+def test_check_takes_a_float64_matrix(edit, error, message):
+    """from_dict takes a dataset's float64 features and int64 labels and
+    split indices as arrays, as it takes their lists: an array matches an
+    array-of-number or array-of-integer schema by dtype, by ndim, by each
+    axis's minItems and by the bounds over its min and max."""
     ds = data.generate(num_features=8, num_super=2, num_classes=4, num_samples=600)
-    ds.save(tmp_path / "ds.json")
-    listed = json.loads((tmp_path / "ds.json").read_text())
-    doc = {**listed, "features": edit(ds.features)}
+    listed, doc = jsonio.plain(ds.to_dict()), _arrays(ds)
+    edit(doc)
     if error is None:
         assert (_fields(data.SyntheticDataset.from_dict(doc))
                 == _fields(data.SyntheticDataset.from_dict(listed)))
@@ -848,8 +638,9 @@ def test_each_document_checked_once(tmp_path, monkeypatch):
     bank.save(tmp_path / "bank.json")
     calls = {
         "dataset-file": (lambda: data.SyntheticDataset.load(tmp_path / "ds.json"), ["dataset"]),
-        "dataset-dict": (lambda: data.SyntheticDataset.from_dict(
-            json.loads((tmp_path / "ds.json").read_text())), ["dataset"]),
+        "dataset-dict": (lambda: data.SyntheticDataset.from_dict(jsonio.plain(ds.to_dict())),
+                         ["dataset"]),
+        "dataset-arrays": (lambda: data.SyntheticDataset.from_dict(ds.to_dict()), ["dataset"]),
         "bank-file": (lambda: heads.PrototypeBank.load(tmp_path / "bank.json"),
                       ["prototype_bank"]),
         "bank-dict": (lambda: heads.PrototypeBank.from_dict(bank.to_dict()), ["prototype_bank"]),
