@@ -437,24 +437,32 @@ _FAULTS = ["string", "bool", "huge", "nan", "short", "ragged-tail", "syntax"]
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("form", _FORMS)
 @pytest.mark.parametrize("fault", _FAULTS)
-def test_read_refuses_as_json_load(tmp_path, kind, fault):
+@pytest.mark.parametrize("where", ["first", "second-block", "last"])
+def test_read_refuses_as_json_load(tmp_path, kind, form, fault, where):
     """A string, a bool, an integer beyond the float range, a NaN, a short
-    row, rows narrower from one on, or a syntax error, in a matrix's middle
-    row: the file is refused as json.load + from_dict refused it, naming the
-    file and, for a mistyped number, its JSON path."""
-    member, rows = _KINDS[kind][1], 300
+    row, rows narrower from one on, or a syntax error, at row 0, at row 256
+    of 513 or at the last row, in a file as the package writes it or
+    re-indented with LF or CRLF line ends: the file is refused as json.load +
+    from_dict refused it, naming the file and, for a mistyped number, its
+    JSON path."""
+    member, rows = _KINDS[kind][1], 513
+    row = {"first": 0, "second-block": 256, "last": rows - 1}[where]
     path = tmp_path / "doc.json"
-    _save(path, _garble(_document(path, kind, rows), member, rows // 2, fault), "package")
+    _save(path, _garble(_document(path, kind, rows), member, row, fault), form)
     texts = [path.read_bytes()]
     if fault == "syntax":
         texts = [texts[0].replace(b'"@@"', s.encode()) for s in _SYNTAX]
     for text in texts:
         path.write_bytes(text)
         status, message = _assert_parity(path, kind)
+        # rows all one number short from row 0 on are a narrower matrix
+        if (fault, row) == ("ragged-tail", 0):
+            continue
         assert status != "ok" and message.startswith(f"{path}: ")
         if fault in ("string", "bool"):
-            assert f"{member}[{rows // 2}][0] must be number" in message
+            assert f"{member}[{row}][0] must be number" in message
 
 
 _EDGE_TEXTS = [
